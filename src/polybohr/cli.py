@@ -27,20 +27,11 @@ import numpy as np
 from .bounds import DEFAULT_SEED
 from .extremal import (Functional, WitnessNotFoundError, _functional_value,
                        majorant_functional, sharpness_witness)
-from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
-                    RadiusProblem, radius_for)
+from .radii import KINDS, FunctionalKind, RadiusProblem, radius_for
 
-_KINDS = {
-    "convex": FunctionalKind.CONVEX,
-    "deriv": FunctionalKind.DERIV,
-    "sq_deriv": FunctionalKind.SQ_DERIV,
-}
-
-_MAJORANT_CAP = {
-    FunctionalKind.CONVEX: 1.0 - 1e-9,
-    FunctionalKind.DERIV: SQRT2_MINUS_1,
-    FunctionalKind.SQ_DERIV: GOLDEN_CONJUGATE,
-}
+_THEOREMS = [kind.value for kind in FunctionalKind]
+# the CLI flag of each weight named in radii.KINDS
+_FLAG = {"t": "t", "lam": "lambda"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,23 +60,20 @@ def _resolve_seed(args) -> int:
     return int(os.environ.get("BOHR_SEED", DEFAULT_SEED))
 
 
+def _theorem(args):
+    """The kind named by --theorem, its own weight's name and the other one."""
+    kind = FunctionalKind(args.theorem)
+    own = KINDS[kind].weight
+    return kind, own, next(w for w in _FLAG if w != own)
+
+
 def _problem_from_args(args) -> RadiusProblem:
-    kind = _KINDS[args.theorem]
-    if kind is FunctionalKind.CONVEX:
-        if args.t is None:
-            raise ValueError("--theorem convex requires --t")
-        if args.lam is not None:
-            raise ValueError("--theorem convex takes no --lambda")
-        return RadiusProblem(kind, args.n, args.m, t=args.t)
-    if args.lam is None:
-        raise ValueError(f"--theorem {args.theorem} requires --lambda")
-    if args.t is not None:
-        raise ValueError(f"--theorem {args.theorem} takes no --t")
-    return RadiusProblem(kind, args.n, args.m, lam=args.lam)
-
-
-def _weight(problem: RadiusProblem) -> float:
-    return problem.t if problem.kind is FunctionalKind.CONVEX else problem.lam
+    kind, own, other = _theorem(args)
+    if getattr(args, own) is None:
+        raise ValueError(f"--theorem {args.theorem} requires --{_FLAG[own]}")
+    if getattr(args, other) is not None:
+        raise ValueError(f"--theorem {args.theorem} takes no --{_FLAG[other]}")
+    return RadiusProblem(kind, args.n, args.m, **{own: getattr(args, own)})
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -129,7 +117,7 @@ def cmd_verify(args) -> int:
 
     dominance_violations = []
     min_margin = float("inf")
-    cap = _MAJORANT_CAP[func.kind]
+    cap = KINDS[func.kind].search_cap
     for rho in rhos:
         rr = float(min(rho, cap))
         for a in avals:
@@ -145,7 +133,7 @@ def cmd_verify(args) -> int:
         "kind": func.kind.value,
         "n": problem.n,
         "m": problem.m,
-        "weight": _weight(problem),
+        "weight": problem.weight,
         "seed": _resolve_seed(args),
         "radius": res.radius,
         "inflate_radius": args.inflate_radius,
@@ -170,7 +158,7 @@ def cmd_sharpness(args) -> int:
         "kind": problem.kind.value,
         "n": problem.n,
         "m": problem.m,
-        "weight": _weight(problem),
+        "weight": problem.weight,
         "delta": args.delta,
         "radius": res.radius,
         "rho": witness.rho,
@@ -199,62 +187,40 @@ def _sweep_values(args):
 
 
 def cmd_sweep(args) -> int:
-    kind = _KINDS[args.theorem]
+    kind, own, _ = _theorem(args)
     values = _sweep_values(args)
+    fixed = {"n": args.n, "m": args.m}
+    if args.param in ("n", "m"):
+        if getattr(args, own) is None:
+            raise ValueError(f"n/m sweeps for {args.theorem} require --{_FLAG[own]}")
+        fixed[own] = getattr(args, own)
+    swept = "lam" if args.param == "lambda" else args.param
     rows = ["param,radius,rho_root,residual"]
     for v in values:
-        if args.param == "t":
-            problem = RadiusProblem(kind, args.n, args.m, t=float(v))
-        elif args.param == "lambda":
-            problem = RadiusProblem(kind, args.n, args.m, lam=float(v))
-        elif args.param == "n":
-            problem = _problem_with_nm(kind, int(v), args.m, args)
-        else:
-            problem = _problem_with_nm(kind, args.n, int(v), args)
-        res = radius_for(problem)
+        res = radius_for(RadiusProblem(kind, **{**fixed, swept: v}))
         rows.append(",".join([_fmt(v), _fmt(res.radius), _fmt(res.rho_root),
                               _fmt(res.residual)]))
     _write_out("\n".join(rows) + "\n", args.out)
     return 0
 
 
-def _problem_with_nm(kind, n, m, args) -> RadiusProblem:
-    if kind is FunctionalKind.CONVEX:
-        if args.t is None:
-            raise ValueError("n/m sweeps for convex require --t")
-        return RadiusProblem(kind, n, m, t=args.t)
-    if args.lam is None:
-        raise ValueError(f"n/m sweeps for {args.theorem} require --lambda")
-    return RadiusProblem(kind, n, m, lam=args.lam)
-
-
 def _parse_list(text, cast):
-    if text is None or text.strip() == "":
-        return []
-    return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+    return [cast(tok) for tok in (text or "").split(",") if tok.strip() != ""]
 
 
 def cmd_table(args) -> int:
-    kind = _KINDS[args.theorem]
+    kind, own, other = _theorem(args)
     ns = _parse_list(args.n_list, int)
     ms = _parse_list(args.m_list, int)
-    if kind is FunctionalKind.CONVEX:
-        if args.lambda_list is not None:
-            raise ValueError("--theorem convex takes --t-list, not --lambda-list")
-        weights = _parse_list(args.t_list, float)
-    else:
-        if args.t_list is not None:
-            raise ValueError(f"--theorem {args.theorem} takes --lambda-list, not --t-list")
-        weights = _parse_list(args.lambda_list, float)
+    if getattr(args, f"{_FLAG[other]}_list") is not None:
+        raise ValueError(f"--theorem {args.theorem} takes --{_FLAG[own]}-list, "
+                         f"not --{_FLAG[other]}-list")
+    weights = _parse_list(getattr(args, f"{_FLAG[own]}_list"), float)
     rows = ["n,m,param,radius,rho_root,residual"]
     for n in ns:
         for m in ms:
             for w in weights:
-                if kind is FunctionalKind.CONVEX:
-                    problem = RadiusProblem(kind, n, m, t=w)
-                else:
-                    problem = RadiusProblem(kind, n, m, lam=w)
-                res = radius_for(problem)
+                res = radius_for(RadiusProblem(kind, n, m, **{own: w}))
                 rows.append(",".join([str(n), str(m), _fmt(w), _fmt(res.radius),
                                       _fmt(res.rho_root), _fmt(res.residual)]))
     _write_out("\n".join(rows) + "\n", args.out)
@@ -263,8 +229,9 @@ def cmd_table(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+
 def _add_common(sub, weights=True):
-    sub.add_argument("--theorem", required=True, choices=sorted(_KINDS),
+    sub.add_argument("--theorem", required=True, choices=_THEOREMS,
                      help="functional kind")
     sub.add_argument("--n", type=int, default=1, help="number of variables")
     sub.add_argument("--m", type=int, default=1, help="power-map order")
@@ -314,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("table", help="radius table over (n, m, weight) lists (CSV)")
-    p.add_argument("--theorem", required=True, choices=sorted(_KINDS))
+    p.add_argument("--theorem", required=True, choices=_THEOREMS)
     p.add_argument("--n-list", default="", help="comma-separated n values")
     p.add_argument("--m-list", default="", help="comma-separated m values")
     p.add_argument("--t-list", default=None, help="comma-separated t values (convex)")
@@ -338,7 +305,7 @@ def main(argv=None) -> int:
     except WitnessNotFoundError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,8 +35,8 @@ import numpy as np
 
 from .mvseries import (DEFAULT_MAX_DEGREE, Direction, SchwarzPowerMap,
                        TruncatedSeries, multi_indices)
-from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
-                    RadiusProblem, radius_for)
+from .radii import (GOLDEN_CONJUGATE, KINDS, FunctionalKind, RadiusProblem,
+                    _geometric_radius, check_weight, radius_for)
 
 # sup-over-grid crossing guard: a radius is "crossed" only when the grid sup
 # exceeds 1 by more than this
@@ -58,16 +58,7 @@ class Functional:
     lam: float | None = None
 
     def __post_init__(self):
-        if self.kind is FunctionalKind.CONVEX:
-            if self.t is None or self.lam is not None:
-                raise ValueError("CONVEX takes t only")
-            if not 0.0 <= self.t <= 1.0:
-                raise ValueError(f"t must lie in [0, 1], got {self.t!r}")
-        else:
-            if self.lam is None or self.t is not None:
-                raise ValueError(f"{self.kind.value} takes lam only")
-            if not self.lam > 0.0:
-                raise ValueError(f"lam must be positive, got {self.lam!r}")
+        check_weight(self.kind, self.t, self.lam)
 
     @classmethod
     def convex(cls, t: float) -> "Functional":
@@ -189,7 +180,7 @@ def majorant_functional(func: Functional, a0: float, rho: float) -> float:
             raise ValueError(f"CONVEX majorant needs rho < 1, got {rho!r}")
         t = func.t
         return t * first + (1.0 - t) * (a0 + (1.0 - a0 * a0) * rho / (1.0 - rho))
-    cap = SQRT2_MINUS_1 if func.kind is FunctionalKind.DERIV else GOLDEN_CONJUGATE
+    cap = KINDS[func.kind].rho_cap
     if rho > cap:
         raise ValueError(f"{func.kind.value} majorant needs rho <= {cap!r}, got {rho!r}")
     second = rho * (1.0 - a0 * a0) / (1.0 + a0 * rho) ** 2
@@ -300,15 +291,36 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3,
         f"(grid+refined sup = {max(float(np.max(vals)), float(v_best))!r})")
 
 
-_SEARCH_RHO_MAX = {
-    FunctionalKind.CONVEX: 1.0 - 1e-9,
-    FunctionalKind.DERIV: SQRT2_MINUS_1,
-    FunctionalKind.SQ_DERIV: GOLDEN_CONJUGATE,
-}
+def _bisect_crossing(value, a_grid: int, tol: float, lo: float, hi: float,
+                     what: str = "") -> float:
+    """The rho in (lo, hi) where the sup over a of value(a, rho) crosses 1.
 
+    value works elementwise on the a-grid (`a_grid` uniform points plus the
+    log tail); "crosses" means exceeds 1 by more than CROSSING_TOL.  Bisects
+    until the bracket is narrower than tol and returns its midpoint; `what`
+    names the functional in the error raised when (lo, hi) holds no crossing.
+    """
+    if a_grid < 100:
+        raise ValueError(f"a_grid must be >= 100, got {a_grid!r}")
+    if tol < 1e-10:
+        raise ValueError(f"tol must be >= 1e-10, got {tol!r}")
+    avals = _a_grid(a_grid)
 
-def _sup_crosses(func: Functional, avals: np.ndarray, rho: float) -> bool:
-    return float(np.max(_functional_value(func, avals, rho))) > 1.0 + CROSSING_TOL
+    def crosses(rho: float) -> bool:
+        return float(np.max(value(avals, rho))) > 1.0 + CROSSING_TOL
+
+    if crosses(lo):
+        raise ValueError(f"threshold not bracketed: crossing already at rho = {lo!r}")
+    if not crosses(hi):
+        raise ValueError(
+            f"threshold not bracketed: no crossing up to rho = {hi!r}{what}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if crosses(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def empirical_radius(problem: RadiusProblem, a_grid: int = 512,
@@ -322,30 +334,12 @@ def empirical_radius(problem: RadiusProblem, a_grid: int = 512,
     radius for every weight, the root of the convex quadratic or of the
     weighted DERIV / SQ_DERIV quartic.
     """
-    if a_grid < 100:
-        raise ValueError(f"a_grid must be >= 100, got {a_grid!r}")
-    if tol < 1e-10:
-        raise ValueError(f"tol must be >= 1e-10, got {tol!r}")
     func = Functional.from_problem(problem)
-    avals = _a_grid(a_grid)
-    lo = 1e-9
-    hi = _SEARCH_RHO_MAX[func.kind]
-    if _sup_crosses(func, avals, lo):
-        raise ValueError(f"threshold not bracketed: crossing already at rho = {lo!r}")
-    if not _sup_crosses(func, avals, hi):
-        raise ValueError(
-            f"threshold not bracketed: no crossing up to rho = {hi!r} "
-            f"for {func.kind.value} with weight {func.t if func.t is not None else func.lam!r}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _sup_crosses(func, avals, mid):
-            hi = mid
-        else:
-            lo = mid
-    rho_star = 0.5 * (lo + hi)
-    if problem.m == 1:
-        return rho_star / problem.n
-    return (rho_star / problem.n) ** (1.0 / problem.m)
+    rho_star = _bisect_crossing(
+        lambda a, rho: _functional_value(func, a, rho), a_grid, tol,
+        1e-9, KINDS[func.kind].search_cap,
+        f" for {func.kind.value} with weight {problem.weight!r}")
+    return _geometric_radius(rho_star, problem.n, problem.m)
 
 
 # -- one-variable Bohr-Rogosinski thresholds -----------------------------------
@@ -374,22 +368,5 @@ def _rogosinski_value(a, rho, squared: bool):
 def rogosinski_threshold(squared: bool = False, a_grid: int = 512,
                          tol: float = 1e-7) -> float:
     """Empirical crossing radius for the one-variable functional above."""
-    if a_grid < 100:
-        raise ValueError(f"a_grid must be >= 100, got {a_grid!r}")
-    if tol < 1e-10:
-        raise ValueError(f"tol must be >= 1e-10, got {tol!r}")
-    avals = _a_grid(a_grid)
-
-    def crosses(rho: float) -> bool:
-        return float(np.max(_rogosinski_value(avals, rho, squared))) > 1.0 + CROSSING_TOL
-
-    lo, hi = 1e-9, 0.8
-    if not crosses(hi):
-        raise ValueError("threshold not bracketed below rho = 0.8")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if crosses(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect_crossing(lambda a, rho: _rogosinski_value(a, rho, squared),
+                            a_grid, tol, 1e-9, 0.8)

@@ -48,6 +48,7 @@ clamped Newton polish, and a residual check at 1e-12.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,6 +66,10 @@ class FunctionalKind(Enum):
     CONVEX = "convex"
     DERIV = "deriv"
     SQ_DERIV = "sq_deriv"
+
+    # members are singletons compared by identity, so object's C-level hash
+    # agrees with Enum's Python-level one; KINDS[kind] runs in verify's loop
+    __hash__ = object.__hash__
 
 
 class PolyLabel(Enum):
@@ -234,22 +239,11 @@ class RadiusProblem:
 
     def __post_init__(self):
         _check_nm(self.n, self.m)
-        if self.kind is FunctionalKind.CONVEX:
-            if self.t is None:
-                raise ValueError("CONVEX needs t")
-            if self.lam is not None:
-                raise ValueError("CONVEX takes no lam")
-            _check_t(self.t)
-        else:
-            if self.lam is None:
-                raise ValueError(f"{self.kind.value} needs lam")
-            if self.t is not None:
-                raise ValueError(f"{self.kind.value} takes no t")
-            _check_lam(self.lam)
+        check_weight(self.kind, self.t, self.lam)
 
     @property
     def weight(self) -> float:
-        return self.t if self.kind is FunctionalKind.CONVEX else self.lam
+        return getattr(self, KINDS[self.kind].weight)
 
 
 @dataclass(frozen=True)
@@ -345,23 +339,33 @@ def _geometric_radius(rho: float, n: int, m: int) -> float:
     return (rho / n) ** (1.0 / m)
 
 
+def _radius(kind: FunctionalKind, n: int, m: int, w: float) -> RadiusResult:
+    """Certified radius of the kind at weight w; r = (rho / n)^(1/m).
+
+    The rho root is bracketed by (0, rho_cap), narrowed to 1e-6 either side
+    of the closed form where the kind has one.
+    """
+    _check_nm(n, m)
+    spec = KINDS[kind]
+    poly = spec.polynomial(w)
+    lo, hi = 0.0, spec.rho_cap
+    if spec.closed_form is not None:
+        rho_star = spec.closed_form(w)
+        lo, hi = max(rho_star - 1e-6, lo), min(rho_star + 1e-6, hi)
+    root, bracket, residual = _bisect_newton(poly, lo, hi)
+    return RadiusResult(_geometric_radius(root, n, m), root, residual, bracket,
+                        poly.label.value)
+
+
 def radius_convex(n: int, m: int, t: float) -> RadiusResult:
     """Radius for the CONVEX functional; r = (rho / n)^(1/m).
 
-    The rho root is certified against the quadratic, with the bracket seeded
-    from the closed form (and the full interval (0, 1) as a fallback).
+    The rho root is certified against the quadratic within 1e-6 of the
+    closed form.  That bracket always holds a sign change: the quadratic's
+    other root lies below 0 or above 1, and at t = 1 the root is rho = 1,
+    where the quadratic is exactly 0.
     """
-    _check_nm(n, m)
-    poly = convex_rho_polynomial(t)
-    rho_star = convex_rho_closed_form(t)
-    lo = max(rho_star - 1e-6, 0.0)
-    hi = min(rho_star + 1e-6, 1.0)
-    try:
-        root, bracket, residual = _bisect_newton(poly, lo, hi)
-    except ValueError:
-        root, bracket, residual = _bisect_newton(poly, 0.0, 1.0)
-    return RadiusResult(_geometric_radius(root, n, m), root, residual, bracket,
-                        poly.label.value)
+    return _radius(FunctionalKind.CONVEX, n, m, t)
 
 
 def radius_deriv(n: int, m: int, lam: float) -> RadiusResult:
@@ -372,11 +376,7 @@ def radius_deriv(n: int, m: int, lam: float) -> RadiusResult:
     the module docstring).  For lam < 1/2 this is larger than the root of the
     paper's weight-free quartic, which is safe but not sharp there.
     """
-    _check_nm(n, m)
-    poly = deriv_rho_polynomial(lam)
-    root, bracket, residual = _bisect_newton(poly, 0.0, SQRT2_MINUS_1)
-    return RadiusResult(_geometric_radius(root, n, m), root, residual, bracket,
-                        poly.label.value)
+    return _radius(FunctionalKind.DERIV, n, m, lam)
 
 
 def radius_sq_deriv(n: int, m: int, lam: float) -> RadiusResult:
@@ -386,20 +386,12 @@ def radius_sq_deriv(n: int, m: int, lam: float) -> RadiusResult:
     factorization as radius_deriv.  For lam < 1 this is larger than the root
     of the paper's weight-free quartic, which is safe but not sharp there.
     """
-    _check_nm(n, m)
-    poly = sq_deriv_rho_polynomial(lam)
-    root, bracket, residual = _bisect_newton(poly, 0.0, GOLDEN_CONJUGATE)
-    return RadiusResult(_geometric_radius(root, n, m), root, residual, bracket,
-                        poly.label.value)
+    return _radius(FunctionalKind.SQ_DERIV, n, m, lam)
 
 
 def radius_for(problem: RadiusProblem) -> RadiusResult:
-    """Dispatch a RadiusProblem to the matching radius function."""
-    if problem.kind is FunctionalKind.CONVEX:
-        return radius_convex(problem.n, problem.m, problem.t)
-    if problem.kind is FunctionalKind.DERIV:
-        return radius_deriv(problem.n, problem.m, problem.lam)
-    return radius_sq_deriv(problem.n, problem.m, problem.lam)
+    """Certified radius of a RadiusProblem."""
+    return _radius(problem.kind, problem.n, problem.m, problem.weight)
 
 
 # -- validation ---------------------------------------------------------------
@@ -417,10 +409,49 @@ def _check_t(t):
 
 
 def _check_lam(lam):
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam!r}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
 
 
 def _check_rho(rho):
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho!r}")
+
+
+def check_weight(kind: FunctionalKind, t, lam) -> None:
+    """Check that exactly the kind's own weight is given, and admissible."""
+    spec = KINDS[kind]
+    own, other = (t, lam) if spec.weight == "t" else (lam, t)
+    if own is None or other is not None:
+        raise ValueError(f"{kind.value} takes {spec.weight} only")
+    spec.check(own)
+
+
+# -- the per-kind table ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One functional kind: its weight's name and check, its radius
+    polynomial, the cap of the rho interval on which the majorant holds, and
+    the closed form of the rho root where there is one."""
+
+    weight: str
+    check: Callable[[float], None]
+    polynomial: Callable[[float], RhoPolynomial]
+    rho_cap: float
+    closed_form: Callable[[float], float] | None = None
+
+    @property
+    def search_cap(self) -> float:
+        """Largest rho the crossing searches and the verify sweep use."""
+        return min(self.rho_cap, 1.0 - 1e-9)
+
+
+KINDS = {
+    FunctionalKind.CONVEX: KindSpec("t", _check_t, convex_rho_polynomial, 1.0,
+                                    convex_rho_closed_form),
+    FunctionalKind.DERIV: KindSpec("lam", _check_lam, deriv_rho_polynomial,
+                                   SQRT2_MINUS_1),
+    FunctionalKind.SQ_DERIV: KindSpec("lam", _check_lam, sq_deriv_rho_polynomial,
+                                      GOLDEN_CONJUGATE),
+}

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from polybohr import cli
+from polybohr import WitnessNotFoundError, cli
 
 
 def run_cli(argv, capsys):
@@ -107,6 +107,33 @@ def test_radius_scales_with_variable_count(capsys):
         capsys)
     assert code == 0
     assert json.loads(out)["radius"] == pytest.approx(1 / 6, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["radius", "--theorem", "deriv", "--lambda", "inf"],
+    ["radius", "--theorem", "sq_deriv", "--lambda", "nan"],
+    ["verify", "--theorem", "deriv", "--lambda", "inf"],
+    ["verify", "--theorem", "sq_deriv", "--lambda", "inf"],
+    ["table", "--theorem", "deriv", "--n-list", "1", "--m-list", "1",
+     "--lambda-list", "0.5,inf"],
+], ids=["radius-deriv-inf", "radius-sq-deriv-nan", "verify-deriv-inf",
+        "verify-sq-deriv-inf", "table-deriv-inf"])
+def test_non_finite_weight_exits_one(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_residual_failure_exits_one_without_traceback(capsys, monkeypatch):
+    def failing_solve(problem):
+        raise ArithmeticError("residual 1e-09 exceeds 1e-12 for deriv-rho-quartic")
+    monkeypatch.setattr(cli, "radius_for", failing_solve)
+    code, out, err = run_cli(
+        ["radius", "--theorem", "deriv", "--lambda", "1.0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: residual 1e-09 exceeds 1e-12 for deriv-rho-quartic\n"
 
 
 # -- verify -------------------------------------------------------------------
@@ -212,6 +239,17 @@ def test_sharpness_small_weight_reports_witness(capsys):
     assert code == 0
     assert err == ""
     assert json.loads(out)["value"] > 1.0
+
+
+def test_sharpness_missing_witness_exits_two(capsys, monkeypatch):
+    def no_witness(problem, delta):
+        raise WitnessNotFoundError("no witness up to a = 0.999")
+    monkeypatch.setattr(cli, "sharpness_witness", no_witness)
+    code, out, err = run_cli(
+        ["sharpness", "--theorem", "deriv", "--lambda", "0.25"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("verification failure:")
 
 
 # -- sweep ------------------------------------------------------------------------

@@ -88,6 +88,13 @@ def test_extremal_params_validation():
 
 # -- closed-form functional valuesable against inline oracles ------------------
 
+@pytest.mark.parametrize("make", [Functional.deriv, Functional.sq_deriv])
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_functional_rejects_non_finite_lam(make, lam):
+    with pytest.raises(ValueError):
+        make(lam)
+
+
 def test_extremal_functional_at_zero_parameter():
     # a = 0: convex value t*rho + (1-t)*rho = rho; deriv value 2*rho
     for rho in (0.1, 0.25):

@@ -295,6 +295,13 @@ def test_radius_problem_validation():
     assert RadiusProblem(FunctionalKind.SQ_DERIV, 2, 3, lam=2.0).weight == 2.0
 
 
+@pytest.mark.parametrize("kind", [FunctionalKind.DERIV, FunctionalKind.SQ_DERIV])
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_radius_problem_rejects_non_finite_lam(kind, lam):
+    with pytest.raises(ValueError):
+        RadiusProblem(kind, 1, 1, lam=lam)
+
+
 def test_radius_for_dispatch():
     assert radius_for(RadiusProblem(FunctionalKind.CONVEX, 2, 2, t=0.3)) == \
         radius_convex(2, 2, 0.3)
