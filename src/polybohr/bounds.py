@@ -40,11 +40,10 @@ class GrowthBound:
     def __post_init__(self):
         if not 0.0 <= self.a0 <= 1.0:
             raise ValueError(f"a0 must lie in [0, 1], got {self.a0!r}")
-        if not 0.0 <= self.s < 1.0:
-            raise ValueError(f"s must lie in [0, 1), got {self.s!r}")
+        _check_s(self.s)
 
     def value(self) -> float:
-        return schwarz_pick_bound(self.a0, self.s)
+        return (self.a0 + self.s) / (1.0 + self.a0 * self.s)
 
 
 class PhiPsiMode(Enum):
@@ -61,7 +60,7 @@ class PhiPsiParams:
     x0: float
 
     def __post_init__(self):
-        if self.A < 0.0:
+        if not self.A >= 0.0:
             raise ValueError(f"A must be nonnegative, got {self.A!r}")
         if not 0.0 <= self.x <= self.x0 <= 1.0:
             raise ValueError(f"need 0 <= x <= x0 <= 1, got x={self.x!r}, x0={self.x0!r}")
@@ -74,11 +73,12 @@ def schwarz_pick_bound(a0: float, s: float) -> float:
     Mobius maps of one aligned variable, which is what makes it useful as a
     test oracle.
     """
-    if not 0.0 <= a0 <= 1.0:
-        raise ValueError(f"a0 must lie in [0, 1], got {a0!r}")
+    return GrowthBound(a0, s).value()
+
+
+def _check_s(s):
     if not 0.0 <= s < 1.0:
         raise ValueError(f"s must lie in [0, 1), got {s!r}")
-    return (a0 + s) / (1.0 + a0 * s)
 
 
 def derivative_bound(a_fz: float, s: float, alpha) -> float:
@@ -96,8 +96,7 @@ def derivative_bound(a_fz: float, s: float, alpha) -> float:
         raise ValueError("alpha must have total degree >= 1")
     if not 0.0 <= a_fz <= 1.0:
         raise ValueError(f"a_fz must lie in [0, 1], got {a_fz!r}")
-    if not 0.0 <= s < 1.0:
-        raise ValueError(f"s must lie in [0, 1), got {s!r}")
+    _check_s(s)
     d = idx.degree
     nonzero = sum(1 for e in idx if e)
     return idx.factorial * (1.0 - a_fz * a_fz) * (1.0 + s) ** (d - nonzero) / (1.0 - s * s) ** d
@@ -111,11 +110,11 @@ def coefficient_bound_check(series: TruncatedSeries) -> list:
     as far as this necessary condition can tell).
     """
     a0 = abs(series.coefficient((0,) * series.n_vars))
-    if a0 > 1.0 + _CHECK_TOL:
+    if not a0 <= 1.0 + _CHECK_TOL:
         raise ValueError(f"|a_0| = {a0!r} exceeds 1; not a map into the closed disc")
     cap = 1.0 - a0 * a0
     bad = [alpha for alpha, c in series.coeffs.items()
-           if alpha.degree >= 1 and abs(c) > cap + _CHECK_TOL]
+           if alpha.degree >= 1 and not abs(c) <= cap + _CHECK_TOL]
     bad.sort()
     return bad
 

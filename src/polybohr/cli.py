@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -30,8 +31,6 @@ from .extremal import (Functional, WitnessNotFoundError, _functional_value,
 from .radii import KINDS, FunctionalKind, RadiusProblem, radius_for
 
 _THEOREMS = [kind.value for kind in FunctionalKind]
-# the CLI flag of each weight named in radii.KINDS
-_FLAG = {"t": "t", "lam": "lambda"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,20 +59,9 @@ def _resolve_seed(args) -> int:
     return int(os.environ.get("BOHR_SEED", DEFAULT_SEED))
 
 
-def _theorem(args):
-    """The kind named by --theorem, its own weight's name and the other one."""
-    kind = FunctionalKind(args.theorem)
-    own = KINDS[kind].weight
-    return kind, own, next(w for w in _FLAG if w != own)
-
-
 def _problem_from_args(args) -> RadiusProblem:
-    kind, own, other = _theorem(args)
-    if getattr(args, own) is None:
-        raise ValueError(f"--theorem {args.theorem} requires --{_FLAG[own]}")
-    if getattr(args, other) is not None:
-        raise ValueError(f"--theorem {args.theorem} takes no --{_FLAG[other]}")
-    return RadiusProblem(kind, args.n, args.m, **{own: getattr(args, own)})
+    return RadiusProblem(FunctionalKind(args.theorem), args.n, args.m,
+                         t=args.t, lam=args.lam)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -88,15 +76,15 @@ def cmd_radius(args) -> int:
         "branch": res.branch,
         "bracket": [res.bracket[0], res.bracket[1]],
     }
-    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_out(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     if args.a_grid < 10 or args.rho_grid < 10:
         raise ValueError("grid sizes must be >= 10")
-    if args.inflate_radius < 0.0:
-        raise ValueError("--inflate-radius must be >= 0")
+    if not 0.0 <= args.inflate_radius < math.inf:
+        raise ValueError("--inflate-radius must be finite and >= 0")
     problem = _problem_from_args(args)
     res = radius_for(problem)
     func = Functional.from_problem(problem)
@@ -146,7 +134,7 @@ def cmd_verify(args) -> int:
         "violations_dominance": dominance_violations[:20],
         "ok": ok,
     }
-    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_out(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     return 0 if ok else 2
 
 
@@ -165,35 +153,29 @@ def cmd_sharpness(args) -> int:
         "a": witness.a,
         "value": witness.value,
     }
-    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_out(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     return 0
 
 
 def _sweep_values(args):
+    if not -math.inf < args.start < args.stop < math.inf:
+        raise ValueError("need finite --from < --to")
     if args.param in ("t", "lambda"):
         if args.steps is None:
             raise ValueError("--steps is required for t/lambda sweeps")
         if args.steps < 2:
             raise ValueError("--steps must be >= 2")
-        if not args.start < args.stop:
-            raise ValueError("need --from < --to")
         return [float(x) for x in np.linspace(args.start, args.stop, args.steps)]
     lo, hi = int(args.start), int(args.stop)
     if lo != args.start or hi != args.stop:
         raise ValueError(f"{args.param} sweep endpoints must be integers")
-    if not lo < hi:
-        raise ValueError("need --from < --to")
     return list(range(lo, hi + 1))
 
 
 def cmd_sweep(args) -> int:
-    kind, own, _ = _theorem(args)
+    kind = FunctionalKind(args.theorem)
     values = _sweep_values(args)
-    fixed = {"n": args.n, "m": args.m}
-    if args.param in ("n", "m"):
-        if getattr(args, own) is None:
-            raise ValueError(f"n/m sweeps for {args.theorem} require --{_FLAG[own]}")
-        fixed[own] = getattr(args, own)
+    fixed = {"n": args.n, "m": args.m, "t": args.t, "lam": args.lam}
     swept = "lam" if args.param == "lambda" else args.param
     rows = ["param,radius,rho_root,residual"]
     for v in values:
@@ -209,13 +191,15 @@ def _parse_list(text, cast):
 
 
 def cmd_table(args) -> int:
-    kind, own, other = _theorem(args)
+    kind = FunctionalKind(args.theorem)
+    own = KINDS[kind].weight
+    flag, other = ("t", "lambda") if own == "t" else ("lambda", "t")
     ns = _parse_list(args.n_list, int)
     ms = _parse_list(args.m_list, int)
-    if getattr(args, f"{_FLAG[other]}_list") is not None:
-        raise ValueError(f"--theorem {args.theorem} takes --{_FLAG[own]}-list, "
-                         f"not --{_FLAG[other]}-list")
-    weights = _parse_list(getattr(args, f"{_FLAG[own]}_list"), float)
+    if getattr(args, f"{other}_list") is not None:
+        raise ValueError(f"--theorem {args.theorem} takes --{flag}-list, "
+                         f"not --{other}-list")
+    weights = _parse_list(getattr(args, f"{flag}_list"), float)
     rows = ["n,m,param,radius,rho_root,residual"]
     for n in ns:
         for m in ms:

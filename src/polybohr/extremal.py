@@ -36,7 +36,7 @@ import numpy as np
 from .mvseries import (DEFAULT_MAX_DEGREE, Direction, SchwarzPowerMap,
                        TruncatedSeries, multi_indices)
 from .radii import (GOLDEN_CONJUGATE, KINDS, FunctionalKind, RadiusProblem,
-                    _geometric_radius, check_weight, radius_for)
+                    _check_nm, _geometric_radius, check_weight, radius_for)
 
 # sup-over-grid crossing guard: a radius is "crossed" only when the grid sup
 # exceeds 1 by more than this
@@ -86,10 +86,8 @@ class ExtremalParams:
     m: int
 
     def __post_init__(self):
-        if not 0.0 <= self.a < 1.0:
-            raise ValueError(f"a must lie in [0, 1), got {self.a!r}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be >= 1")
+        _check_a(self.a)
+        _check_nm(self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -104,6 +102,20 @@ class Witness:
     def __post_init__(self):
         if not self.value > 1.0:
             raise ValueError(f"witness value must exceed 1, got {self.value!r}")
+
+
+def _check_a(a):
+    if not 0.0 <= a < 1.0:
+        raise ValueError(f"a must lie in [0, 1), got {a!r}")
+
+
+def _check_point(a, rho):
+    """The witness point: 0 <= a < 1, rho >= 0 and a rho < 1."""
+    _check_a(a)
+    if not rho >= 0.0:
+        raise ValueError(f"rho must be nonnegative, got {rho!r}")
+    if not a * rho < 1.0:
+        raise ValueError(f"need a * rho < 1, got {a * rho!r}")
 
 
 # -- the witness family as a series -------------------------------------------
@@ -149,12 +161,7 @@ def extremal_functional(func: Functional, a: float, rho: float) -> float:
     elementary values; as a -> 1 the value tends to 1 from whichever side the
     sign of the witness quartic dictates.
     """
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"a must lie in [0, 1), got {a!r}")
-    if rho < 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho!r}")
-    if a * rho >= 1.0:
-        raise ValueError(f"need a * rho < 1, got {a * rho!r}")
+    _check_point(a, rho)
     return float(_functional_value(func, a, rho))
 
 
@@ -172,16 +179,16 @@ def majorant_functional(func: Functional, a0: float, rho: float) -> float:
     """
     if not 0.0 <= a0 <= 1.0:
         raise ValueError(f"a0 must lie in [0, 1], got {a0!r}")
-    if rho < 0.0:
+    if not rho >= 0.0:
         raise ValueError(f"rho must be nonnegative, got {rho!r}")
     first = (rho + a0) / (1.0 + a0 * rho)
     if func.kind is FunctionalKind.CONVEX:
-        if rho >= 1.0:
+        if not rho < 1.0:
             raise ValueError(f"CONVEX majorant needs rho < 1, got {rho!r}")
         t = func.t
         return t * first + (1.0 - t) * (a0 + (1.0 - a0 * a0) * rho / (1.0 - rho))
     cap = KINDS[func.kind].rho_cap
-    if rho > cap:
+    if not rho <= cap:
         raise ValueError(f"{func.kind.value} majorant needs rho <= {cap!r}, got {rho!r}")
     second = rho * (1.0 - a0 * a0) / (1.0 + a0 * rho) ** 2
     tail = func.lam * (1.0 - a0 * a0) * rho * rho / (1.0 - rho)
@@ -203,8 +210,7 @@ def extremal_functional_from_series(func: Functional, params: ExtremalParams,
     certifies the closed forms; the truncation error decays like (a rho)^D.
     """
     a, n, m = params.a, params.n, params.m
-    if rho < 0.0 or a * rho >= 1.0:
-        raise ValueError(f"need 0 <= rho and a * rho < 1, got a={a!r}, rho={rho!r}")
+    _check_point(a, rho)
     r = (rho / n) ** (1.0 / m)
     f = extremal_series(params, max_degree=max_degree)
     omega = SchwarzPowerMap(n, m)
@@ -269,8 +275,8 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3,
     search raises WitnessNotFoundError only when the excess over 1 is too
     small to resolve in floating point, as for a tiny delta.
     """
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     result = radius_for(problem)
     rho = (1.0 + delta) * result.rho_root
     func = Functional.from_problem(problem)
@@ -300,9 +306,9 @@ def _bisect_crossing(value, a_grid: int, tol: float, lo: float, hi: float,
     until the bracket is narrower than tol and returns its midpoint; `what`
     names the functional in the error raised when (lo, hi) holds no crossing.
     """
-    if a_grid < 100:
+    if not a_grid >= 100:
         raise ValueError(f"a_grid must be >= 100, got {a_grid!r}")
-    if tol < 1e-10:
+    if not tol >= 1e-10:
         raise ValueError(f"tol must be >= 1e-10, got {tol!r}")
     avals = _a_grid(a_grid)
 
@@ -351,10 +357,7 @@ def rogosinski_value(a: float, rho: float, squared: bool = False) -> float:
     its square.  The sup over a crosses 1 at rho = sqrt(5) - 2 (linear head)
     and rho = 1/3 (squared head).
     """
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"a must lie in [0, 1), got {a!r}")
-    if rho < 0.0 or a * rho >= 1.0:
-        raise ValueError(f"need 0 <= rho and a * rho < 1, got {rho!r}")
+    _check_point(a, rho)
     return float(_rogosinski_value(a, rho, squared))
 
 

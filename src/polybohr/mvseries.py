@@ -91,7 +91,7 @@ class Direction:
         if not comp:
             raise ValueError("a direction needs at least one component")
         total = sum(abs(u) for u in comp)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"sum of |u_j| is {total!r}, not 1 within 1e-12")
         object.__setattr__(self, "components", comp)
 
@@ -305,7 +305,7 @@ class TruncatedSeries:
         if len(rv) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} radii, got {len(rv)}")
         for x in rv:
-            if x < 0:
+            if not x >= 0:
                 raise ValueError("radii must be nonnegative")
         total = 0.0
         for alpha, c in self.coeffs.items():

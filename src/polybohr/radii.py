@@ -267,7 +267,8 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
     Bisection narrows the bracket to width <= 1e-14, then at most five Newton
     steps (clamped into the bracket) polish the midpoint.  Returns
     (root, (lo, hi), residual).  Raises ValueError when the endpoints do not
-    straddle a sign change, ArithmeticError when the residual contract fails.
+    straddle a sign change, ArithmeticError when the residual exceeds 1e-12
+    or is NaN (an overflowed coefficient gives a NaN root).
     """
     flo = poly(lo)
     fhi = poly(hi)
@@ -305,7 +306,7 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
             break
         root = cand
     residual = abs(poly(root))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise ArithmeticError(
             f"residual {residual!r} exceeds {RESIDUAL_TOL} for {poly.label.value}")
     return root, (lo, hi), residual
@@ -339,22 +340,22 @@ def _geometric_radius(rho: float, n: int, m: int) -> float:
     return (rho / n) ** (1.0 / m)
 
 
-def _radius(kind: FunctionalKind, n: int, m: int, w: float) -> RadiusResult:
-    """Certified radius of the kind at weight w; r = (rho / n)^(1/m).
+def radius_for(problem: RadiusProblem) -> RadiusResult:
+    """Certified radius of a RadiusProblem; r = (rho / n)^(1/m).
 
     The rho root is bracketed by (0, rho_cap), narrowed to 1e-6 either side
     of the closed form where the kind has one.
     """
-    _check_nm(n, m)
-    spec = KINDS[kind]
+    spec = KINDS[problem.kind]
+    w = problem.weight
     poly = spec.polynomial(w)
     lo, hi = 0.0, spec.rho_cap
     if spec.closed_form is not None:
         rho_star = spec.closed_form(w)
         lo, hi = max(rho_star - 1e-6, lo), min(rho_star + 1e-6, hi)
     root, bracket, residual = _bisect_newton(poly, lo, hi)
-    return RadiusResult(_geometric_radius(root, n, m), root, residual, bracket,
-                        poly.label.value)
+    return RadiusResult(_geometric_radius(root, problem.n, problem.m), root,
+                        residual, bracket, poly.label.value)
 
 
 def radius_convex(n: int, m: int, t: float) -> RadiusResult:
@@ -365,7 +366,7 @@ def radius_convex(n: int, m: int, t: float) -> RadiusResult:
     other root lies below 0 or above 1, and at t = 1 the root is rho = 1,
     where the quadratic is exactly 0.
     """
-    return _radius(FunctionalKind.CONVEX, n, m, t)
+    return radius_for(RadiusProblem(FunctionalKind.CONVEX, n, m, t=t))
 
 
 def radius_deriv(n: int, m: int, lam: float) -> RadiusResult:
@@ -376,7 +377,7 @@ def radius_deriv(n: int, m: int, lam: float) -> RadiusResult:
     the module docstring).  For lam < 1/2 this is larger than the root of the
     paper's weight-free quartic, which is safe but not sharp there.
     """
-    return _radius(FunctionalKind.DERIV, n, m, lam)
+    return radius_for(RadiusProblem(FunctionalKind.DERIV, n, m, lam=lam))
 
 
 def radius_sq_deriv(n: int, m: int, lam: float) -> RadiusResult:
@@ -386,12 +387,7 @@ def radius_sq_deriv(n: int, m: int, lam: float) -> RadiusResult:
     factorization as radius_deriv.  For lam < 1 this is larger than the root
     of the paper's weight-free quartic, which is safe but not sharp there.
     """
-    return _radius(FunctionalKind.SQ_DERIV, n, m, lam)
-
-
-def radius_for(problem: RadiusProblem) -> RadiusResult:
-    """Certified radius of a RadiusProblem."""
-    return _radius(problem.kind, problem.n, problem.m, problem.weight)
+    return radius_for(RadiusProblem(FunctionalKind.SQ_DERIV, n, m, lam=lam))
 
 
 # -- validation ---------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import polybohr
 from polybohr import WitnessNotFoundError, cli
 
 
@@ -116,13 +119,41 @@ def test_radius_scales_with_variable_count(capsys):
     ["verify", "--theorem", "sq_deriv", "--lambda", "inf"],
     ["table", "--theorem", "deriv", "--n-list", "1", "--m-list", "1",
      "--lambda-list", "0.5,inf"],
+    ["verify", "--theorem", "convex", "--t", "0.5", "--inflate-radius", "nan"],
+    ["verify", "--theorem", "convex", "--t", "0.5", "--inflate-radius", "inf"],
+    ["sharpness", "--theorem", "convex", "--t", "0.5", "--delta", "nan"],
+    ["sharpness", "--theorem", "convex", "--t", "0.5", "--delta", "inf"],
+    ["sweep", "--theorem", "deriv", "--param", "lambda", "--from", "1",
+     "--to", "inf", "--steps", "3"],
+    ["sweep", "--theorem", "deriv", "--param", "n", "--from", "nan",
+     "--to", "3", "--lambda", "1"],
 ], ids=["radius-deriv-inf", "radius-sq-deriv-nan", "verify-deriv-inf",
-        "verify-sq-deriv-inf", "table-deriv-inf"])
+        "verify-sq-deriv-inf", "table-deriv-inf", "verify-inflate-nan",
+        "verify-inflate-inf", "sharpness-delta-nan", "sharpness-delta-inf",
+        "sweep-to-inf", "sweep-from-nan"])
 def test_non_finite_weight_exits_one(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["radius", "--theorem", "deriv", "--lambda", "1e308"],
+    ["radius", "--theorem", "sq_deriv", "--lambda", "1e308"],
+    ["table", "--theorem", "deriv", "--n-list", "1", "--m-list", "1",
+     "--lambda-list", "1e308"],
+    ["verify", "--theorem", "sq_deriv", "--lambda", "1e308"],
+], ids=["radius-deriv", "radius-sq-deriv", "table-deriv", "verify-sq-deriv"])
+def test_overflowing_weight_exits_one(argv, capsys):
+    # a coefficient overflows to inf and the root comes out NaN, which the
+    # residual gate must refuse rather than print
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: residual nan")
+    assert err.count("\n") == 1
 
 
 def test_residual_failure_exits_one_without_traceback(capsys, monkeypatch):
@@ -319,6 +350,15 @@ def test_sweep_errors(capsys):
         ["sweep", "--theorem", "deriv", "--param", "n", "--from", "1",
          "--to", "4"], capsys)  # missing --lambda
     assert code == 1
+    # a weight of the other kind is refused, as by radius
+    code, _, err = run_cli(
+        ["sweep", "--theorem", "convex", "--param", "n", "--from", "1",
+         "--to", "3", "--t", "0.5", "--lambda", "2"], capsys)
+    assert code == 1
+    code, _, err = run_cli(
+        ["sweep", "--theorem", "convex", "--param", "t", "--from", "0",
+         "--to", "1", "--steps", "3", "--lambda", "3"], capsys)
+    assert code == 1
 
 
 # -- table ---------------------------------------------------------------------------
@@ -393,8 +433,10 @@ def test_identical_invocations_identical_bytes(tmp_path, capsys):
 
 def test_console_script_and_module_entry():
     argv = ["radius", "--theorem", "convex", "--t", "0.75"]
+    # the child imports the same package as this test, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(polybohr.__file__).parents[1]))
     module = subprocess.run([sys.executable, "-m", "polybohr"] + argv,
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert module.returncode == 0
     assert json.loads(module.stdout)["rho_root"] == 0.5
     script = shutil.which("polybohr")

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, ExtremalParams,
-                      Functional, FunctionalKind, MultiIndex, RadiusProblem,
-                      Witness, convex_rho_polynomial,
+from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Direction,
+                      ExtremalParams, Functional, FunctionalKind, MultiIndex,
+                      PhiPsiParams, RadiusProblem, TruncatedSeries, Witness,
+                      convex_rho_polynomial,
                       deriv_rho_polynomial, empirical_radius,
                       extremal_functional, extremal_functional_from_series,
                       extremal_series, majorant_functional,
@@ -327,6 +328,32 @@ def test_empirical_radius_validation():
     # weight-1 convex never crosses below rho = 1, so no bracket exists
     with pytest.raises(ValueError):
         empirical_radius(RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=1.0))
+
+
+NAN = float("nan")
+DERIV_ONE = RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: empirical_radius(DERIV_ONE, tol=NAN),
+    lambda: rogosinski_threshold(tol=NAN),
+    lambda: extremal_functional(Functional.deriv(1.0), 0.5, NAN),
+    lambda: majorant_functional(Functional.deriv(1.0), 0.5, NAN),
+    lambda: majorant_functional(Functional.convex(0.5), 0.5, NAN),
+    lambda: rogosinski_value(0.5, NAN),
+    lambda: extremal_functional_from_series(
+        Functional.deriv(1.0), ExtremalParams(0.5, 1, 1), NAN),
+    lambda: Direction((NAN, 0.5)),
+    lambda: TruncatedSeries.constant(0.5, 1).bohr_majorant_sum(NAN),
+    lambda: PhiPsiParams(NAN, 0.1, 0.2),
+    lambda: ExtremalParams(0.5, 1.5, 1),
+], ids=["empirical-tol", "rogosinski-tol", "extremal-rho", "majorant-deriv-rho",
+        "majorant-convex-rho", "rogosinski-rho", "series-rho", "direction",
+        "majorant-sum-radius", "phi-psi-weight", "extremal-params-n"])
+def test_nan_and_non_integer_inputs_raise(call):
+    # each of these returned a value (or a NaN) before its gate was NaN-safe
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_witness_validation():
