@@ -12,10 +12,9 @@ get witnesses too.
 
 from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
                       RadiusProblem, WitnessNotFoundError,
-                      deriv_rho_polynomial_small, empirical_radius,
-                      radius_for, sharpness_witness,
-                      solve_unique_positive_root,
-                      sq_deriv_rho_polynomial_small)
+                      deriv_rho_polynomial, empirical_radius, radius_for,
+                      sharpness_witness, solve_unique_positive_root,
+                      sq_deriv_rho_polynomial)
 
 
 def show_witness(problem, delta=1e-3):
@@ -55,11 +54,12 @@ def main() -> int:
     print("Small weights: the weighted quartic's root is sharp there too; the")
     print("paper's weight-free root is smaller, hence safe but not sharp.")
     print("-" * 72)
+    # the paper's weight-free quartics are the weighted ones at 1/2 and 1
     weight_free = {
         FunctionalKind.DERIV: solve_unique_positive_root(
-            deriv_rho_polynomial_small(), (0.0, SQRT2_MINUS_1)),
+            deriv_rho_polynomial(0.5), (0.0, SQRT2_MINUS_1)),
         FunctionalKind.SQ_DERIV: solve_unique_positive_root(
-            sq_deriv_rho_polynomial_small(), (0.0, GOLDEN_CONJUGATE)),
+            sq_deriv_rho_polynomial(1.0), (0.0, GOLDEN_CONJUGATE)),
     }
     small = [
         RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=0.25),

@@ -22,10 +22,9 @@ from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
                     PolyLabel, RadiusProblem, RadiusResult, RhoPolynomial,
                     convex_bound_cubic, convex_rho_closed_form,
                     convex_rho_polynomial, deriv_rho_polynomial,
-                    deriv_rho_polynomial_small, deriv_witness_quartic,
-                    radius_convex, radius_deriv, radius_for, radius_sq_deriv,
-                    solve_unique_positive_root, sq_deriv_rho_polynomial,
-                    sq_deriv_rho_polynomial_small)
+                    deriv_witness_quartic, radius_convex, radius_deriv,
+                    radius_for, radius_sq_deriv, solve_unique_positive_root,
+                    sq_deriv_rho_polynomial)
 
 __version__ = "0.1.0"
 
@@ -55,7 +54,6 @@ __all__ = [
     "convex_rho_closed_form",
     "convex_rho_polynomial",
     "deriv_rho_polynomial",
-    "deriv_rho_polynomial_small",
     "deriv_witness_quartic",
     "derivative_bound",
     "empirical_radius",
@@ -75,6 +73,5 @@ __all__ = [
     "sharpness_witness",
     "solve_unique_positive_root",
     "sq_deriv_rho_polynomial",
-    "sq_deriv_rho_polynomial_small",
     "zero_multiplicity_bound_check",
 ]

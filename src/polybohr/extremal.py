@@ -43,6 +43,8 @@ from .radii import (GOLDEN_CONJUGATE, KINDS, FunctionalKind, RadiusProblem,
 CROSSING_TOL = 1e-12
 
 _TAIL_GRID_DEPTH = 30  # log-spaced points 1 - 2^-k appended near a = 1
+_A_GRID = 512  # uniform points of the a-grid, before the tail
+_RHO_TOL = 1e-7  # bracket width at which a crossing bisection stops
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -231,13 +233,13 @@ def extremal_functional_from_series(func: Functional, params: ExtremalParams,
 
 # -- parameter grids and searches ----------------------------------------------
 
-def _a_grid(count: int) -> np.ndarray:
-    """Uniform grid on [0, 1) plus log-spaced points 1 - 2^-k near 1.
+def _a_grid() -> np.ndarray:
+    """Uniform grid of _A_GRID points on [0, 1) plus points 1 - 2^-k near 1.
 
     The functionals approach 1 as a -> 1 with slope proportional to (1 - a),
     so witnesses often live at a within 1e-3 of 1; the tail resolves them.
     """
-    base = np.linspace(0.0, 1.0, count, endpoint=False)
+    base = np.linspace(0.0, 1.0, _A_GRID, endpoint=False)
     tail = 1.0 - np.power(2.0, -np.arange(1, _TAIL_GRID_DEPTH + 1, dtype=float))
     return np.unique(np.concatenate([base, tail]))
 
@@ -262,8 +264,7 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
     return d, fd
 
 
-def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3,
-                      grid: int = 512) -> Witness:
+def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
     """An explicit witness just beyond the stated radius, where one exists.
 
     Searches a in [0, 1) at rho = (1 + delta) * rho_root: first a coarse grid
@@ -280,7 +281,7 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3,
     result = radius_for(problem)
     rho = (1.0 + delta) * result.rho_root
     func = Functional.from_problem(problem)
-    avals = _a_grid(grid)
+    avals = _a_grid()
     vals = _functional_value(func, avals, rho)
     above = np.nonzero(vals > 1.0)[0]
     if above.size:
@@ -297,20 +298,15 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3,
         f"(grid+refined sup = {max(float(np.max(vals)), float(v_best))!r})")
 
 
-def _bisect_crossing(value, a_grid: int, tol: float, lo: float, hi: float,
-                     what: str = "") -> float:
+def _bisect_crossing(value, lo: float, hi: float, what: str = "") -> float:
     """The rho in (lo, hi) where the sup over a of value(a, rho) crosses 1.
 
-    value works elementwise on the a-grid (`a_grid` uniform points plus the
-    log tail); "crosses" means exceeds 1 by more than CROSSING_TOL.  Bisects
-    until the bracket is narrower than tol and returns its midpoint; `what`
-    names the functional in the error raised when (lo, hi) holds no crossing.
+    value works elementwise on the a-grid; "crosses" means exceeds 1 by more
+    than CROSSING_TOL.  Bisects until the bracket is narrower than _RHO_TOL
+    and returns its midpoint; `what` names the functional in the error raised
+    when (lo, hi) holds no crossing.
     """
-    if not a_grid >= 100:
-        raise ValueError(f"a_grid must be >= 100, got {a_grid!r}")
-    if not tol >= 1e-10:
-        raise ValueError(f"tol must be >= 1e-10, got {tol!r}")
-    avals = _a_grid(a_grid)
+    avals = _a_grid()
 
     def crosses(rho: float) -> bool:
         return float(np.max(value(avals, rho))) > 1.0 + CROSSING_TOL
@@ -320,7 +316,7 @@ def _bisect_crossing(value, a_grid: int, tol: float, lo: float, hi: float,
     if not crosses(hi):
         raise ValueError(
             f"threshold not bracketed: no crossing up to rho = {hi!r}{what}")
-    while hi - lo > tol:
+    while hi - lo > _RHO_TOL:
         mid = 0.5 * (lo + hi)
         if crosses(mid):
             hi = mid
@@ -329,20 +325,23 @@ def _bisect_crossing(value, a_grid: int, tol: float, lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def empirical_radius(problem: RadiusProblem, a_grid: int = 512,
-                     tol: float = 1e-7) -> float:
+def empirical_radius(problem: RadiusProblem) -> float:
     """Radius recovered by bisecting the sup-over-a crossing of 1.
 
     Bisects rho over the kind's admissible interval until the bracket is
-    narrower than tol, testing sup_a(functional) > 1 + 1e-12 on an a-grid of
-    `a_grid` uniform points plus the log tail; returns r = (rho/n)^(1/m).
-    This measures the witness family's true threshold: it matches the stated
-    radius for every weight, the root of the convex quadratic or of the
-    weighted DERIV / SQ_DERIV quartic.
+    narrower than 1e-7, testing sup_a(functional) > 1 + 1e-12 on an a-grid of
+    512 uniform points plus the log tail; returns r = (rho/n)^(1/m).  This
+    measures the witness family's threshold, the root of the convex
+    quadratic or of the weighted DERIV / SQ_DERIV quartic, until the
+    family's excess over 1 at the search cap falls below CROSSING_TOL, near
+    float resolution.  Then it raises "threshold not bracketed", though
+    radius_for still certifies the root: DERIV from lam = 1e-6 down (excess
+    9.9e-13 there) and SQ_DERIV from lam = 1e-12 down (excess 2.4e-13).  A
+    deeper a-grid tail does not help; an exact sign test would.
     """
     func = Functional.from_problem(problem)
     rho_star = _bisect_crossing(
-        lambda a, rho: _functional_value(func, a, rho), a_grid, tol,
+        lambda a, rho: _functional_value(func, a, rho),
         1e-9, KINDS[func.kind].search_cap,
         f" for {func.kind.value} with weight {problem.weight!r}")
     return _geometric_radius(rho_star, problem.n, problem.m)
@@ -368,8 +367,7 @@ def _rogosinski_value(a, rho, squared: bool):
     return head + (1.0 - a * a) * rho / (1.0 - a * rho)
 
 
-def rogosinski_threshold(squared: bool = False, a_grid: int = 512,
-                         tol: float = 1e-7) -> float:
+def rogosinski_threshold(squared: bool = False) -> float:
     """Empirical crossing radius for the one-variable functional above."""
     return _bisect_crossing(lambda a, rho: _rogosinski_value(a, rho, squared),
-                            a_grid, tol, 1e-9, 0.8)
+                            1e-9, 0.8)

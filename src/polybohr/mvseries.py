@@ -157,12 +157,8 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n_vars: int, max_degree: int) -> "TruncatedSeries":
-        return cls(n_vars, max_degree, {})
-
-    @classmethod
-    def constant(cls, value, n_vars: int, max_degree: int = 0) -> "TruncatedSeries":
-        return cls(n_vars, max_degree, {(0,) * n_vars: value})
+    def constant(cls, value, n_vars: int) -> "TruncatedSeries":
+        return cls(n_vars, 0, {(0,) * n_vars: value})
 
     # -- plumbing ----------------------------------------------------------
 
@@ -242,22 +238,16 @@ class TruncatedSeries:
             total += term
         return total
 
-    def multiply(self, other: "TruncatedSeries", max_degree: int | None = None) -> "TruncatedSeries":
-        """Cauchy product, truncated at min(D1 + D2, max_degree) when a cap is given."""
+    def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Cauchy product, of degree D1 + D2."""
         if other.n_vars != self.n_vars:
             raise ValueError("variable count mismatch")
-        cap = self.max_degree + other.max_degree
-        if max_degree is not None:
-            cap = min(cap, max_degree)
         out: dict = {}
         for a, ca in self.coeffs.items():
-            da = a.degree
             for b, cb in other.coeffs.items():
-                if da + b.degree > cap:
-                    continue
                 key = MultiIndex(x + y for x, y in zip(a, b))
                 out[key] = out.get(key, 0j) + ca * cb
-        return TruncatedSeries(self.n_vars, cap, out)
+        return TruncatedSeries(self.n_vars, self.max_degree + other.max_degree, out)
 
     def directional_derivative(self, u) -> "TruncatedSeries":
         """d_u f = sum_j u_j df/dz_j for a unit-l1 direction u."""
@@ -275,21 +265,16 @@ class TruncatedSeries:
                     out[key] = out.get(key, 0j) + c * e * comp[j]
         return TruncatedSeries(self.n_vars, max(self.max_degree - 1, 0), out)
 
-    def compose_power_map(self, omega: SchwarzPowerMap, max_degree: int | None = None) -> "TruncatedSeries":
+    def compose_power_map(self, omega: SchwarzPowerMap) -> "TruncatedSeries":
         """Substitute z_j -> z_j^m: the monomial z^alpha becomes z^(m alpha).
 
-        The result has degree m * D.  When an explicit cap is given and m * D
-        would exceed it, the composition is refused rather than silently
-        truncated.
+        The result has degree m * D.
         """
         if omega.n_vars != self.n_vars:
             raise ValueError("power map dimension mismatch")
         m = omega.power
-        new_degree = m * self.max_degree
-        if max_degree is not None and new_degree > max_degree:
-            raise ValueError(f"composed degree {new_degree} exceeds cap {max_degree}")
         out = {MultiIndex(m * e for e in alpha): c for alpha, c in self.coeffs.items()}
-        return TruncatedSeries(self.n_vars, new_degree, out)
+        return TruncatedSeries(self.n_vars, m * self.max_degree, out)
 
     def bohr_majorant_sum(self, r, k_min: int = 0) -> float:
         """sum over |alpha| >= k_min of |a_alpha| r^alpha, for r >= 0.

@@ -37,9 +37,8 @@ quartic, so the witness family exceeds 1 just beyond the root.
 
 The paper states the weight-free quartics rho^4 + rho^3 + 3 rho - 1 (DERIV,
 L <= 1/2) and rho^4 + rho^3 + rho^2 + 2 rho - 1 (SQ_DERIV, L <= 1).  They
-are the weighted quartics at L = 1/2 and L = 1; below those weights their
-roots (0.31905..., 0.38579...) are safe but not sharp, so they are kept
-only as the *_small() factories.
+are deriv_rho_polynomial(0.5) and sq_deriv_rho_polynomial(1.0); below those
+weights their roots (0.31905..., 0.38579...) are safe but not sharp.
 
 Roots are certified: bisection down to a bracket of width 1e-14, a short
 clamped Newton polish, and a residual check at 1e-12.
@@ -77,9 +76,7 @@ class PolyLabel(Enum):
 
     CONVEX_RHO = "convex-rho-quadratic"
     DERIV_RHO = "deriv-rho-quartic"
-    DERIV_RHO_SMALL = "deriv-rho-quartic-small-weight"
     SQ_DERIV_RHO = "sq-deriv-rho-quartic"
-    SQ_DERIV_RHO_SMALL = "sq-deriv-rho-quartic-small-weight"
     CONVEX_A0_CUBIC = "convex-a0-cubic"
     WITNESS_QUARTIC = "deriv-witness-quartic"
 
@@ -134,48 +131,29 @@ def deriv_rho_polynomial(lam: float) -> RhoPolynomial:
     """2L rho^4 + (4L-1) rho^3 + (2L-1) rho^2 + 3 rho - 1, L = lam.
 
     Governs the DERIV radius for every lam > 0 (see the module docstring for
-    the proof of sharpness).  Its value at sqrt(2)-1 is 2L rho^2 (1+rho)^2,
-    and at lam = 1/2 it coincides with the weight-free polynomial of
-    deriv_rho_polynomial_small, coefficient by coefficient.
+    the proof of sharpness).  Its value at sqrt(2)-1 is 2L rho^2 (1+rho)^2.
+    At lam = 1/2 it is the paper's weight-free quartic
+    rho^4 + rho^3 + 3 rho - 1 (value 6 - 4 sqrt(2) at sqrt(2)-1), stated for
+    every lam <= 1/2; below 1/2 its root (approximately 0.31905) is safe but
+    not sharp.
     """
     _check_lam(lam)
     return RhoPolynomial((-1.0, 3.0, 2.0 * lam - 1.0, 4.0 * lam - 1.0, 2.0 * lam),
                          PolyLabel.DERIV_RHO)
 
 
-def deriv_rho_polynomial_small() -> RhoPolynomial:
-    """rho^4 + rho^3 + 3 rho - 1: the weighted DERIV quartic at lam = 1/2.
-
-    The paper states it for every lam <= 1/2; below 1/2 its root is safe but
-    not sharp, and radius_deriv solves the weighted quartic instead.  Its
-    root on (0, sqrt(2)-1) is approximately 0.31905, and its value at
-    sqrt(2)-1 is exactly 6 - 4 sqrt(2) > 0.
-    """
-    return RhoPolynomial((-1.0, 3.0, 0.0, 1.0, 1.0), PolyLabel.DERIV_RHO_SMALL)
-
-
 def sq_deriv_rho_polynomial(lam: float) -> RhoPolynomial:
     """L rho^4 + (2L-1) rho^3 + L rho^2 + 2 rho - 1, L = lam.
 
     Governs the SQ_DERIV radius for every lam > 0 (see the module docstring
-    for the proof of sharpness).  Its value at (sqrt(5)-1)/2 is exactly lam,
-    and at lam = 1 it coincides with the weight-free polynomial of
-    sq_deriv_rho_polynomial_small.
+    for the proof of sharpness).  Its value at (sqrt(5)-1)/2 is exactly lam.
+    At lam = 1 it is the paper's weight-free quartic
+    rho^4 + rho^3 + rho^2 + 2 rho - 1, stated for every lam <= 1; below 1
+    its root (approximately 0.38579) is safe but not sharp.
     """
     _check_lam(lam)
     return RhoPolynomial((-1.0, 2.0, lam, 2.0 * lam - 1.0, lam),
                          PolyLabel.SQ_DERIV_RHO)
-
-
-def sq_deriv_rho_polynomial_small() -> RhoPolynomial:
-    """rho^4 + rho^3 + rho^2 + 2 rho - 1: the weighted SQ_DERIV quartic at lam = 1.
-
-    The paper states it for every lam <= 1; below 1 its root is safe but not
-    sharp, and radius_sq_deriv solves the weighted quartic instead.  Its root
-    on (0, (sqrt(5)-1)/2) is approximately 0.38579, and its value at
-    (sqrt(5)-1)/2 is exactly 1.
-    """
-    return RhoPolynomial((-1.0, 2.0, 1.0, 1.0, 1.0), PolyLabel.SQ_DERIV_RHO_SMALL)
 
 
 def convex_bound_cubic(t: float, rho: float) -> RhoPolynomial:
@@ -335,8 +313,6 @@ def convex_rho_closed_form(t: float) -> float:
 
 
 def _geometric_radius(rho: float, n: int, m: int) -> float:
-    if m == 1:
-        return rho / n
     return (rho / n) ** (1.0 / m)
 
 

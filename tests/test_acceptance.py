@@ -22,23 +22,27 @@ import pytest
 
 from polybohr import (DEFAULT_SEED, GOLDEN_CONJUGATE, SQRT2_MINUS_1,
                       Direction, ExtremalParams, Functional, FunctionalKind,
-                      MultiIndex, PhiPsiMode, PhiPsiParams, RadiusProblem,
-                      TruncatedSeries, WitnessNotFoundError,
-                      coefficient_bound_check, convex_rho_closed_form,
-                      deriv_rho_polynomial, deriv_rho_polynomial_small,
+                      MultiIndex, PhiPsiMode, PhiPsiParams, PolyLabel,
+                      RadiusProblem, RhoPolynomial, TruncatedSeries,
+                      WitnessNotFoundError, coefficient_bound_check,
+                      convex_rho_closed_form, deriv_rho_polynomial,
                       empirical_radius, extremal_functional,
                       extremal_functional_from_series, extremal_series,
                       multi_indices, phi_psi_monotone, radius_convex,
                       radius_deriv, radius_for, radius_sq_deriv,
                       rogosinski_threshold, sharpness_witness,
                       solve_unique_positive_root, sq_deriv_rho_polynomial,
-                      sq_deriv_rho_polynomial_small,
                       zero_multiplicity_bound_check)
 
 N_GRID = (1, 2, 4)
 M_GRID = (1, 2, 3)
 T_GRID = (0.0, 0.3, 0.75, 0.9)
 LAM_GRID = (0.25, 0.5, 1.0, 2.0)
+
+# the paper's weight-free quartics, from their literal coefficients
+PAPER_DERIV_QUARTIC = RhoPolynomial((-1.0, 3.0, 0.0, 1.0, 1.0), PolyLabel.DERIV_RHO)
+PAPER_SQ_DERIV_QUARTIC = RhoPolynomial((-1.0, 2.0, 1.0, 1.0, 1.0),
+                                       PolyLabel.SQ_DERIV_RHO)
 
 
 def announce(capsys, line: str) -> None:
@@ -116,7 +120,7 @@ def test_criterion_02_degenerate_weight_and_closed_form(capsys):
 def test_criterion_03_small_weight_quartic_root(capsys):
     res, dt = best_of(lambda: radius_deriv(1, 1, 0.5))
     assert abs(res.radius - 0.3191) <= 5e-4
-    residual = abs(deriv_rho_polynomial_small()(res.rho_root))
+    residual = abs(PAPER_DERIV_QUARTIC(res.rho_root))
     assert residual <= 1e-12
     assert dt < 1e-3
     announce(capsys, f"[criterion 3] PASS radius_deriv(1,1,1/2) = {res.radius:.10f} "
@@ -237,10 +241,10 @@ def test_criterion_07c_branch_continuity(capsys):
             worst = max(worst, abs(c - d))
     # the same coincidence at the level of the quartic roots themselves
     r1 = solve_unique_positive_root(deriv_rho_polynomial(0.5), (0.0, SQRT2_MINUS_1))
-    r2 = solve_unique_positive_root(deriv_rho_polynomial_small(), (0.0, SQRT2_MINUS_1))
+    r2 = solve_unique_positive_root(PAPER_DERIV_QUARTIC, (0.0, SQRT2_MINUS_1))
     worst = max(worst, abs(r1 - r2))
     r3 = solve_unique_positive_root(sq_deriv_rho_polynomial(1.0), (0.0, GOLDEN_CONJUGATE))
-    r4 = solve_unique_positive_root(sq_deriv_rho_polynomial_small(), (0.0, GOLDEN_CONJUGATE))
+    r4 = solve_unique_positive_root(PAPER_SQ_DERIV_QUARTIC, (0.0, GOLDEN_CONJUGATE))
     worst = max(worst, abs(r3 - r4))
     assert worst <= 1e-12
     announce(capsys, f"[criterion 7c] PASS branch continuity at lam = 1/2 and "

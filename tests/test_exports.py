@@ -1,0 +1,15 @@
+"""The package's export list names exactly what it exports."""
+
+import polybohr
+
+DELETED = ("deriv_rho_polynomial_small", "sq_deriv_rho_polynomial_small",
+           "DERIV_RHO_SMALL", "SQ_DERIV_RHO_SMALL")
+
+
+def test_all_names_resolve_once_and_deleted_aliases_stay_gone():
+    names = polybohr.__all__
+    for name in names:
+        getattr(polybohr, name)
+    assert len(names) == len(set(names))
+    assert not set(DELETED) & set(names)
+    assert not any(hasattr(polybohr.PolyLabel, label) for label in DELETED[2:])

@@ -9,10 +9,13 @@ from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
                       PolyLabel, RadiusProblem, RhoPolynomial,
                       convex_bound_cubic, convex_rho_closed_form,
                       convex_rho_polynomial, deriv_rho_polynomial,
-                      deriv_rho_polynomial_small, deriv_witness_quartic,
-                      radius_convex, radius_deriv, radius_for,
-                      radius_sq_deriv, solve_unique_positive_root,
-                      sq_deriv_rho_polynomial, sq_deriv_rho_polynomial_small)
+                      deriv_witness_quartic, radius_convex, radius_deriv,
+                      radius_for, radius_sq_deriv, solve_unique_positive_root,
+                      sq_deriv_rho_polynomial)
+
+# the paper's weight-free quartics, ascending coefficients
+PAPER_DERIV_COEFFS = (-1.0, 3.0, 0.0, 1.0, 1.0)  # rho^4 + rho^3 + 3 rho - 1
+PAPER_SQ_DERIV_COEFFS = (-1.0, 2.0, 1.0, 1.0, 1.0)  # rho^4 + rho^3 + rho^2 + 2 rho - 1
 
 
 def reference_bisect(f, lo, hi, iters=200):
@@ -105,7 +108,7 @@ def test_radius_deriv_small_weight_root():
     oracle = reference_bisect(lambda p: p ** 4 + p ** 3 + 3 * p - 1, 0.0, SQRT2_MINUS_1)
     assert abs(res.rho_root - oracle) <= 1e-12
     assert res.branch == PolyLabel.DERIV_RHO.value
-    assert deriv_rho_polynomial_small()(res.rho_root) == pytest.approx(0.0, abs=1e-12)
+    assert deriv_rho_polynomial(0.5)(res.rho_root) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_radius_deriv_weighted_roots_match_reference():
@@ -129,8 +132,9 @@ def test_radius_deriv_weight_one_factorization():
 
 
 def test_radius_deriv_branch_continuity():
-    # the two branch polynomials coincide coefficient by coefficient at 1/2
-    assert deriv_rho_polynomial(0.5).coefficients == deriv_rho_polynomial_small().coefficients
+    # at 1/2 the weighted quartic is the paper's weight-free one, coefficient
+    # by coefficient
+    assert deriv_rho_polynomial(0.5).coefficients == PAPER_DERIV_COEFFS
     below = radius_deriv(2, 2, 0.5).radius
     above = radius_deriv(2, 2, 0.5 + 1e-13).radius
     assert abs(below - above) <= 1e-12
@@ -145,8 +149,8 @@ def test_radius_deriv_small_weight_root_depends_on_weight():
 
 
 def test_radius_deriv_endpoint_value():
-    # small-weight quartic at sqrt(2)-1 is exactly 6 - 4 sqrt(2)
-    val = deriv_rho_polynomial_small()(SQRT2_MINUS_1)
+    # weight-free quartic (lam = 1/2) at sqrt(2)-1 is exactly 6 - 4 sqrt(2)
+    val = deriv_rho_polynomial(0.5)(SQRT2_MINUS_1)
     assert abs(val - (6.0 - 4.0 * math.sqrt(2.0))) < 1e-14
     assert val > 0
 
@@ -172,19 +176,19 @@ def test_radius_sq_deriv_weighted_roots_match_reference():
 
 
 def test_radius_sq_deriv_branch_continuity():
-    assert sq_deriv_rho_polynomial(1.0).coefficients == \
-        sq_deriv_rho_polynomial_small().coefficients
+    assert sq_deriv_rho_polynomial(1.0).coefficients == PAPER_SQ_DERIV_COEFFS
     below = radius_sq_deriv(3, 2, 1.0).radius
     above = radius_sq_deriv(3, 2, 1.0 + 1e-13).radius
     assert abs(below - above) <= 1e-12
 
 
 def test_sq_deriv_endpoint_identities():
-    # weighted quartic at (sqrt(5)-1)/2 equals the weight; small one equals 1
+    # weighted quartic at (sqrt(5)-1)/2 equals the weight; the weight-free
+    # one (lam = 1) equals 1
     g = GOLDEN_CONJUGATE
     for lam in (0.25, 1.0, 2.0, 7.5):
         assert abs(sq_deriv_rho_polynomial(lam)(g) - lam) < 1e-13
-    assert abs(sq_deriv_rho_polynomial_small()(g) - 1.0) < 1e-14
+    assert abs(sq_deriv_rho_polynomial(1.0)(g) - 1.0) < 1e-14
 
 
 # -- monotonicity -----------------------------------------------------------------------
@@ -236,9 +240,9 @@ def test_deriv_witness_quartic_identities():
 
 
 def test_deriv_witness_quartic_below_small_branch_bound():
-    # at lam = 1/2 the quartic never exceeds the small-weight polynomial value
+    # at lam = 1/2 the quartic never exceeds the weight-free polynomial value
     rho = 0.3
-    w_val = deriv_rho_polynomial_small()(rho)
+    w_val = deriv_rho_polynomial(0.5)(rho)
     quartic = deriv_witness_quartic(0.5, rho)
     for a in np.linspace(0.0, 1.0, 201):
         assert quartic(float(a)) <= w_val + 1e-14
