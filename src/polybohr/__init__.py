@@ -6,7 +6,7 @@ polydisc bounds the proofs rest on, and a truncated-series engine that
 certifies every closed form independently.
 """
 
-from .bounds import (DEFAULT_SEED, GrowthBound, PhiPsiMode, PhiPsiParams,
+from .bounds import (DEFAULT_SEED, PhiPsiMode, PhiPsiParams,
                      coefficient_bound_check, derivative_bound,
                      phi_psi_monotone, schwarz_pick_bound,
                      zero_multiplicity_bound_check)
@@ -16,8 +16,8 @@ from .extremal import (ExtremalParams, Functional, Witness,
                        extremal_series, majorant_functional,
                        rogosinski_threshold, rogosinski_value,
                        sharpness_witness)
-from .mvseries import (DEFAULT_MAX_DEGREE, Direction, MultiIndex,
-                       SchwarzPowerMap, TruncatedSeries, multi_indices)
+from .mvseries import (Direction, MultiIndex, SchwarzPowerMap,
+                       TruncatedSeries, multi_indices)
 from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
                     PolyLabel, RadiusProblem, RadiusResult, RhoPolynomial,
                     convex_bound_cubic, convex_rho_closed_form,
@@ -29,14 +29,12 @@ from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_MAX_DEGREE",
     "DEFAULT_SEED",
     "Direction",
     "ExtremalParams",
     "Functional",
     "FunctionalKind",
     "GOLDEN_CONJUGATE",
-    "GrowthBound",
     "MultiIndex",
     "PhiPsiMode",
     "PhiPsiParams",

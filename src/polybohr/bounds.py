@@ -30,22 +30,6 @@ DEFAULT_SEED = 1234
 _CHECK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GrowthBound:
-    """Growth estimate parameters: center modulus a0 and sup-norm radius s."""
-
-    a0: float
-    s: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.a0 <= 1.0:
-            raise ValueError(f"a0 must lie in [0, 1], got {self.a0!r}")
-        _check_s(self.s)
-
-    def value(self) -> float:
-        return (self.a0 + self.s) / (1.0 + self.a0 * self.s)
-
-
 class PhiPsiMode(Enum):
     PHI = "phi"
     PSI = "psi"
@@ -73,7 +57,10 @@ def schwarz_pick_bound(a0: float, s: float) -> float:
     Mobius maps of one aligned variable, which is what makes it useful as a
     test oracle.
     """
-    return GrowthBound(a0, s).value()
+    if not 0.0 <= a0 <= 1.0:
+        raise ValueError(f"a0 must lie in [0, 1], got {a0!r}")
+    _check_s(s)
+    return (a0 + s) / (1.0 + a0 * s)
 
 
 def _check_s(s):

@@ -11,8 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 usage or invalid parameters, 2 verification failure.
 CSV is written with 12 significant digits, '.' decimals, LF line endings;
 JSON key order is fixed so identical invocations produce identical bytes.
-The default seed is 1234, overridable by the BOHR_SEED environment variable
-and the --seed flag.
+No command draws a random number.  Only verify takes --seed, and only to
+echo it in its JSON (default 1234, or the BOHR_SEED environment variable).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _write_out(text: str, out_path) -> None:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     return int(os.environ.get("BOHR_SEED", DEFAULT_SEED))
 
@@ -93,28 +93,28 @@ def cmd_verify(args) -> int:
     avals = np.linspace(0.0, 1.0, args.a_grid, endpoint=False)
     rhos = np.linspace(0.0, rho_max, args.rho_grid)
 
+    a_list = avals.tolist()
+    cap = KINDS[func.kind].search_cap
     max_value = 0.0
     below_violations = []
-    for rho in rhos:
-        vals = _functional_value(func, avals, float(rho))
+    dominance_violations = []
+    min_margin = float("inf")
+    for rho in rhos.tolist():
+        vals = _functional_value(func, avals, rho)
         top = float(np.max(vals))
         if top > max_value:
             max_value = top
         for i in np.nonzero(vals > 1.0 + 1e-12)[0]:
-            below_violations.append([float(avals[i]), float(rho), float(vals[i])])
-
-    dominance_violations = []
-    min_margin = float("inf")
-    cap = KINDS[func.kind].search_cap
-    for rho in rhos:
-        rr = float(min(rho, cap))
-        for a in avals:
-            margin = majorant_functional(func, float(a), rr) - \
-                _functional_value(func, float(a), rr)
+            below_violations.append([a_list[i], rho, float(vals[i])])
+        # the margin uses the scalar form: Python's x ** 2 can differ from
+        # numpy's in the last bit, and the margin is printed
+        rr = min(rho, cap)
+        for a in a_list:
+            margin = majorant_functional(func, a, rr) - _functional_value(func, a, rr)
             if margin < min_margin:
                 min_margin = margin
             if margin < -1e-12:
-                dominance_violations.append([float(a), rr, float(margin)])
+                dominance_violations.append([a, rr, margin])
 
     ok = not below_violations and not dominance_violations
     payload = {
@@ -214,19 +214,15 @@ def cmd_table(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(sub, weights=True):
+def _add_common(sub):
     sub.add_argument("--theorem", required=True, choices=_THEOREMS,
                      help="functional kind")
     sub.add_argument("--n", type=int, default=1, help="number of variables")
     sub.add_argument("--m", type=int, default=1, help="power-map order")
-    if weights:
-        sub.add_argument("--t", type=float, default=None,
-                         help="convex weight in [0, 1]")
-        sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                         help="tail weight > 0 for deriv / sq_deriv")
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"seed for randomized checks (default {DEFAULT_SEED}, "
-                          "or BOHR_SEED)")
+    sub.add_argument("--t", type=float, default=None,
+                     help="convex weight in [0, 1]")
+    sub.add_argument("--lambda", dest="lam", type=float, default=None,
+                     help="tail weight > 0 for deriv / sq_deriv")
     sub.add_argument("--out", default=None, help="write output to this path")
 
 
@@ -246,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inflate-radius", type=float, default=0.0,
                    help="inflate the checked radius by this fraction "
                         "(negative control; 0.01 = +1%%)")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"seed echoed in the JSON (default {DEFAULT_SEED}, or BOHR_SEED)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sharpness", help="witness just beyond the radius")
@@ -271,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-list", default=None, help="comma-separated t values (convex)")
     p.add_argument("--lambda-list", default=None,
                    help="comma-separated lambda values (deriv / sq_deriv)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_table)
 

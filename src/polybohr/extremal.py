@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mvseries import (DEFAULT_MAX_DEGREE, Direction, SchwarzPowerMap,
-                       TruncatedSeries, multi_indices)
+from .mvseries import (Direction, SchwarzPowerMap, TruncatedSeries,
+                       multi_indices)
 from .radii import (GOLDEN_CONJUGATE, KINDS, FunctionalKind, RadiusProblem,
                     _check_nm, _geometric_radius, check_weight, radius_for)
 
@@ -122,8 +122,7 @@ def _check_point(a, rho):
 
 # -- the witness family as a series -------------------------------------------
 
-def extremal_series(params: ExtremalParams,
-                    max_degree: int = DEFAULT_MAX_DEGREE) -> TruncatedSeries:
+def extremal_series(params: ExtremalParams, max_degree: int) -> TruncatedSeries:
     """Truncated expansion of f_a(z) = (a - s)/(1 - a s), s = z_1 + ... + z_n.
 
     Constant term a; coefficient of z^alpha for |alpha| = k >= 1 is
@@ -202,7 +201,7 @@ def majorant_functional(func: Functional, a0: float, rho: float) -> float:
 # -- series-route evaluation (independent of the closed forms) ----------------
 
 def extremal_functional_from_series(func: Functional, params: ExtremalParams,
-                                    rho: float, max_degree: int = 40) -> float:
+                                    rho: float, max_degree: int) -> float:
     """Functional value computed through the series machinery alone.
 
     Builds the truncated expansion of f_a, composes with z_j -> z_j^m,
@@ -244,13 +243,13 @@ def _a_grid() -> np.ndarray:
     return np.unique(np.concatenate([base, tail]))
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section maximum of a unimodal-enough fn on [lo, hi]."""
+def _golden_max(fn, lo: float, hi: float):
+    """Golden-section maximum of a unimodal-enough fn on [lo, hi], to width 1e-12."""
     g = GOLDEN_CONJUGATE
     c = hi - g * (hi - lo)
     d = lo + g * (hi - lo)
     fc, fd = fn(c), fn(d)
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - g * (hi - lo)

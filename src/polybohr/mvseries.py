@@ -18,11 +18,15 @@ majorant sum  sum_{|alpha| >= k_min} |a_alpha| r^alpha  for radius vectors r.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-# default truncation order for series built by callers that do not choose one
-DEFAULT_MAX_DEGREE = 24
+
+def _check_count(name: str, value, least: int) -> None:
+    # numbers.Integral admits numpy integers; testing int first skips its slow ABC lookup
+    if not (type(value) is int or isinstance(value, numbers.Integral)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class MultiIndex(tuple):
@@ -59,10 +63,8 @@ class MultiIndex(tuple):
 
 def multi_indices(n_vars: int, degree: int) -> Iterator[MultiIndex]:
     """All multi-indices with n_vars entries and total degree exactly `degree`."""
-    if n_vars < 1:
-        raise ValueError("n_vars must be >= 1")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    _check_count("n_vars", n_vars, 1)
+    _check_count("degree", degree, 0)
 
     def comps(n: int, k: int):
         if n == 1:
@@ -117,10 +119,8 @@ class SchwarzPowerMap:
     power: int
 
     def __post_init__(self):
-        if self.n_vars < 1:
-            raise ValueError("n_vars must be >= 1")
-        if self.power < 1:
-            raise ValueError("power must be >= 1")
+        _check_count("n_vars", self.n_vars, 1)
+        _check_count("power", self.power, 1)
 
     def apply(self, z) -> tuple:
         """omega(z) as a tuple of complex numbers."""
@@ -136,10 +136,8 @@ class TruncatedSeries:
     __slots__ = ("n_vars", "max_degree", "coeffs")
 
     def __init__(self, n_vars: int, max_degree: int, coeffs: Mapping):
-        if n_vars < 1:
-            raise ValueError("n_vars must be >= 1")
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
+        _check_count("n_vars", n_vars, 1)
+        _check_count("max_degree", max_degree, 0)
         clean = {}
         for alpha, c in coeffs.items():
             idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
@@ -170,15 +168,6 @@ class TruncatedSeries:
     def degree_slice(self, k: int) -> dict:
         """The homogeneous degree-k part as a dict."""
         return {a: c for a, c in self.coeffs.items() if a.degree == k}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.n_vars == other.n_vars
-                and self.max_degree == other.max_degree
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return (f"TruncatedSeries(n_vars={self.n_vars}, "
@@ -216,18 +205,14 @@ class TruncatedSeries:
         """f(z) for a point z with n_vars coordinates."""
         if len(z) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} coordinates, got {len(z)}")
-        zs = [complex(v) for v in z]
-        # per-variable power tables up to the largest exponent actually used
-        top = [0] * self.n_vars
-        for alpha in self.coeffs:
-            for j, e in enumerate(alpha):
-                if e > top[j]:
-                    top[j] = e
+        # per-variable power tables z_j^0 .. z_j^D; no exponent exceeds D
+        top = self.max_degree
         pows = []
-        for j in range(self.n_vars):
-            table = [1 + 0j] * (top[j] + 1)
-            for e in range(1, top[j] + 1):
-                table[e] = table[e - 1] * zs[j]
+        for v in z:
+            table = [1 + 0j] * (top + 1)
+            zj = complex(v)
+            for e in range(1, top + 1):
+                table[e] = table[e - 1] * zj
             pows.append(table)
         total = 0j
         for alpha, c in self.coeffs.items():
@@ -249,9 +234,8 @@ class TruncatedSeries:
                 out[key] = out.get(key, 0j) + ca * cb
         return TruncatedSeries(self.n_vars, self.max_degree + other.max_degree, out)
 
-    def directional_derivative(self, u) -> "TruncatedSeries":
+    def directional_derivative(self, direction: Direction) -> "TruncatedSeries":
         """d_u f = sum_j u_j df/dz_j for a unit-l1 direction u."""
-        direction = u if isinstance(u, Direction) else Direction(tuple(u))
         if direction.n_vars != self.n_vars:
             raise ValueError("direction dimension mismatch")
         comp = direction.components

@@ -51,6 +51,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
+from .mvseries import _check_count
+
 SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -369,10 +371,8 @@ def radius_sq_deriv(n: int, m: int, lam: float) -> RadiusResult:
 # -- validation ---------------------------------------------------------------
 
 def _check_nm(n, m):
-    if n != int(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if m != int(m) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _check_count("n", n, 1)
+    _check_count("m", m, 1)
 
 
 def _check_t(t):

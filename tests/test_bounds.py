@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polybohr import (GrowthBound, PhiPsiMode, PhiPsiParams, TruncatedSeries,
+from polybohr import (PhiPsiMode, PhiPsiParams, TruncatedSeries,
                       coefficient_bound_check, derivative_bound,
                       phi_psi_monotone, schwarz_pick_bound,
                       zero_multiplicity_bound_check)
@@ -56,15 +56,6 @@ def test_schwarz_pick_bound_range_errors():
         schwarz_pick_bound(0.5, 1.0)
     with pytest.raises(ValueError):
         schwarz_pick_bound(0.5, -0.2)
-
-
-def test_growth_bound_type():
-    gb = GrowthBound(a0=0.5, s=0.3)
-    assert gb.value() == schwarz_pick_bound(0.5, 0.3)
-    with pytest.raises(ValueError):
-        GrowthBound(a0=1.2, s=0.3)
-    with pytest.raises(ValueError):
-        GrowthBound(a0=0.5, s=1.0)
 
 
 # -- derivative bound --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI tests: JSON/CSV shapes, exit codes, determinism, seed resolution."""
 
+import argparse
 import json
 import math
 import os
@@ -247,6 +248,32 @@ def test_verify_seed_resolution(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["verify", "--theorem", "convex", "--t", "0.5"], capsys)
     assert json.loads(out)["seed"] == 1234
+
+
+def test_option_inventory_is_pinned(capsys):
+    # a new flag has to be added here on purpose; --seed lives on verify only
+    common = ["--theorem", "--n", "--m", "--t", "--lambda", "--out"]
+    expected = {
+        "radius": common,
+        "verify": common + ["--a-grid", "--rho-grid", "--inflate-radius", "--seed"],
+        "sharpness": common + ["--delta"],
+        "sweep": common + ["--param", "--from", "--to", "--steps"],
+        "table": ["--theorem", "--n-list", "--m-list", "--t-list", "--lambda-list",
+                  "--out"],
+    }
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    found = {name: [opt for action in sub._actions
+                    if not isinstance(action, argparse._HelpAction)
+                    for opt in action.option_strings]
+             for name, sub in subparsers.choices.items()}
+    assert {name: sorted(opts) for name, opts in found.items()} == \
+        {name: sorted(opts) for name, opts in expected.items()}
+    assert sum(len(opts) for opts in found.values()) == 39
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["radius", "--theorem", "convex", "--t", "0.5", "--seed", "5"])
+    assert exc.value.code == 1
+    capsys.readouterr()
 
 
 # -- sharpness ------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import polybohr
 
+DELETED_LABELS = ("DERIV_RHO_SMALL", "SQ_DERIV_RHO_SMALL")
 DELETED = ("deriv_rho_polynomial_small", "sq_deriv_rho_polynomial_small",
-           "DERIV_RHO_SMALL", "SQ_DERIV_RHO_SMALL")
+           "GrowthBound", "DEFAULT_MAX_DEGREE") + DELETED_LABELS
 
 
 def test_all_names_resolve_once_and_deleted_aliases_stay_gone():
@@ -12,4 +13,4 @@ def test_all_names_resolve_once_and_deleted_aliases_stay_gone():
         getattr(polybohr, name)
     assert len(names) == len(set(names))
     assert not set(DELETED) & set(names)
-    assert not any(hasattr(polybohr.PolyLabel, label) for label in DELETED[2:])
+    assert not any(hasattr(polybohr.PolyLabel, label) for label in DELETED_LABELS)

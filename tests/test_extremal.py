@@ -8,7 +8,8 @@ import pytest
 
 from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Direction,
                       ExtremalParams, Functional, FunctionalKind, MultiIndex,
-                      PhiPsiParams, RadiusProblem, TruncatedSeries, Witness,
+                      PhiPsiParams, RadiusProblem, SchwarzPowerMap,
+                      TruncatedSeries, Witness,
                       convex_rho_polynomial,
                       deriv_rho_polynomial, empirical_radius,
                       extremal_functional, extremal_functional_from_series,
@@ -334,16 +335,22 @@ NAN = float("nan")
     lambda: majorant_functional(Functional.convex(0.5), 0.5, NAN),
     lambda: rogosinski_value(0.5, NAN),
     lambda: extremal_functional_from_series(
-        Functional.deriv(1.0), ExtremalParams(0.5, 1, 1), NAN),
+        Functional.deriv(1.0), ExtremalParams(0.5, 1, 1), NAN, max_degree=40),
     lambda: Direction((NAN, 0.5)),
     lambda: TruncatedSeries.constant(0.5, 1).bohr_majorant_sum(NAN),
     lambda: PhiPsiParams(NAN, 0.1, 0.2),
     lambda: ExtremalParams(0.5, 1.5, 1),
+    lambda: extremal_series(ExtremalParams(0.5, 2.0, 1), max_degree=4),
+    lambda: SchwarzPowerMap(2, 2.5),
+    lambda: TruncatedSeries(2, 3.5, {}),
+    lambda: RadiusProblem(FunctionalKind.CONVEX, 2.0, 1, t=0.5),
 ], ids=["extremal-rho", "majorant-deriv-rho", "majorant-convex-rho",
         "rogosinski-rho", "series-rho", "direction", "majorant-sum-radius",
-        "phi-psi-weight", "extremal-params-n"])
+        "phi-psi-weight", "extremal-params-n", "series-float-n", "power-map-power",
+        "series-max-degree", "problem-float-n"])
 def test_nan_and_non_integer_inputs_raise(call):
-    # each of these returned a value (or a NaN) before its gate was NaN-safe
+    # each of these returned a value (or a NaN, or raised TypeError) before its
+    # gate was NaN-safe and took integers only
     with pytest.raises(ValueError):
         call()
 

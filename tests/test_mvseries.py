@@ -135,7 +135,7 @@ def test_multiply_multinomial_square():
     assert sq.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
 
-def test_multiply_cap_truncates():
+def test_multiply_degree_adds():
     s = TruncatedSeries(1, 3, {(0,): 1, (3,): 1})
     full = s.multiply(s)
     assert full.max_degree == 6
@@ -230,7 +230,7 @@ def test_compose_power_map_mobius_oracle():
     assert abs(g.eval((0.3,)) - (a - w) / (1 - a * w)) < 1e-6
 
 
-def test_compose_power_map_cap_refused():
+def test_compose_power_map_dimension_mismatch():
     s = TruncatedSeries(1, 4, {(4,): 1})
     with pytest.raises(ValueError):
         s.compose_power_map(SchwarzPowerMap(2, 2))
