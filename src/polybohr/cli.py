@@ -56,7 +56,13 @@ def _write_out(text: str, out_path) -> None:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("BOHR_SEED", DEFAULT_SEED))
+    raw = os.environ.get("BOHR_SEED")
+    if raw is None:
+        return DEFAULT_SEED
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"BOHR_SEED must be an integer, got {raw!r}") from None
 
 
 def _problem_from_args(args) -> RadiusProblem:
@@ -81,6 +87,7 @@ def cmd_radius(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    seed = _resolve_seed(args)
     if args.a_grid < 10 or args.rho_grid < 10:
         raise ValueError("grid sizes must be >= 10")
     if not 0.0 <= args.inflate_radius < math.inf:
@@ -122,7 +129,7 @@ def cmd_verify(args) -> int:
         "n": problem.n,
         "m": problem.m,
         "weight": problem.weight,
-        "seed": _resolve_seed(args),
+        "seed": seed,
         "radius": res.radius,
         "inflate_radius": args.inflate_radius,
         "rho_max": rho_max,

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mvseries import (Direction, SchwarzPowerMap, TruncatedSeries,
-                       multi_indices)
+from .mvseries import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
+                       _check_count, multi_indices)
 from .radii import (GOLDEN_CONJUGATE, KINDS, FunctionalKind, RadiusProblem,
                     _check_nm, _geometric_radius, check_weight, radius_for)
 
@@ -129,15 +129,17 @@ def extremal_series(params: ExtremalParams, max_degree: int) -> TruncatedSeries:
     -(1 - a^2) a^(k-1) k!/alpha!, so each homogeneous slice sums in modulus
     to (1 - a^2) a^(k-1) n^k.
     """
+    _check_count("max_degree", max_degree, 0)
     a, n = params.a, params.n
-    coeffs: dict = {(0,) * n: complex(a)}
+    coeffs: dict = {tuple.__new__(MultiIndex, (0,) * n): complex(a)}
     one_minus = 1.0 - a * a
+    fact = [math.factorial(e) for e in range(max_degree + 1)]
     for k in range(1, max_degree + 1):
         base = -one_minus * a ** (k - 1)
-        kfac = math.factorial(k)
+        kfac = fact[k]
         for alpha in multi_indices(n, k):
-            coeffs[alpha] = complex(base * (kfac // alpha.factorial))
-    return TruncatedSeries(n, max_degree, coeffs)
+            coeffs[alpha] = complex(base * (kfac // math.prod([fact[e] for e in alpha])))
+    return TruncatedSeries._trusted(n, max_degree, coeffs)
 
 
 # -- closed-form functional values --------------------------------------------

@@ -13,6 +13,13 @@ The pieces needed by the Bohr-radius machinery are: point evaluation, Cauchy
 products, directional derivatives d_u f = sum_j u_j df/dz_j along unit-l1
 directions, substitution of the componentwise power map z_j -> z_j^m, and the
 majorant sum  sum_{|alpha| >= k_min} |a_alpha| r^alpha  for radius vectors r.
+
+A multi-index is validated once, where it enters from outside: at
+MultiIndex(...), at TruncatedSeries(...) built from a caller's dict, and at
+coefficient().  The operations here build their keys from keys already
+checked, so they trust them: each key is a MultiIndex of plain ints made
+with tuple.__new__, and each result goes through TruncatedSeries._trusted,
+which only drops exact zeros.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ def multi_indices(n_vars: int, degree: int) -> Iterator[MultiIndex]:
     """All multi-indices with n_vars entries and total degree exactly `degree`."""
     _check_count("n_vars", n_vars, 1)
     _check_count("degree", degree, 0)
+    degree = int(degree)  # a numpy degree would leak into the n == 1 keys
 
     def comps(n: int, k: int):
         if n == 1:
@@ -75,7 +83,7 @@ def multi_indices(n_vars: int, degree: int) -> Iterator[MultiIndex]:
                 yield (first,) + rest
 
     for t in comps(n_vars, degree):
-        yield MultiIndex(t)
+        yield tuple.__new__(MultiIndex, t)
 
 
 @dataclass(frozen=True)
@@ -152,6 +160,22 @@ class TruncatedSeries:
         self.max_degree = max_degree
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(cls, n_vars: int, max_degree: int, coeffs: dict) -> "TruncatedSeries":
+        """A series whose keys the package built from checked ones.
+
+        coeffs is a fresh dict from MultiIndex keys of plain ints to complex
+        values; the series takes it over.  Only the exact zeros are dropped,
+        and nothing is checked again.
+        """
+        if 0 in coeffs.values():
+            coeffs = {a: c for a, c in coeffs.items() if c != 0}
+        out = cls.__new__(cls)
+        out.n_vars = n_vars
+        out.max_degree = max_degree
+        out.coeffs = coeffs
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -183,7 +207,7 @@ class TruncatedSeries:
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
             out[a] = out.get(a, 0j) + c
-        return TruncatedSeries(self.n_vars, max(self.max_degree, other.max_degree), out)
+        return TruncatedSeries._trusted(self.n_vars, max(self.max_degree, other.max_degree), out)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -193,8 +217,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return self.multiply(other)
-        return TruncatedSeries(self.n_vars, self.max_degree,
-                               {a: c * other for a, c in self.coeffs.items()})
+        return TruncatedSeries._trusted(self.n_vars, self.max_degree,
+                                        {a: complex(c * other) for a, c in self.coeffs.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -230,9 +254,9 @@ class TruncatedSeries:
         out: dict = {}
         for a, ca in self.coeffs.items():
             for b, cb in other.coeffs.items():
-                key = MultiIndex(x + y for x, y in zip(a, b))
+                key = tuple.__new__(MultiIndex, [x + y for x, y in zip(a, b)])
                 out[key] = out.get(key, 0j) + ca * cb
-        return TruncatedSeries(self.n_vars, self.max_degree + other.max_degree, out)
+        return TruncatedSeries._trusted(self.n_vars, self.max_degree + other.max_degree, out)
 
     def directional_derivative(self, direction: Direction) -> "TruncatedSeries":
         """d_u f = sum_j u_j df/dz_j for a unit-l1 direction u."""
@@ -245,9 +269,9 @@ class TruncatedSeries:
                 if e:
                     down = list(alpha)
                     down[j] = e - 1
-                    key = MultiIndex(down)
+                    key = tuple.__new__(MultiIndex, down)
                     out[key] = out.get(key, 0j) + c * e * comp[j]
-        return TruncatedSeries(self.n_vars, max(self.max_degree - 1, 0), out)
+        return TruncatedSeries._trusted(self.n_vars, max(self.max_degree - 1, 0), out)
 
     def compose_power_map(self, omega: SchwarzPowerMap) -> "TruncatedSeries":
         """Substitute z_j -> z_j^m: the monomial z^alpha becomes z^(m alpha).
@@ -256,9 +280,10 @@ class TruncatedSeries:
         """
         if omega.n_vars != self.n_vars:
             raise ValueError("power map dimension mismatch")
-        m = omega.power
-        out = {MultiIndex(m * e for e in alpha): c for alpha, c in self.coeffs.items()}
-        return TruncatedSeries(self.n_vars, m * self.max_degree, out)
+        m = int(omega.power)  # a numpy power would leak into every key
+        out = {tuple.__new__(MultiIndex, [m * e for e in alpha]): c
+               for alpha, c in self.coeffs.items()}
+        return TruncatedSeries._trusted(self.n_vars, m * self.max_degree, out)
 
     def bohr_majorant_sum(self, r, k_min: int = 0) -> float:
         """sum over |alpha| >= k_min of |a_alpha| r^alpha, for r >= 0.

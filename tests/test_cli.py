@@ -250,6 +250,20 @@ def test_verify_seed_resolution(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 1234
 
 
+def test_verify_bad_seed_fails_before_the_grid(capsys, monkeypatch):
+    monkeypatch.setenv("BOHR_SEED", "abc")
+
+    def no_solve(problem):
+        raise AssertionError("the grid was reached before the seed was checked")
+    monkeypatch.setattr(cli, "radius_for", no_solve)
+    code, out, err = run_cli(
+        ["verify", "--theorem", "convex", "--t", "0.5",
+         "--a-grid", "500", "--rho-grid", "100"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: BOHR_SEED must be an integer, got 'abc'\n"
+
+
 def test_option_inventory_is_pinned(capsys):
     # a new flag has to be added here on purpose; --seed lives on verify only
     common = ["--theorem", "--n", "--m", "--t", "--lambda", "--out"]

@@ -8,6 +8,7 @@ import pytest
 
 from polybohr import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
                       multi_indices)
+from polybohr.extremal import ExtremalParams, extremal_series
 
 
 def mobius_coeffs(a, n, max_degree):
@@ -91,6 +92,40 @@ def test_degree_slice():
     s = TruncatedSeries(2, 2, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 4})
     assert s.degree_slice(1) == {(1, 0): 2, (0, 1): 3}
     assert s.degree_slice(2) == {(1, 1): 4}
+
+
+# -- internal results: keys are trusted, exact zeros still dropped --------------
+
+def test_internal_results_drop_exact_zeros():
+    f = random_series(np.random.default_rng(5), 2, 3)
+    assert (f - f).coeffs == {}
+    assert (0 * f).coeffs == {}
+    one_plus = TruncatedSeries(1, 1, {(0,): 1, (1,): 1})
+    one_minus = TruncatedSeries(1, 1, {(0,): 1, (1,): -1})
+    prod = one_plus.multiply(one_minus)
+    assert prod.coeffs == {(0,): 1, (2,): -1}  # no z term
+
+
+def test_internal_keys_are_multi_indices_of_plain_ints():
+    f = random_series(np.random.default_rng(6), 2, 4)
+    built = {
+        "multiply": f.multiply(f),
+        "directional_derivative": f.directional_derivative(Direction.uniform(2)),
+        "compose_power_map": f.compose_power_map(SchwarzPowerMap(2, np.int64(3))),
+        "add": f + f,
+        "scale": np.float64(2.0) * f,
+        "extremal_series": extremal_series(ExtremalParams(0.5, 2, 1), np.int64(6)),
+    }
+    for name, s in built.items():
+        assert s.coeffs, name
+        for key, c in s.coeffs.items():
+            assert type(key) is MultiIndex, name
+            assert all(type(e) is int for e in key), (name, key)
+            assert type(c) is complex, (name, c)
+    composed = built["compose_power_map"]
+    assert type(composed.max_degree) is int
+    assert composed.coeffs == f.compose_power_map(SchwarzPowerMap(2, 3)).coeffs
+    assert all(type(e) is int for idx in multi_indices(1, np.int64(3)) for e in idx)
 
 
 # -- eval ----------------------------------------------------------------------
