@@ -19,8 +19,7 @@ from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
 
 def show_witness(problem, delta=1e-3):
     res = radius_for(problem)
-    weight = problem.t if problem.kind is FunctionalKind.CONVEX else problem.lam
-    tag = f"{problem.kind.value:<9} n={problem.n} m={problem.m} weight={weight}"
+    tag = f"{problem.kind.value:<9} n={problem.n} m={problem.m} weight={problem.weight}"
     try:
         w = sharpness_witness(problem, delta=delta)
         print(f"[witness] {tag}")

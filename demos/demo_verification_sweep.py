@@ -1,7 +1,7 @@
 """Safety sweep: the functionals stay at or below 1 inside the stated radius.
 
-For a grid of configurations this drives the exact witness-family values and
-the majorant chain across (a, rho) grids, checking two properties:
+For a grid of configurations, verify_radius drives the exact witness-family
+values and the majorant chain across (a, rho) grids, checking two properties:
 
   1. below the stated radius the witness family never pushes the functional
      above 1 (the radius is safe);
@@ -12,47 +12,10 @@ A deliberately inflated radius is checked last as a negative control: the
 sweep must detect the violation, otherwise it is not testing anything.
 """
 
-import numpy as np
-
-from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Functional,
-                      FunctionalKind, RadiusProblem, extremal_functional,
-                      majorant_functional, radius_for)
+from polybohr import FunctionalKind, RadiusProblem, verify_radius
 
 A_GRID = 400
 RHO_GRID = 60
-
-# the majorant chains are stated on bounded rho ranges; clamp the dominance
-# sweep there while the safety sweep runs all the way to the stated radius
-MAJORANT_CAP = {
-    FunctionalKind.CONVEX: 1.0 - 1e-9,
-    FunctionalKind.DERIV: SQRT2_MINUS_1,
-    FunctionalKind.SQ_DERIV: GOLDEN_CONJUGATE,
-}
-
-
-def sweep(problem, inflate=0.0):
-    """Max family value below the (possibly inflated) radius and the min
-    majorant-minus-family margin; returns (max_value, min_margin)."""
-    res = radius_for(problem)
-    func = Functional.from_problem(problem)
-    r = res.radius * (1.0 + inflate)
-    rho_max = problem.n * r ** problem.m
-    cap = MAJORANT_CAP[func.kind]
-    avals = np.linspace(0.0, 1.0, A_GRID, endpoint=False)
-    max_value = 0.0
-    min_margin = float("inf")
-    for rho in np.linspace(0.0, rho_max, RHO_GRID):
-        rho = float(rho)
-        for a in avals:
-            a = float(a)
-            if a * rho >= 1.0:
-                continue
-            max_value = max(max_value, extremal_functional(func, a, rho))
-            rr = min(rho, cap)
-            margin = majorant_functional(func, a, rr) - \
-                extremal_functional(func, a, rr)
-            min_margin = min(min_margin, margin)
-    return max_value, min_margin
 
 
 def main() -> int:
@@ -71,24 +34,22 @@ def main() -> int:
     ]
     failures = 0
     for problem in configs:
-        max_value, min_margin = sweep(problem)
-        weight = problem.t if problem.kind is FunctionalKind.CONVEX else problem.lam
-        ok = max_value <= 1.0 + 1e-12 and min_margin >= -1e-12
-        status = "PASS" if ok else "FAIL"
-        failures += 0 if ok else 1
+        check = verify_radius(problem, A_GRID, RHO_GRID, 0.0)
+        status = "PASS" if check.ok else "FAIL"
+        failures += 0 if check.ok else 1
         print(f"[{status}] {problem.kind.value:<9} n={problem.n} m={problem.m} "
-              f"weight={weight:<5} max value {max_value:.12f}  "
-              f"min dominance margin {min_margin:+.2e}")
+              f"weight={problem.weight:<5} max value {check.max_value:.12f}  "
+              f"min dominance margin {check.min_margin:+.2e}")
     print()
     print("Negative control: same sweep with the radius inflated by 1%.")
     problem = RadiusProblem(FunctionalKind.CONVEX, 2, 1, t=0.3)
-    max_value, _ = sweep(problem, inflate=0.01)
-    if max_value > 1.0 + 1e-12:
+    check = verify_radius(problem, A_GRID, RHO_GRID, 0.01)
+    if check.below_violations:
         print(f"[PASS] violation detected as required: max value "
-              f"{max_value:.12f} > 1")
+              f"{check.max_value:.12f} > 1")
     else:
         failures += 1
-        print(f"[FAIL] inflated radius went undetected (max {max_value:.12f})")
+        print(f"[FAIL] inflated radius went undetected (max {check.max_value:.12f})")
     print()
     if failures:
         print(f"{failures} check(s) failed.")

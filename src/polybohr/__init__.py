@@ -10,12 +10,12 @@ from .bounds import (DEFAULT_SEED, PhiPsiMode, PhiPsiParams,
                      coefficient_bound_check, derivative_bound,
                      phi_psi_monotone, schwarz_pick_bound,
                      zero_multiplicity_bound_check)
-from .extremal import (ExtremalParams, Functional, Witness,
+from .extremal import (ExtremalParams, Functional, Verification, Witness,
                        WitnessNotFoundError, empirical_radius,
                        extremal_functional, extremal_functional_from_series,
                        extremal_series, majorant_functional,
                        rogosinski_threshold, rogosinski_value,
-                       sharpness_witness)
+                       sharpness_witness, verify_radius)
 from .mvseries import (Direction, MultiIndex, SchwarzPowerMap,
                        TruncatedSeries, multi_indices)
 from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
@@ -45,6 +45,7 @@ __all__ = [
     "SQRT2_MINUS_1",
     "SchwarzPowerMap",
     "TruncatedSeries",
+    "Verification",
     "Witness",
     "WitnessNotFoundError",
     "coefficient_bound_check",
@@ -71,5 +72,6 @@ __all__ = [
     "sharpness_witness",
     "solve_unique_positive_root",
     "sq_deriv_rho_polynomial",
+    "verify_radius",
     "zero_multiplicity_bound_check",
 ]

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mvseries import MultiIndex, TruncatedSeries
+from .mvseries import MultiIndex, TruncatedSeries, _check_count
 
 DEFAULT_SEED = 1234
 
@@ -115,10 +115,8 @@ def zero_multiplicity_bound_check(series: TruncatedSeries, k: int,
     total degree below k).  For an actual self-map into the closed unit disc
     the ratio never exceeds 1.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count("k", k, 1)
+    _check_count("samples", samples, 1)
     low = [alpha for alpha in series.coeffs if alpha.degree < k]
     if low:
         raise ValueError(f"series does not vanish to order {k}: found {tuple(low[0])}")

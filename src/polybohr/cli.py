@@ -3,7 +3,7 @@
 Subcommands:
 
 - radius     one certified radius as JSON
-- verify     below-radius safety and majorant-dominance sweeps (exit 2 on any violation)
+- verify     extremal.verify_radius's sweeps as JSON (exit 2 on any violation)
 - sharpness  explicit witness just beyond the stated radius
 - sweep      radius curve along one parameter, as CSV
 - table      radius table over (n, m, weight) lists, as CSV
@@ -26,8 +26,7 @@ import sys
 import numpy as np
 
 from .bounds import DEFAULT_SEED
-from .extremal import (Functional, WitnessNotFoundError, _functional_value,
-                       majorant_functional, sharpness_witness)
+from .extremal import WitnessNotFoundError, sharpness_witness, verify_radius
 from .radii import KINDS, FunctionalKind, RadiusProblem, radius_for
 
 _THEOREMS = [kind.value for kind in FunctionalKind]
@@ -88,61 +87,27 @@ def cmd_radius(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
-    if args.a_grid < 10 or args.rho_grid < 10:
-        raise ValueError("grid sizes must be >= 10")
-    if not 0.0 <= args.inflate_radius < math.inf:
-        raise ValueError("--inflate-radius must be finite and >= 0")
     problem = _problem_from_args(args)
-    res = radius_for(problem)
-    func = Functional.from_problem(problem)
-    r_checked = res.radius * (1.0 + args.inflate_radius)
-    rho_max = problem.n * r_checked ** problem.m
-    avals = np.linspace(0.0, 1.0, args.a_grid, endpoint=False)
-    rhos = np.linspace(0.0, rho_max, args.rho_grid)
-
-    a_list = avals.tolist()
-    cap = KINDS[func.kind].search_cap
-    max_value = 0.0
-    below_violations = []
-    dominance_violations = []
-    min_margin = float("inf")
-    for rho in rhos.tolist():
-        vals = _functional_value(func, avals, rho)
-        top = float(np.max(vals))
-        if top > max_value:
-            max_value = top
-        for i in np.nonzero(vals > 1.0 + 1e-12)[0]:
-            below_violations.append([a_list[i], rho, float(vals[i])])
-        # the margin uses the scalar form: Python's x ** 2 can differ from
-        # numpy's in the last bit, and the margin is printed
-        rr = min(rho, cap)
-        for a in a_list:
-            margin = majorant_functional(func, a, rr) - _functional_value(func, a, rr)
-            if margin < min_margin:
-                min_margin = margin
-            if margin < -1e-12:
-                dominance_violations.append([a, rr, margin])
-
-    ok = not below_violations and not dominance_violations
+    check = verify_radius(problem, args.a_grid, args.rho_grid, args.inflate_radius)
     payload = {
-        "kind": func.kind.value,
+        "kind": problem.kind.value,
         "n": problem.n,
         "m": problem.m,
         "weight": problem.weight,
         "seed": seed,
-        "radius": res.radius,
+        "radius": check.radius,
         "inflate_radius": args.inflate_radius,
-        "rho_max": rho_max,
+        "rho_max": check.rho_max,
         "a_grid": args.a_grid,
         "rho_grid": args.rho_grid,
-        "max_value_below_radius": max_value,
-        "dominance_min_margin": min_margin,
-        "violations_below_radius": below_violations[:20],
-        "violations_dominance": dominance_violations[:20],
-        "ok": ok,
+        "max_value_below_radius": check.max_value,
+        "dominance_min_margin": check.min_margin,
+        "violations_below_radius": check.below_violations[:20],
+        "violations_dominance": check.dominance_violations[:20],
+        "ok": check.ok,
     }
     _write_out(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
-    return 0 if ok else 2
+    return 0 if check.ok else 2
 
 
 def cmd_sharpness(args) -> int:

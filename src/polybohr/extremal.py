@@ -19,10 +19,11 @@ The majorant forms (upper-bound chains valid for every self-map with
 |f(0)| = a0) dominate these exactly, and the value crosses 1 for some a
 precisely when rho exceeds the family threshold.  empirical_radius recovers
 radii by bisecting that crossing; sharpness_witness exhibits an explicit a
-just beyond a stated radius.  Both thresholds are the roots of the radius
-polynomials in radii, for every weight: the majorant factors through the
-same quartic (see the radii module docstring), so every stated radius is
-sharp.
+just beyond a stated radius; verify_radius checks on an (a, rho) grid that
+the family stays at or below 1 inside it and that the majorant dominates.
+Both thresholds are the roots of the radius polynomials in radii, for every
+weight: the majorant factors through the same quartic (see the radii module
+docstring), so every stated radius is sharp.
 """
 
 from __future__ import annotations
@@ -90,6 +91,26 @@ class ExtremalParams:
     def __post_init__(self):
         _check_a(self.a)
         _check_nm(self.n, self.m)
+
+
+@dataclass(frozen=True)
+class Verification:
+    """verify_radius's outcome; radius is the stated radius, not inflated.
+
+    Each below violation is [a, rho, value > 1 + 1e-12]; each dominance
+    violation is [a, rho, majorant - family < -1e-12].
+    """
+
+    radius: float
+    rho_max: float
+    max_value: float
+    min_margin: float
+    below_violations: list
+    dominance_violations: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.below_violations and not self.dominance_violations
 
 
 @dataclass(frozen=True)
@@ -297,6 +318,51 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
     raise WitnessNotFoundError(
         f"no witness up to a = {float(avals[-1])!r} for {func.kind.value} at rho = {rho!r} "
         f"(grid+refined sup = {max(float(np.max(vals)), float(v_best))!r})")
+
+
+def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
+                  inflate: float) -> Verification:
+    """Check the stated radius r on an a_grid x rho_grid grid.
+
+    a runs over linspace(0, 1, a_grid, endpoint=False), rho over
+    linspace(0, rho_max, rho_grid) with rho_max = n (r (1 + inflate))^m.
+    There the family must stay <= 1 and the majorant (rho clamped to the
+    kind's search cap) must dominate it at every point; inflate > 0 is the
+    negative control.
+    """
+    _check_count("a_grid", a_grid, 10)
+    _check_count("rho_grid", rho_grid, 10)
+    if not 0.0 <= inflate < math.inf:
+        raise ValueError(f"inflate must be finite and >= 0, got {inflate!r}")
+    radius = radius_for(problem).radius
+    func = Functional.from_problem(problem)
+    rho_max = problem.n * (radius * (1.0 + inflate)) ** problem.m
+    avals = np.linspace(0.0, 1.0, a_grid, endpoint=False)
+    rhos = np.linspace(0.0, rho_max, rho_grid)
+    a_list = avals.tolist()
+    cap = KINDS[func.kind].search_cap
+    max_value = 0.0
+    below_violations = []
+    dominance_violations = []
+    min_margin = float("inf")
+    for rho in rhos.tolist():
+        vals = _functional_value(func, avals, rho)
+        top = float(np.max(vals))
+        if top > max_value:
+            max_value = top
+        for i in np.nonzero(vals > 1.0 + 1e-12)[0]:
+            below_violations.append([a_list[i], rho, float(vals[i])])
+        # the margin uses the scalar form: Python's x ** 2 can differ from
+        # numpy's in the last bit, and the margin is printed
+        rr = min(rho, cap)
+        for a in a_list:
+            margin = majorant_functional(func, a, rr) - _functional_value(func, a, rr)
+            if margin < min_margin:
+                min_margin = margin
+            if margin < -1e-12:
+                dominance_violations.append([a, rr, margin])
+    return Verification(radius, rho_max, max_value, min_margin,
+                        below_violations, dominance_violations)
 
 
 def _bisect_crossing(value, lo: float, hi: float, what: str = "") -> float:

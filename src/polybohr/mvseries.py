@@ -112,6 +112,7 @@ class Direction:
     @classmethod
     def uniform(cls, n_vars: int) -> "Direction":
         """The direction (1/n, ..., 1/n)."""
+        _check_count("n_vars", n_vars, 1)
         return cls((1.0 / n_vars,) * n_vars)
 
 
@@ -129,6 +130,9 @@ class SchwarzPowerMap:
     def __post_init__(self):
         _check_count("n_vars", self.n_vars, 1)
         _check_count("power", self.power, 1)
+        # numpy integers would leak into apply's values and compose_power_map's keys
+        object.__setattr__(self, "n_vars", int(self.n_vars))
+        object.__setattr__(self, "power", int(self.power))
 
     def apply(self, z) -> tuple:
         """omega(z) as a tuple of complex numbers."""
@@ -280,7 +284,7 @@ class TruncatedSeries:
         """
         if omega.n_vars != self.n_vars:
             raise ValueError("power map dimension mismatch")
-        m = int(omega.power)  # a numpy power would leak into every key
+        m = omega.power
         out = {tuple.__new__(MultiIndex, [m * e for e in alpha]): c
                for alpha, c in self.coeffs.items()}
         return TruncatedSeries._trusted(self.n_vars, m * self.max_degree, out)

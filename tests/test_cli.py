@@ -253,9 +253,9 @@ def test_verify_seed_resolution(capsys, monkeypatch):
 def test_verify_bad_seed_fails_before_the_grid(capsys, monkeypatch):
     monkeypatch.setenv("BOHR_SEED", "abc")
 
-    def no_solve(problem):
+    def no_sweep(*args):
         raise AssertionError("the grid was reached before the seed was checked")
-    monkeypatch.setattr(cli, "radius_for", no_solve)
+    monkeypatch.setattr(cli, "verify_radius", no_sweep)
     code, out, err = run_cli(
         ["verify", "--theorem", "convex", "--t", "0.5",
          "--a-grid", "500", "--rho-grid", "100"], capsys)

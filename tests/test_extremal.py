@@ -16,7 +16,9 @@ from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Direction,
                       extremal_series, majorant_functional,
                       radius_deriv, radius_for, radius_sq_deriv,
                       rogosinski_threshold, rogosinski_value,
-                      sharpness_witness, sq_deriv_rho_polynomial)
+                      sharpness_witness, sq_deriv_rho_polynomial,
+                      verify_radius, zero_multiplicity_bound_check)
+from polybohr import extremal
 from polybohr.radii import solve_unique_positive_root
 
 
@@ -327,6 +329,7 @@ def test_empirical_radius_validation():
 
 
 NAN = float("nan")
+Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
 
 
 @pytest.mark.parametrize("call", [
@@ -344,15 +347,68 @@ NAN = float("nan")
     lambda: SchwarzPowerMap(2, 2.5),
     lambda: TruncatedSeries(2, 3.5, {}),
     lambda: RadiusProblem(FunctionalKind.CONVEX, 2.0, 1, t=0.5),
+    lambda: Direction.uniform(0),
+    lambda: Direction.uniform(2.0),
+    lambda: Direction.uniform(-1),
+    lambda: verify_radius(RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=0.5),
+                          50, 10, NAN),
+    lambda: verify_radius(RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=0.5),
+                          10.5, 10, 0.0),
+    lambda: zero_multiplicity_bound_check(Z_SQUARED, NAN),
+    lambda: zero_multiplicity_bound_check(Z_SQUARED, 1.5),
+    lambda: zero_multiplicity_bound_check(Z_SQUARED, 1, samples=2.5),
 ], ids=["extremal-rho", "majorant-deriv-rho", "majorant-convex-rho",
         "rogosinski-rho", "series-rho", "direction", "majorant-sum-radius",
         "phi-psi-weight", "extremal-params-n", "series-float-n", "power-map-power",
-        "series-max-degree", "problem-float-n"])
+        "series-max-degree", "problem-float-n", "uniform-direction-zero",
+        "uniform-direction-float", "uniform-direction-negative",
+        "verify-inflate-nan", "verify-float-grid", "zero-order-nan-k",
+        "zero-order-float-k", "zero-order-float-samples"])
 def test_nan_and_non_integer_inputs_raise(call):
     # each of these returned a value (or a NaN, or raised TypeError) before its
     # gate was NaN-safe and took integers only
     with pytest.raises(ValueError):
         call()
+
+
+VERIFY_PROBLEMS = [
+    RadiusProblem(FunctionalKind.CONVEX, 2, 1, t=0.3),
+    RadiusProblem(FunctionalKind.DERIV, 1, 2, lam=1.0),
+    RadiusProblem(FunctionalKind.SQ_DERIV, 3, 1, lam=2.0),
+]
+
+
+@pytest.mark.parametrize("problem", VERIFY_PROBLEMS[:2], ids=["convex", "deriv"])
+def test_verify_radius_calls_the_majorant_once_per_grid_point(problem, monkeypatch):
+    # the benchmark's traced self-check expects one majorant_functional call,
+    # made through the module global, per verify grid point
+    calls = 0
+    real = extremal.majorant_functional
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+    monkeypatch.setattr(extremal, "majorant_functional", counted)
+    verify_radius(problem, 23, 11, 0.0)
+    assert calls == 23 * 11
+
+
+@pytest.mark.parametrize("problem", VERIFY_PROBLEMS,
+                         ids=["convex", "deriv", "sq-deriv"])
+def test_verify_radius_passes_at_the_radius_and_fails_the_control(problem):
+    check = verify_radius(problem, 200, 50, 0.0)
+    assert check.ok
+    assert check.radius == radius_for(problem).radius
+    assert check.rho_max == problem.n * check.radius ** problem.m
+    assert check.max_value <= 1.0 + 1e-12 and check.min_margin >= -1e-12
+    assert not check.below_violations and not check.dominance_violations
+    # +1% past a sharp radius the family must exceed 1 somewhere on the grid
+    control = verify_radius(problem, 200, 50, 0.01)
+    assert not control.ok
+    assert control.radius == check.radius
+    assert control.max_value > 1.0 + 1e-12
+    assert all(value > 1.0 + 1e-12 for _, _, value in control.below_violations)
 
 
 def test_witness_validation():

@@ -126,6 +126,9 @@ def test_internal_keys_are_multi_indices_of_plain_ints():
     assert type(composed.max_degree) is int
     assert composed.coeffs == f.compose_power_map(SchwarzPowerMap(2, 3)).coeffs
     assert all(type(e) is int for idx in multi_indices(1, np.int64(3)) for e in idx)
+    omega = SchwarzPowerMap(1, np.int64(3))
+    assert type(omega.power) is int and type(omega.n_vars) is int
+    assert all(type(w) is complex for w in omega.apply((0.5,)))
 
 
 # -- eval ----------------------------------------------------------------------
