@@ -133,11 +133,16 @@ def _sweep_values(args):
     if not -math.inf < args.start < args.stop < math.inf:
         raise ValueError("need finite --from < --to")
     if args.param in ("t", "lambda"):
+        if getattr(args, "lam" if args.param == "lambda" else "t") is not None:
+            raise ValueError(f"--param {args.param} takes its values from --from/--to, "
+                             f"not --{args.param}")
         if args.steps is None:
             raise ValueError("--steps is required for t/lambda sweeps")
         if args.steps < 2:
             raise ValueError("--steps must be >= 2")
         return [float(x) for x in np.linspace(args.start, args.stop, args.steps)]
+    if args.steps is not None:
+        raise ValueError(f"--steps is for t/lambda sweeps, not --param {args.param}")
     lo, hi = int(args.start), int(args.stop)
     if lo != args.start or hi != args.stop:
         raise ValueError(f"{args.param} sweep endpoints must be integers")
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, default=None,
                    help="grid size for t/lambda sweeps (>= 2); n/m sweeps "
-                        "use integer steps of 1")
+                        "take integer steps of 1 and refuse it")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("table", help="radius table over (n, m, weight) lists (CSV)")

@@ -19,8 +19,10 @@ The majorant forms (upper-bound chains valid for every self-map with
 |f(0)| = a0) dominate these exactly, and the value crosses 1 for some a
 precisely when rho exceeds the family threshold.  empirical_radius recovers
 radii by bisecting that crossing; sharpness_witness exhibits an explicit a
-just beyond a stated radius; verify_radius checks on an (a, rho) grid that
-the family stays at or below 1 inside it and that the majorant dominates.
+just beyond a stated radius, the first point of one a-grid where the value
+exceeds 1, and raises when no grid point does (as for delta <~ 1e-8);
+verify_radius checks on an (a, rho) grid that the family stays at or below
+1 inside it and that the majorant dominates.
 Both thresholds are the roots of the radius polynomials in radii, for every
 weight: the majorant factors through the same quartic (see the radii module
 docstring), so every stated radius is sharp.
@@ -36,8 +38,8 @@ import numpy as np
 
 from .mvseries import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
                        _check_count, multi_indices)
-from .radii import (GOLDEN_CONJUGATE, KINDS, FunctionalKind, RadiusProblem,
-                    _check_nm, _geometric_radius, check_weight, radius_for)
+from .radii import (KINDS, FunctionalKind, RadiusProblem, _check_nm,
+                    _geometric_radius, check_weight, radius_for)
 
 # sup-over-grid crossing guard: a radius is "crossed" only when the grid sup
 # exceeds 1 by more than this
@@ -266,37 +268,18 @@ def _a_grid() -> np.ndarray:
     return np.unique(np.concatenate([base, tail]))
 
 
-def _golden_max(fn, lo: float, hi: float):
-    """Golden-section maximum of a unimodal-enough fn on [lo, hi], to width 1e-12."""
-    g = GOLDEN_CONJUGATE
-    c = hi - g * (hi - lo)
-    d = lo + g * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    while hi - lo > 1e-12:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - g * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + g * (hi - lo)
-            fd = fn(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
-
 def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
     """An explicit witness just beyond the stated radius, where one exists.
 
-    Searches a in [0, 1) at rho = (1 + delta) * rho_root: first a coarse grid
-    with a log tail toward 1, then a golden-section refinement around the
-    best grid point.  Returns the first parameter whose functional value
-    exceeds 1.  For every weight the stated radius is where the family's
-    sup first exceeds 1 (for DERIV / SQ_DERIV the root of the weighted
-    quartic, for every lam > 0), so a witness exists just beyond it; the
-    search raises WitnessNotFoundError only when the excess over 1 is too
-    small to resolve in floating point, as for a tiny delta.
+    Evaluates the family at rho = (1 + delta) * rho_root on the a-grid alone
+    (uniform points plus the log tail toward 1) and returns the first grid
+    point whose functional value exceeds 1.  For every weight the stated
+    radius is where the family's sup first exceeds 1 (for DERIV / SQ_DERIV
+    the root of the weighted quartic, for every lam > 0), so a witness
+    exists just beyond it.  When no grid point exceeds 1 the search raises
+    WitnessNotFoundError, as it often does for delta <~ 1e-8.  Below about
+    1e-9 the float comparison no longer decides the exact sign, so a
+    returned value there may exceed 1 only by rounding.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
@@ -309,15 +292,9 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
     if above.size:
         i = int(above[0])
         return Witness(float(avals[i]), float(vals[i]), rho, func)
-    j = int(np.argmax(vals))
-    lo = float(avals[max(j - 1, 0)])
-    hi = float(avals[min(j + 1, len(avals) - 1)])
-    a_best, v_best = _golden_max(lambda a: _functional_value(func, a, rho), lo, hi)
-    if v_best > 1.0:
-        return Witness(float(a_best), float(v_best), rho, func)
     raise WitnessNotFoundError(
         f"no witness up to a = {float(avals[-1])!r} for {func.kind.value} at rho = {rho!r} "
-        f"(grid+refined sup = {max(float(np.max(vals)), float(v_best))!r})")
+        f"(grid sup = {float(np.max(vals))!r})")
 
 
 def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,

@@ -324,6 +324,19 @@ def test_sharpness_missing_witness_exits_two(capsys, monkeypatch):
     assert err.startswith("verification failure:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "deriv", "--lambda", "0.02", "--delta", "1e-13"],
+    ["--theorem", "sq_deriv", "--lambda", "0.5", "--delta", "1e-14"],
+], ids=["deriv", "sq_deriv"])
+def test_sharpness_unresolved_delta_exits_two(argv, capsys):
+    # no a-grid point exceeds 1 this close to the radius; nothing is printed
+    # rather than a value that is above 1 only after rounding
+    code, out, err = run_cli(["sharpness"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("verification failure: no witness")
+
+
 # -- sweep ------------------------------------------------------------------------
 
 def test_sweep_t_csv(tmp_path, capsys):
@@ -400,6 +413,20 @@ def test_sweep_errors(capsys):
         ["sweep", "--theorem", "convex", "--param", "t", "--from", "0",
          "--to", "1", "--steps", "3", "--lambda", "3"], capsys)
     assert code == 1
+    # the swept weight's own flag, and --steps on an integer sweep, are
+    # refused rather than silently dropped
+    for argv in (["--theorem", "convex", "--param", "t", "--from", "0", "--to", "1",
+                  "--steps", "3", "--t", "0.5"],
+                 ["--theorem", "deriv", "--param", "lambda", "--from", "0.5",
+                  "--to", "1", "--steps", "3", "--lambda", "7"],
+                 ["--theorem", "deriv", "--param", "n", "--from", "1", "--to", "3",
+                  "--lambda", "1", "--steps", "0"],
+                 ["--theorem", "deriv", "--param", "m", "--from", "1", "--to", "3",
+                  "--lambda", "1", "--steps", "5"]):
+        code, out, err = run_cli(["sweep"] + argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- table ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 sign-equivalence identities, witness search, and empirical thresholds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ import pytest
 from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Direction,
                       ExtremalParams, Functional, FunctionalKind, MultiIndex,
                       PhiPsiParams, RadiusProblem, SchwarzPowerMap,
-                      TruncatedSeries, Witness,
-                      convex_rho_polynomial,
-                      deriv_rho_polynomial, empirical_radius,
-                      extremal_functional, extremal_functional_from_series,
-                      extremal_series, majorant_functional,
+                      TruncatedSeries, Witness, WitnessNotFoundError,
+                      convex_bound_cubic, convex_rho_polynomial,
+                      deriv_rho_polynomial, deriv_witness_quartic,
+                      empirical_radius, extremal_functional,
+                      extremal_functional_from_series, extremal_series,
+                      majorant_functional, phi_psi_monotone,
                       radius_deriv, radius_for, radius_sq_deriv,
                       rogosinski_threshold, rogosinski_value,
                       sharpness_witness, sq_deriv_rho_polynomial,
@@ -307,6 +309,43 @@ def test_small_weight_witness_family_crosses_at_stated_radius():
         assert abs(emp - radius_for(problem).radius) < 5e-4
 
 
+def _exact_excess(problem, a, rho):
+    """F - 1 for the witness family, in exact rational arithmetic."""
+    a, rho, w = Fraction(a), Fraction(rho), Fraction(problem.weight)
+    first = (rho + a) / (1 + a * rho)
+    if problem.kind is FunctionalKind.CONVEX:
+        value = w * first + (1 - w) * (a + (1 - a * a) * rho / (1 - a * rho))
+    else:
+        head = first if problem.kind is FunctionalKind.DERIV else first * first
+        value = (head + (1 - a * a) * rho / (1 + a * rho) ** 2
+                 + w * (1 - a * a) * a * rho * rho / (1 - a * rho))
+    return value - 1
+
+
+@pytest.mark.parametrize("problem", [
+    RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=0.3),
+    RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=0.02),
+    RadiusProblem(FunctionalKind.SQ_DERIV, 1, 1, lam=0.5),
+], ids=["convex", "deriv", "sq_deriv"])
+def test_sharpness_witness_at_small_delta_is_real(problem):
+    # delta = 1e-7 is still resolved by the a-grid's tail, and the excess is
+    # positive in exact arithmetic, not only after rounding
+    w = sharpness_witness(problem, delta=1e-7)
+    assert w.value > 1.0
+    assert _exact_excess(problem, w.a, w.rho) > 0
+
+
+@pytest.mark.parametrize("problem, delta", [
+    (RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=0.02), 1e-13),
+    (RadiusProblem(FunctionalKind.SQ_DERIV, 1, 1, lam=0.5), 1e-14),
+], ids=["deriv", "sq_deriv"])
+def test_sharpness_witness_raises_when_no_grid_point_exceeds_one(problem, delta):
+    # the grid sup is 1.0; off the grid, points near a = 1 round to
+    # 1.0000000000000002, but their exact excess is about -1.1e-17
+    with pytest.raises(WitnessNotFoundError, match="no witness"):
+        sharpness_witness(problem, delta=delta)
+
+
 def test_empirical_radius_matches_certified_on_sharp_branches():
     configs = [
         RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=0.0),
@@ -357,16 +396,24 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
     lambda: zero_multiplicity_bound_check(Z_SQUARED, NAN),
     lambda: zero_multiplicity_bound_check(Z_SQUARED, 1.5),
     lambda: zero_multiplicity_bound_check(Z_SQUARED, 1, samples=2.5),
+    lambda: convex_bound_cubic(0.5, 1.0),
+    lambda: deriv_witness_quartic(0.5, NAN),
+    lambda: SchwarzPowerMap(2, 1).apply((0.1,)),
+    lambda: TruncatedSeries.constant(1, 1) + TruncatedSeries.constant(1, 2),
+    lambda: phi_psi_monotone(PhiPsiParams(0.1, 0.2, 0.3), "phi"),
 ], ids=["extremal-rho", "majorant-deriv-rho", "majorant-convex-rho",
         "rogosinski-rho", "series-rho", "direction", "majorant-sum-radius",
         "phi-psi-weight", "extremal-params-n", "series-float-n", "power-map-power",
         "series-max-degree", "problem-float-n", "uniform-direction-zero",
         "uniform-direction-float", "uniform-direction-negative",
         "verify-inflate-nan", "verify-float-grid", "zero-order-nan-k",
-        "zero-order-float-k", "zero-order-float-samples"])
+        "zero-order-float-k", "zero-order-float-samples", "cubic-rho-one",
+        "witness-quartic-rho", "power-map-short-point", "series-add-n",
+        "phi-psi-mode-string"])
 def test_nan_and_non_integer_inputs_raise(call):
     # each of these returned a value (or a NaN, or raised TypeError) before its
-    # gate was NaN-safe and took integers only
+    # gate was NaN-safe and took integers only; the last five are range,
+    # shape and mode checks that no other test reaches
     with pytest.raises(ValueError):
         call()
 
