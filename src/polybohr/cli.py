@@ -112,7 +112,6 @@ def cmd_verify(args) -> int:
 
 def cmd_sharpness(args) -> int:
     problem = _problem_from_args(args)
-    res = radius_for(problem)
     witness = sharpness_witness(problem, delta=args.delta)
     payload = {
         "kind": problem.kind.value,
@@ -120,7 +119,7 @@ def cmd_sharpness(args) -> int:
         "m": problem.m,
         "weight": problem.weight,
         "delta": args.delta,
-        "radius": res.radius,
+        "radius": witness.radius,
         "rho": witness.rho,
         "a": witness.a,
         "value": witness.value,

@@ -15,14 +15,16 @@ produces closed forms in a and rho = n r^m:
                 + lam (1-a^2) a rho^2 / (1-a rho)
     SQ_DERIV  the same with the first term squared
 
-The majorant forms (upper-bound chains valid for every self-map with
-|f(0)| = a0) dominate these exactly, and the value crosses 1 for some a
-precisely when rho exceeds the family threshold.  empirical_radius recovers
-radii by bisecting that crossing; sharpness_witness exhibits an explicit a
-just beyond a stated radius, the first point of one a-grid where the value
-exceeds 1, and raises when no grid point does (as for delta <~ 1e-8);
-verify_radius checks on an (a, rho) grid that the family stays at or below
-1 inside it and that the majorant dominates.
+Each geometric tail above has ratio a rho.  The majorant (an upper-bound
+chain valid for every self-map with |f(0)| = a0) is the same closed form
+with tail ratio 1, i.e. rho in place of a rho, since it bounds a^(k-1) by
+1.  It dominates the family, and the value crosses 1 for some a precisely
+when rho exceeds the family threshold.  empirical_radius recovers radii by bisecting that
+crossing; sharpness_witness exhibits an explicit a just beyond a stated
+radius, the first point of one a-grid where the value exceeds 1, and raises
+when no grid point does (as for delta <~ 1e-8); verify_radius checks on an
+(a, rho) grid that the family stays at or below 1 inside it and that the
+majorant dominates.
 Both thresholds are the roots of the radius polynomials in radii, for every
 weight: the majorant factors through the same quartic (see the radii module
 docstring), so every stated radius is sharp.
@@ -45,9 +47,16 @@ from .radii import (KINDS, FunctionalKind, RadiusProblem, _check_nm,
 # exceeds 1 by more than this
 CROSSING_TOL = 1e-12
 
-_TAIL_GRID_DEPTH = 30  # log-spaced points 1 - 2^-k appended near a = 1
-_A_GRID = 512  # uniform points of the a-grid, before the tail
 _RHO_TOL = 1e-7  # bracket width at which a crossing bisection stops
+
+# The search a-grid: 512 uniform points on [0, 1), then 1 - 2^-k for
+# k = 10..30 (smaller k are uniform points already).  The functionals
+# approach 1 as a -> 1 with slope proportional to (1 - a), so witnesses often
+# live at a within 1e-3 of 1; the tail resolves them.  Concatenated, not
+# np.unique'd: np.unique imports numpy.ma, about 1.2 MiB of RSS.
+_A_GRID = np.concatenate([np.linspace(0.0, 1.0, 512, endpoint=False),
+                          1.0 - np.power(2.0, -np.arange(10, 31, dtype=float))])
+_A_GRID.flags.writeable = False
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -117,12 +126,16 @@ class Verification:
 
 @dataclass(frozen=True)
 class Witness:
-    """A certified witness: functional value strictly above 1 at (a, rho)."""
+    """A certified witness: functional value strictly above 1 at (a, rho).
+
+    radius is the stated radius, not inflated, as in Verification.
+    """
 
     a: float
     value: float
     rho: float
     functional: Functional
+    radius: float
 
     def __post_init__(self):
         if not self.value > 1.0:
@@ -167,14 +180,21 @@ def extremal_series(params: ExtremalParams, max_degree: int) -> TruncatedSeries:
 
 # -- closed-form functional values --------------------------------------------
 
-def _functional_value(func: Functional, a, rho):
-    """Witness-family value; works elementwise on numpy arrays of a."""
+def _functional_value(func: Functional, a, rho, ratio=None):
+    """Closed form of each kind; works elementwise on numpy arrays of a.
+
+    The coefficients of degree k >= 1 have modulus (1 - a^2) ratio^(k-1), so
+    each geometric tail has ratio ratio * rho.  ratio = None means a: the
+    witness family.  ratio = 1 bounds a^(k-1) by 1: the majorant.
+    """
+    q = a if ratio is None else ratio
     first = (rho + a) / (1.0 + a * rho)
     if func.kind is FunctionalKind.CONVEX:
         t = func.t
-        return t * first + (1.0 - t) * (a + (1.0 - a * a) * rho / (1.0 - a * rho))
-    second = (1.0 - a * a) * rho / (1.0 + a * rho) ** 2
-    tail = func.lam * (1.0 - a * a) * a * rho * rho / (1.0 - a * rho)
+        return t * first + (1.0 - t) * (a + (1.0 - a * a) * rho / (1.0 - q * rho))
+    d = 1.0 + a * rho
+    second = (1.0 - a * a) * rho / (d * d)
+    tail = func.lam * (1.0 - a * a) * q * rho * rho / (1.0 - q * rho)
     if func.kind is FunctionalKind.DERIV:
         return first + second + tail
     return first * first + second + tail
@@ -194,33 +214,22 @@ def extremal_functional(func: Functional, a: float, rho: float) -> float:
 def majorant_functional(func: Functional, a0: float, rho: float) -> float:
     """Upper-bound chain value for any self-map with |f(0)| = a0.
 
-    CONVEX:    t (rho+a0)/(1+a0 rho) + (1-t) [a0 + (1-a0^2) rho / (1-rho)]
-               for rho < 1;
-    DERIV:     (rho+a0)/(1+a0 rho) + rho (1-a0^2)/(1+a0 rho)^2
-               + lam (1-a0^2) rho^2/(1-rho)       for rho <= sqrt(2)-1;
-    SQ_DERIV:  the same with the first term squared, for rho <= (sqrt(5)-1)/2.
-
-    At a0 = 1 each chain collapses to exactly 1.0 in floating point, which the
-    tests assert literally.
+    It is the witness family's closed form with tail ratio 1, for a0 in
+    [0, 1] and rho < 1 (CONVEX), rho <= sqrt(2)-1 (DERIV) or
+    rho <= (sqrt(5)-1)/2 (SQ_DERIV).  At a0 = 1 it is exactly 1.0.
     """
     if not 0.0 <= a0 <= 1.0:
         raise ValueError(f"a0 must lie in [0, 1], got {a0!r}")
     if not rho >= 0.0:
         raise ValueError(f"rho must be nonnegative, got {rho!r}")
-    first = (rho + a0) / (1.0 + a0 * rho)
     if func.kind is FunctionalKind.CONVEX:
         if not rho < 1.0:
             raise ValueError(f"CONVEX majorant needs rho < 1, got {rho!r}")
-        t = func.t
-        return t * first + (1.0 - t) * (a0 + (1.0 - a0 * a0) * rho / (1.0 - rho))
-    cap = KINDS[func.kind].rho_cap
-    if not rho <= cap:
-        raise ValueError(f"{func.kind.value} majorant needs rho <= {cap!r}, got {rho!r}")
-    second = rho * (1.0 - a0 * a0) / (1.0 + a0 * rho) ** 2
-    tail = func.lam * (1.0 - a0 * a0) * rho * rho / (1.0 - rho)
-    if func.kind is FunctionalKind.DERIV:
-        return first + second + tail
-    return first * first + second + tail
+    else:
+        cap = KINDS[func.kind].rho_cap
+        if not rho <= cap:
+            raise ValueError(f"{func.kind.value} majorant needs rho <= {cap!r}, got {rho!r}")
+    return float(_functional_value(func, a0, rho, 1.0))
 
 
 # -- series-route evaluation (independent of the closed forms) ----------------
@@ -257,17 +266,6 @@ def extremal_functional_from_series(func: Functional, params: ExtremalParams,
 
 # -- parameter grids and searches ----------------------------------------------
 
-def _a_grid() -> np.ndarray:
-    """Uniform grid of _A_GRID points on [0, 1) plus points 1 - 2^-k near 1.
-
-    The functionals approach 1 as a -> 1 with slope proportional to (1 - a),
-    so witnesses often live at a within 1e-3 of 1; the tail resolves them.
-    """
-    base = np.linspace(0.0, 1.0, _A_GRID, endpoint=False)
-    tail = 1.0 - np.power(2.0, -np.arange(1, _TAIL_GRID_DEPTH + 1, dtype=float))
-    return np.unique(np.concatenate([base, tail]))
-
-
 def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
     """An explicit witness just beyond the stated radius, where one exists.
 
@@ -286,14 +284,13 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
     result = radius_for(problem)
     rho = (1.0 + delta) * result.rho_root
     func = Functional.from_problem(problem)
-    avals = _a_grid()
-    vals = _functional_value(func, avals, rho)
+    vals = _functional_value(func, _A_GRID, rho)
     above = np.nonzero(vals > 1.0)[0]
     if above.size:
         i = int(above[0])
-        return Witness(float(avals[i]), float(vals[i]), rho, func)
+        return Witness(float(_A_GRID[i]), float(vals[i]), rho, func, result.radius)
     raise WitnessNotFoundError(
-        f"no witness up to a = {float(avals[-1])!r} for {func.kind.value} at rho = {rho!r} "
+        f"no witness up to a = {float(_A_GRID[-1])!r} for {func.kind.value} at rho = {rho!r} "
         f"(grid sup = {float(np.max(vals))!r})")
 
 
@@ -305,7 +302,8 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
     linspace(0, rho_max, rho_grid) with rho_max = n (r (1 + inflate))^m.
     There the family must stay <= 1 and the majorant (rho clamped to the
     kind's search cap) must dominate it at every point; inflate > 0 is the
-    negative control.
+    negative control.  A grid point on the tail's pole a rho = 1, which only
+    a large inflate reaches, raises ValueError.
     """
     _check_count("a_grid", a_grid, 10)
     _check_count("rho_grid", rho_grid, 10)
@@ -323,17 +321,20 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
     dominance_violations = []
     min_margin = float("inf")
     for rho in rhos.tolist():
+        # a < 1, so only rho > 1 can put a grid point on the pole
+        if rho > 1.0 and (avals * rho == 1.0).any():
+            raise ValueError(f"the verify grid reaches a * rho = 1 at rho = {rho!r}, "
+                             f"the pole of the family's tail; lower inflate")
         vals = _functional_value(func, avals, rho)
         top = float(np.max(vals))
         if top > max_value:
             max_value = top
         for i in np.nonzero(vals > 1.0 + 1e-12)[0]:
             below_violations.append([a_list[i], rho, float(vals[i])])
-        # the margin uses the scalar form: Python's x ** 2 can differ from
-        # numpy's in the last bit, and the margin is printed
         rr = min(rho, cap)
-        for a in a_list:
-            margin = majorant_functional(func, a, rr) - _functional_value(func, a, rr)
+        fam = vals if rr == rho else _functional_value(func, avals, rr)
+        for a, value in zip(a_list, fam.tolist()):
+            margin = majorant_functional(func, a, rr) - value
             if margin < min_margin:
                 min_margin = margin
             if margin < -1e-12:
@@ -350,10 +351,8 @@ def _bisect_crossing(value, lo: float, hi: float, what: str = "") -> float:
     and returns its midpoint; `what` names the functional in the error raised
     when (lo, hi) holds no crossing.
     """
-    avals = _a_grid()
-
     def crosses(rho: float) -> bool:
-        return float(np.max(value(avals, rho))) > 1.0 + CROSSING_TOL
+        return float(np.max(value(_A_GRID, rho))) > 1.0 + CROSSING_TOL
 
     if crosses(lo):
         raise ValueError(f"threshold not bracketed: crossing already at rho = {lo!r}")

@@ -19,8 +19,9 @@ polynomial in rho on a known interval, for every admissible weight:
 - SQ_DERIV:  L rho^4 + (2L-1) rho^3 + L rho^2 + 2 rho - 1         on (0, (sqrt(5) - 1)/2).
 
 Why the weighted quartic is the sharp radius for every L > 0: the majorant
-(extremal.majorant_functional, valid for every self-map with |f(0)| = a0 up
-to the cap of each interval, whatever the weight) factors as
+(extremal.majorant_functional, the witness family's closed form with tail
+ratio 1, valid for every self-map with |f(0)| = a0 up to the cap of each
+interval, whatever the weight) factors as
 
     DERIV:     M - 1 = (1 - a0) G(a0, rho) / ((1 - rho)(1 + a0 rho)^2),
     SQ_DERIV:  M - 1 = (1 - a0^2) H(a0, rho) / ((1 - rho)(1 + a0 rho)^2),

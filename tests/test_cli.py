@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import polybohr
-from polybohr import WitnessNotFoundError, cli
+from polybohr import WitnessNotFoundError, cli, extremal
 
 
 def run_cli(argv, capsys):
@@ -235,6 +235,23 @@ def test_verify_dense_grids(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_on_the_family_pole_exits_one(capsys):
+    # +300% puts a grid point on a * rho = 1 (a = 7/8, rho = 8/7), where the
+    # family's tail has a pole; other inflated grids still print their JSON
+    code, out, err = run_cli(
+        ["verify", "--theorem", "convex", "--t", "0", "--n", "4", "--m", "2",
+         "--rho-grid", "113", "--inflate-radius", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "a * rho = 1" in err
+    code, out, _ = run_cli(
+        ["verify", "--theorem", "convex", "--t", "0", "--n", "4", "--m", "2",
+         "--rho-grid", "112", "--inflate-radius", "3"], capsys)
+    assert code == 2
+    assert json.loads(out)["ok"] is False
+
+
 def test_verify_seed_resolution(capsys, monkeypatch):
     monkeypatch.setenv("BOHR_SEED", "777")
     code, out, _ = run_cli(
@@ -302,6 +319,24 @@ def test_sharpness_reports_witness(capsys):
     assert payload["value"] > 1.0
     assert payload["delta"] == 1e-3
     assert 0.0 <= payload["a"] < 1.0
+
+
+def test_sharpness_solves_the_radius_once(capsys, monkeypatch):
+    calls = 0
+    real = extremal.radius_for
+
+    def counted(problem):
+        nonlocal calls
+        calls += 1
+        return real(problem)
+    monkeypatch.setattr(cli, "radius_for", counted)
+    monkeypatch.setattr(extremal, "radius_for", counted)
+    code, out, _ = run_cli(
+        ["sharpness", "--theorem", "deriv", "--n", "2", "--lambda", "1"], capsys)
+    assert code == 0
+    assert calls == 1
+    problem = polybohr.RadiusProblem(polybohr.FunctionalKind.DERIV, 2, 1, lam=1.0)
+    assert json.loads(out)["radius"] == real(problem).radius
 
 
 def test_sharpness_small_weight_reports_witness(capsys):

@@ -461,9 +461,54 @@ def test_verify_radius_passes_at_the_radius_and_fails_the_control(problem):
 def test_witness_validation():
     f = Functional.convex(0.5)
     with pytest.raises(ValueError):
-        Witness(a=0.5, value=0.99, rho=0.4, functional=f)
-    w = Witness(a=0.5, value=1.001, rho=0.4, functional=f)
+        Witness(a=0.5, value=0.99, rho=0.4, functional=f, radius=0.3)
+    w = Witness(a=0.5, value=1.001, rho=0.4, functional=f, radius=0.3)
     assert w.functional.kind is FunctionalKind.CONVEX
+
+
+def test_witness_carries_the_stated_radius():
+    problem = RadiusProblem(FunctionalKind.SQ_DERIV, 3, 2, lam=2.0)
+    w = sharpness_witness(problem, delta=1e-2)
+    assert w.radius == radius_for(problem).radius
+    assert w.rho == (1.0 + 1e-2) * radius_for(problem).rho_root
+
+
+def test_scalar_and_array_closed_forms_agree_bitwise():
+    # one closed form serves scalars and arrays; x ** 2 on a Python float can
+    # round differently from numpy's square, x * x cannot
+    f = Functional.sq_deriv(2.0)
+    a, rho = 0.04, 0.51
+    row = extremal._functional_value(f, np.array([a]), rho)
+    assert extremal_functional(f, a, rho) == float(row[0])
+    row = extremal._functional_value(f, np.array([a]), rho, 1.0)
+    assert majorant_functional(f, a, rho) == float(row[0])
+    rng = np.random.default_rng(7)
+    for kind, w in (("convex", 0.3), ("deriv", 0.7), ("sq_deriv", 2.0)):
+        f = Functional(FunctionalKind(kind), **{"t" if kind == "convex" else "lam": w})
+        avals = rng.random(200)
+        for rho in rng.random(5) * 0.4:
+            fam = extremal._functional_value(f, avals, rho).tolist()
+            maj = extremal._functional_value(f, avals, rho, 1.0).tolist()
+            for x, y, z in zip(avals.tolist(), fam, maj):
+                assert extremal_functional(f, x, rho) == y
+                assert majorant_functional(f, x, rho) == z
+
+
+def test_verify_radius_margin_past_the_cap():
+    # +50% pushes rho past DERIV's cap sqrt(2) - 1, so the majorant is taken
+    # at the clamped rho and the family row is recomputed there
+    problem = RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=1.0)
+    check = verify_radius(problem, 20, 12, 0.5)
+    cap = extremal.KINDS[FunctionalKind.DERIV].search_cap
+    assert check.rho_max > cap
+    f = Functional.from_problem(problem)
+    margins = []
+    for rho in np.linspace(0.0, check.rho_max, 12).tolist():
+        rr = min(rho, cap)
+        for a in np.linspace(0.0, 1.0, 20, endpoint=False).tolist():
+            margins.append((a, rr, majorant_functional(f, a, rr) - extremal_functional(f, a, rr)))
+    assert check.min_margin == min(m for _, _, m in margins)
+    assert check.dominance_violations == [list(v) for v in margins if v[2] < -1e-12]
 
 
 # -- series route cross-check ----------------------------------------------------

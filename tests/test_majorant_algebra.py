@@ -1,10 +1,12 @@
 """Symbolic proofs of the majorant algebra the stated radii rest on.
 
 The closed forms below are copied from the docstrings of extremal (the
-witness family F and majorant_functional's M) and radii (the factors G and
-H, the witness quartic, the radius polynomials); the CONVEX and SQ_DERIV
-sign polynomials are derived alongside.  sympy proves each identity as
-rational functions; float spot checks tie the copied forms to the library.
+witness family F, and the majorant M as the upper-bound chain states it,
+which the library evaluates as F with tail ratio 1) and radii (the factors
+G and H, the witness quartic, the radius polynomials); the CONVEX and
+SQ_DERIV sign polynomials are derived alongside.  sympy proves each
+identity as rational functions; float spot checks tie the copied forms to
+the library.
 The library is never called with symbols: its weight checks reject them.
 """
 
@@ -23,13 +25,18 @@ def _first(x):
     return (rho + x) / (1 + x * rho)
 
 
-def family(kind, x=a):
-    """F, the witness family's value at parameter x."""
+def family(kind, x=a, ratio=None):
+    """F, the witness family's value at parameter x.
+
+    The coefficients of degree k >= 1 have modulus (1 - x^2) x^(k-1), so each
+    geometric tail has ratio x rho; ratio replaces that x.
+    """
+    q = x if ratio is None else ratio
     if kind == "convex":
-        return t * _first(x) + (1 - t) * (x + (1 - x**2) * rho / (1 - x * rho))
+        return t * _first(x) + (1 - t) * (x + (1 - x**2) * rho / (1 - q * rho))
     head = _first(x) if kind == "deriv" else _first(x) ** 2
     return head + (1 - x**2) * rho / (1 + x * rho) ** 2 \
-        + lam * (1 - x**2) * x * rho**2 / (1 - x * rho)
+        + lam * (1 - x**2) * q * rho**2 / (1 - q * rho)
 
 
 def majorant(kind, x=a0):
@@ -43,6 +50,12 @@ def majorant(kind, x=a0):
 
 def is_zero(expr):
     return sp.cancel(sp.together(expr)) == 0
+
+
+@pytest.mark.parametrize("kind", ["convex", "deriv", "sq_deriv"])
+def test_majorant_is_the_family_with_tail_ratio_one(kind):
+    # majorant_functional evaluates the family's closed form with ratio 1
+    assert is_zero(family(kind, a0, ratio=1) - majorant(kind))
 
 
 # the radius polynomials, from the radii docstrings
