@@ -10,11 +10,8 @@ and the family's first crossing of 1 sits exactly there, so those weights
 get witnesses too.
 """
 
-from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
-                      RadiusProblem, WitnessNotFoundError,
-                      deriv_rho_polynomial, empirical_radius, radius_for,
-                      sharpness_witness, solve_unique_positive_root,
-                      sq_deriv_rho_polynomial)
+from polybohr import (FunctionalKind, RadiusProblem, WitnessNotFoundError,
+                      empirical_radius, radius_for, sharpness_witness)
 
 
 def show_witness(problem, delta=1e-3):
@@ -55,10 +52,8 @@ def main() -> int:
     print("-" * 72)
     # the paper's weight-free quartics are the weighted ones at 1/2 and 1
     weight_free = {
-        FunctionalKind.DERIV: solve_unique_positive_root(
-            deriv_rho_polynomial(0.5), (0.0, SQRT2_MINUS_1)),
-        FunctionalKind.SQ_DERIV: solve_unique_positive_root(
-            sq_deriv_rho_polynomial(1.0), (0.0, GOLDEN_CONJUGATE)),
+        kind: radius_for(RadiusProblem(kind, 1, 1, lam=lam)).rho_root
+        for kind, lam in ((FunctionalKind.DERIV, 0.5), (FunctionalKind.SQ_DERIV, 1.0))
     }
     small = [
         RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=0.25),

@@ -20,11 +20,9 @@ from .mvseries import (Direction, MultiIndex, SchwarzPowerMap,
                        TruncatedSeries, multi_indices)
 from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
                     PolyLabel, RadiusProblem, RadiusResult, RhoPolynomial,
-                    convex_bound_cubic, convex_rho_closed_form,
-                    convex_rho_polynomial, deriv_rho_polynomial,
-                    deriv_witness_quartic, radius_convex, radius_deriv,
-                    radius_for, radius_sq_deriv, solve_unique_positive_root,
-                    sq_deriv_rho_polynomial)
+                    convex_rho_closed_form, convex_rho_polynomial,
+                    deriv_rho_polynomial, radius_convex, radius_deriv,
+                    radius_for, radius_sq_deriv, sq_deriv_rho_polynomial)
 
 __version__ = "0.1.0"
 
@@ -49,11 +47,9 @@ __all__ = [
     "Witness",
     "WitnessNotFoundError",
     "coefficient_bound_check",
-    "convex_bound_cubic",
     "convex_rho_closed_form",
     "convex_rho_polynomial",
     "deriv_rho_polynomial",
-    "deriv_witness_quartic",
     "derivative_bound",
     "empirical_radius",
     "extremal_functional",
@@ -70,7 +66,6 @@ __all__ = [
     "rogosinski_value",
     "schwarz_pick_bound",
     "sharpness_witness",
-    "solve_unique_positive_root",
     "sq_deriv_rho_polynomial",
     "verify_radius",
     "zero_multiplicity_bound_check",

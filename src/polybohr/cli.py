@@ -11,8 +11,7 @@ Subcommands:
 Exit codes: 0 success, 1 usage or invalid parameters, 2 verification failure.
 CSV is written with 12 significant digits, '.' decimals, LF line endings;
 JSON key order is fixed so identical invocations produce identical bytes.
-No command draws a random number.  Only verify takes --seed, and only to
-echo it in its JSON (default 1234, or the BOHR_SEED environment variable).
+No command draws a random number.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from .bounds import DEFAULT_SEED
 from .extremal import WitnessNotFoundError, sharpness_witness, verify_radius
 from .radii import KINDS, FunctionalKind, RadiusProblem, radius_for
 
@@ -52,18 +49,6 @@ def _write_out(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("BOHR_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"BOHR_SEED must be an integer, got {raw!r}") from None
-
-
 def _problem_from_args(args) -> RadiusProblem:
     return RadiusProblem(FunctionalKind(args.theorem), args.n, args.m,
                          t=args.t, lam=args.lam)
@@ -86,7 +71,6 @@ def cmd_radius(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
     problem = _problem_from_args(args)
     check = verify_radius(problem, args.a_grid, args.rho_grid, args.inflate_radius)
     payload = {
@@ -94,7 +78,6 @@ def cmd_verify(args) -> int:
         "n": problem.n,
         "m": problem.m,
         "weight": problem.weight,
-        "seed": seed,
         "radius": check.radius,
         "inflate_radius": args.inflate_radius,
         "rho_max": check.rho_max,
@@ -218,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inflate-radius", type=float, default=0.0,
                    help="inflate the checked radius by this fraction "
                         "(negative control; 0.01 = +1%%)")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"seed echoed in the JSON (default {DEFAULT_SEED}, or BOHR_SEED)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sharpness", help="witness just beyond the radius")

@@ -205,7 +205,8 @@ def extremal_functional(func: Functional, a: float, rho: float) -> float:
 
     At a = 0 every kind reduces to rho (CONVEX) or 2 rho (DERIV) style
     elementary values; as a -> 1 the value tends to 1 from whichever side the
-    sign of the witness quartic dictates.
+    sign of W(1, rho) dictates, where F - 1 = (1 - a) W / D (see the radii
+    docstring).
     """
     _check_point(a, rho)
     return float(_functional_value(func, a, rho))

@@ -18,23 +18,29 @@ polynomial in rho on a known interval, for every admissible weight:
 - DERIV:     2L rho^4 + (4L-1) rho^3 + (2L-1) rho^2 + 3 rho - 1   on (0, sqrt(2) - 1),
 - SQ_DERIV:  L rho^4 + (2L-1) rho^3 + L rho^2 + 2 rho - 1         on (0, (sqrt(5) - 1)/2).
 
-Why the weighted quartic is the sharp radius for every L > 0: the majorant
+Why each polynomial gives the sharp radius for every weight: the majorant
 (extremal.majorant_functional, the witness family's closed form with tail
 ratio 1, valid for every self-map with |f(0)| = a0 up to the cap of each
 interval, whatever the weight) factors as
 
+    CONVEX:    M - 1 = -(1 - a0) K(a0, rho) / ((1 - rho)(1 + a0 rho)),
     DERIV:     M - 1 = (1 - a0) G(a0, rho) / ((1 - rho)(1 + a0 rho)^2),
     SQ_DERIV:  M - 1 = (1 - a0^2) H(a0, rho) / ((1 - rho)(1 + a0 rho)^2),
 
-where H = L rho^4 a0^2 + 2 L rho^3 a0 + L rho^2 - rho^3 + 2 rho - 1 and
+where K = (t-1) rho^2 a0^2 + 2 (t-1) rho^2 a0 + t rho^2 - 2 rho + 1,
+H = L rho^4 a0^2 + 2 L rho^3 a0 + L rho^2 - rho^3 + 2 rho - 1 and
 dG/da0 = rho^2 (3 L rho^2 a0^2 + 2 L rho^2 a0 + 4 L rho a0 + 2 L rho + L + 1
-- rho) > 0.  Both G and H increase in a0, and at a0 = 1 they equal the
-weighted quartics above, so sup over a0 of M is <= 1 exactly when the
-quartic is <= 0.  Each quartic increases on its interval (for DERIV its
-slope is >= 3 - 2 rho - 3 rho^2 > 0) and is positive at the cap (there
-DERIV equals 2 L rho^2 (1 + rho)^2 and SQ_DERIV equals L), so its root lies
-inside the majorant's range.  deriv_witness_quartic at a = 1 is the same
-quartic, so the witness family exceeds 1 just beyond the root.
+- rho) > 0.  K decreases in a0 (dK/da0 = -2 (1-t) rho^2 (1 + a0) <= 0), G
+and H increase, and at a0 = 1 each equals its kind's polynomial above, so
+sup over a0 of M is <= 1 exactly when the quadratic is >= 0, or the quartic
+<= 0.  Each quartic increases on its interval (for DERIV its slope is
+>= 3 - 2 rho - 3 rho^2 > 0) and is positive at the cap (there DERIV equals
+2 L rho^2 (1 + rho)^2 and SQ_DERIV equals L), so its root lies inside the
+majorant's range.  The witness family factors the same way, F - 1 =
+(1 - a) W(a, rho) / D with D > 0, and W at a = 1 is the kind's polynomial
+times -1, 1 or 2 respectively, so the family exceeds 1 just beyond the
+root.  tests/test_majorant_algebra.py proves every one of these
+factorizations as a sympy identity.
 
 The paper states the weight-free quartics rho^4 + rho^3 + 3 rho - 1 (DERIV,
 L <= 1/2) and rho^4 + rho^3 + rho^2 + 2 rho - 1 (SQ_DERIV, L <= 1).  They
@@ -80,8 +86,6 @@ class PolyLabel(Enum):
     CONVEX_RHO = "convex-rho-quadratic"
     DERIV_RHO = "deriv-rho-quartic"
     SQ_DERIV_RHO = "sq-deriv-rho-quartic"
-    CONVEX_A0_CUBIC = "convex-a0-cubic"
-    WITNESS_QUARTIC = "deriv-witness-quartic"
 
 
 @dataclass(frozen=True)
@@ -157,52 +161,6 @@ def sq_deriv_rho_polynomial(lam: float) -> RhoPolynomial:
     _check_lam(lam)
     return RhoPolynomial((-1.0, 2.0, lam, 2.0 * lam - 1.0, lam),
                          PolyLabel.SQ_DERIV_RHO)
-
-
-def convex_bound_cubic(t: float, rho: float) -> RhoPolynomial:
-    """Cubic in x = |a_0| controlling the CONVEX bound at fixed (t, rho).
-
-    -(1-t) rho^2 x^3 - (1-t) rho^2 x^2 + [(1-rho)^2 + (1-t) rho^2] x
-    - t rho^2 + 2 rho - 1.
-
-    Behavioral facts used by the tests: its value at x = 1 is identically 0,
-    and its slope at x = 1 equals the convex margin quadratic at rho, so the
-    bound holds for every admissible |a_0| exactly up to the radius.
-    """
-    _check_t(t)
-    _check_rho(rho)
-    r2 = rho * rho
-    c = (1.0 - t) * r2
-    return RhoPolynomial(
-        (-t * r2 + 2.0 * rho - 1.0, (1.0 - rho) ** 2 + c, -c, -c),
-        PolyLabel.CONVEX_A0_CUBIC,
-    )
-
-
-def deriv_witness_quartic(lam: float, rho: float) -> RhoPolynomial:
-    """Quartic in the witness parameter a for the DERIV functional.
-
-    L rho^4 a^4 + (L rho^4 + 2 L rho^3) a^3 + ((2L-1) rho^3 + L rho^2) a^2
-    + ((L-1) rho^2 + rho) a + 2 rho - 1,  L = lam.
-
-    Its sign at a is the sign of (functional value - 1) for the witness
-    family, and its value at a = 1 equals the weighted DERIV radius
-    polynomial at rho; that endpoint value is what decides whether a witness
-    exists beyond a given rho.
-    """
-    _check_lam(lam)
-    _check_rho(rho)
-    r2 = rho * rho
-    r3 = r2 * rho
-    r4 = r3 * rho
-    return RhoPolynomial(
-        (2.0 * rho - 1.0,
-         (lam - 1.0) * r2 + rho,
-         (2.0 * lam - 1.0) * r3 + lam * r2,
-         lam * r4 + 2.0 * lam * r3,
-         lam * r4),
-        PolyLabel.WITNESS_QUARTIC,
-    )
 
 
 # -- problem and result types ------------------------------------------------
@@ -293,15 +251,6 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
     return root, (lo, hi), residual
 
 
-def solve_unique_positive_root(poly: RhoPolynomial, bracket: tuple) -> float:
-    """The unique root of poly inside the bracket, certified as above."""
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError(f"empty bracket ({lo!r}, {hi!r})")
-    root, _, _ = _bisect_newton(poly, lo, hi)
-    return root
-
-
 # -- radii --------------------------------------------------------------------
 
 def convex_rho_closed_form(t: float) -> float:
@@ -384,11 +333,6 @@ def _check_t(t):
 def _check_lam(lam):
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be positive and finite, got {lam!r}")
-
-
-def _check_rho(rho):
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho!r}")
 
 
 def check_weight(kind: FunctionalKind, t, lam) -> None:

@@ -20,10 +20,9 @@ import time
 import numpy as np
 import pytest
 
-from polybohr import (DEFAULT_SEED, GOLDEN_CONJUGATE, SQRT2_MINUS_1,
-                      Direction, ExtremalParams, Functional, FunctionalKind,
-                      MultiIndex, PhiPsiMode, PhiPsiParams, PolyLabel,
-                      RadiusProblem, RhoPolynomial, TruncatedSeries,
+from polybohr import (DEFAULT_SEED, Direction, ExtremalParams, Functional,
+                      FunctionalKind, MultiIndex, PhiPsiMode, PhiPsiParams,
+                      PolyLabel, RadiusProblem, RhoPolynomial, TruncatedSeries,
                       WitnessNotFoundError, coefficient_bound_check,
                       convex_rho_closed_form, deriv_rho_polynomial,
                       empirical_radius, extremal_functional,
@@ -31,8 +30,7 @@ from polybohr import (DEFAULT_SEED, GOLDEN_CONJUGATE, SQRT2_MINUS_1,
                       multi_indices, phi_psi_monotone, radius_convex,
                       radius_deriv, radius_for, radius_sq_deriv,
                       rogosinski_threshold, sharpness_witness,
-                      solve_unique_positive_root, sq_deriv_rho_polynomial,
-                      zero_multiplicity_bound_check)
+                      sq_deriv_rho_polynomial, zero_multiplicity_bound_check)
 
 N_GRID = (1, 2, 4)
 M_GRID = (1, 2, 3)
@@ -239,14 +237,12 @@ def test_criterion_07c_branch_continuity(capsys):
             c = radius_sq_deriv(n, m, 1.0).radius
             d = radius_sq_deriv(n, m, 1.0 + 2e-16).radius
             worst = max(worst, abs(c - d))
-    # the same coincidence at the level of the quartic roots themselves
-    r1 = solve_unique_positive_root(deriv_rho_polynomial(0.5), (0.0, SQRT2_MINUS_1))
-    r2 = solve_unique_positive_root(PAPER_DERIV_QUARTIC, (0.0, SQRT2_MINUS_1))
-    worst = max(worst, abs(r1 - r2))
-    r3 = solve_unique_positive_root(sq_deriv_rho_polynomial(1.0), (0.0, GOLDEN_CONJUGATE))
-    r4 = solve_unique_positive_root(PAPER_SQ_DERIV_QUARTIC, (0.0, GOLDEN_CONJUGATE))
-    worst = max(worst, abs(r3 - r4))
     assert worst <= 1e-12
+    # at those weights the weighted quartics are the paper's, coefficient
+    # for coefficient
+    assert deriv_rho_polynomial(0.5).coefficients == PAPER_DERIV_QUARTIC.coefficients
+    assert sq_deriv_rho_polynomial(1.0).coefficients == \
+        PAPER_SQ_DERIV_QUARTIC.coefficients
     announce(capsys, f"[criterion 7c] PASS branch continuity at lam = 1/2 and "
                      f"lam = 1 (max jump {worst:.2e})")
 

@@ -1,4 +1,4 @@
-"""CLI tests: JSON/CSV shapes, exit codes, determinism, seed resolution."""
+"""CLI tests: JSON/CSV shapes, exit codes, determinism, option inventory."""
 
 import argparse
 import json
@@ -177,7 +177,7 @@ def test_verify_passes_at_stated_radius(capsys):
     assert code == 0
     payload = json.loads(out)
     assert list(payload) == [
-        "kind", "n", "m", "weight", "seed", "radius", "inflate_radius",
+        "kind", "n", "m", "weight", "radius", "inflate_radius",
         "rho_max", "a_grid", "rho_grid", "max_value_below_radius",
         "dominance_min_margin", "violations_below_radius",
         "violations_dominance", "ok"]
@@ -252,41 +252,12 @@ def test_verify_on_the_family_pole_exits_one(capsys):
     assert json.loads(out)["ok"] is False
 
 
-def test_verify_seed_resolution(capsys, monkeypatch):
-    monkeypatch.setenv("BOHR_SEED", "777")
-    code, out, _ = run_cli(
-        ["verify", "--theorem", "convex", "--t", "0.5"], capsys)
-    assert code == 0
-    assert json.loads(out)["seed"] == 777
-    code, out, _ = run_cli(
-        ["verify", "--theorem", "convex", "--t", "0.5", "--seed", "42"], capsys)
-    assert json.loads(out)["seed"] == 42
-    monkeypatch.delenv("BOHR_SEED")
-    code, out, _ = run_cli(
-        ["verify", "--theorem", "convex", "--t", "0.5"], capsys)
-    assert json.loads(out)["seed"] == 1234
-
-
-def test_verify_bad_seed_fails_before_the_grid(capsys, monkeypatch):
-    monkeypatch.setenv("BOHR_SEED", "abc")
-
-    def no_sweep(*args):
-        raise AssertionError("the grid was reached before the seed was checked")
-    monkeypatch.setattr(cli, "verify_radius", no_sweep)
-    code, out, err = run_cli(
-        ["verify", "--theorem", "convex", "--t", "0.5",
-         "--a-grid", "500", "--rho-grid", "100"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err == "error: BOHR_SEED must be an integer, got 'abc'\n"
-
-
 def test_option_inventory_is_pinned(capsys):
-    # a new flag has to be added here on purpose; --seed lives on verify only
+    # a new flag has to be added here on purpose
     common = ["--theorem", "--n", "--m", "--t", "--lambda", "--out"]
     expected = {
         "radius": common,
-        "verify": common + ["--a-grid", "--rho-grid", "--inflate-radius", "--seed"],
+        "verify": common + ["--a-grid", "--rho-grid", "--inflate-radius"],
         "sharpness": common + ["--delta"],
         "sweep": common + ["--param", "--from", "--to", "--steps"],
         "table": ["--theorem", "--n-list", "--m-list", "--t-list", "--lambda-list",
@@ -300,10 +271,11 @@ def test_option_inventory_is_pinned(capsys):
              for name, sub in subparsers.choices.items()}
     assert {name: sorted(opts) for name, opts in found.items()} == \
         {name: sorted(opts) for name, opts in expected.items()}
-    assert sum(len(opts) for opts in found.values()) == 39
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["radius", "--theorem", "convex", "--t", "0.5", "--seed", "5"])
-    assert exc.value.code == 1
+    assert sum(len(opts) for opts in found.values()) == 38
+    for command in ("radius", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--theorem", "convex", "--t", "0.5", "--seed", "5"])
+        assert exc.value.code == 1
     capsys.readouterr()
 
 

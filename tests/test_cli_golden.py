@@ -25,8 +25,7 @@ def _case_id(case):
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{i:02d}-{_case_id(c)}"
                                               for i, c in enumerate(GOLDEN)])
-def test_cli_output_is_byte_identical(case, capsys, monkeypatch):
-    monkeypatch.delenv("BOHR_SEED", raising=False)
+def test_cli_output_is_byte_identical(case, capsys):
     try:
         code = cli.main(list(case["argv"]))
     except SystemExit as exc:  # argparse usage errors

@@ -2,9 +2,11 @@
 
 import polybohr
 
-DELETED_LABELS = ("DERIV_RHO_SMALL", "SQ_DERIV_RHO_SMALL")
+DELETED_LABELS = ("DERIV_RHO_SMALL", "SQ_DERIV_RHO_SMALL", "CONVEX_A0_CUBIC",
+                  "WITNESS_QUARTIC")
 DELETED = ("deriv_rho_polynomial_small", "sq_deriv_rho_polynomial_small",
-           "GrowthBound", "DEFAULT_MAX_DEGREE") + DELETED_LABELS
+           "GrowthBound", "DEFAULT_MAX_DEGREE", "convex_bound_cubic",
+           "deriv_witness_quartic", "solve_unique_positive_root") + DELETED_LABELS
 
 
 def test_all_names_resolve_once_and_deleted_aliases_stay_gone():

@@ -11,8 +11,7 @@ from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Direction,
                       ExtremalParams, Functional, FunctionalKind, MultiIndex,
                       PhiPsiParams, RadiusProblem, SchwarzPowerMap,
                       TruncatedSeries, Witness, WitnessNotFoundError,
-                      convex_bound_cubic, convex_rho_polynomial,
-                      deriv_rho_polynomial, deriv_witness_quartic,
+                      convex_rho_polynomial, deriv_rho_polynomial,
                       empirical_radius, extremal_functional,
                       extremal_functional_from_series, extremal_series,
                       majorant_functional, phi_psi_monotone,
@@ -21,7 +20,6 @@ from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Direction,
                       sharpness_witness, sq_deriv_rho_polynomial,
                       verify_radius, zero_multiplicity_bound_check)
 from polybohr import extremal
-from polybohr.radii import solve_unique_positive_root
 
 
 def reference_bisect(f, lo, hi, iters=200):
@@ -238,7 +236,10 @@ def test_convex_sign_identity():
 
 
 def test_deriv_sign_identity():
-    from polybohr import deriv_witness_quartic
+    def quartic(lam, rho, a):
+        return (lam * rho**4 * a**4 + (lam * rho**4 + 2 * lam * rho**3) * a**3
+                + ((2 * lam - 1) * rho**3 + lam * rho**2) * a**2
+                + ((lam - 1) * rho**2 + rho) * a + 2 * rho - 1)
     rng = np.random.default_rng(102)
     for _ in range(300):
         lam = float(rng.uniform(0.05, 3.0))
@@ -246,7 +247,11 @@ def test_deriv_sign_identity():
         a = float(rng.uniform(0.0, 0.99))
         v = extremal_functional(Functional.deriv(lam), a, rho)
         lhs = (v - 1.0) * (1.0 + a * rho) ** 2 * (1.0 - a * rho) / (1.0 - a)
-        assert abs(lhs - deriv_witness_quartic(lam, rho)(a)) < 1e-10
+        assert abs(lhs - quartic(lam, rho, a)) < 1e-10
+    # and at a = 1 the quartic in a is the weighted radius quartic in rho
+    for lam in (0.05, 0.5, 3.0):
+        for rho in (0.1, 0.3, 0.4):
+            assert abs(quartic(lam, rho, 1.0) - deriv_rho_polynomial(lam)(rho)) < 1e-13
 
 
 def test_sq_deriv_sign_identity():
@@ -396,8 +401,6 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
     lambda: zero_multiplicity_bound_check(Z_SQUARED, NAN),
     lambda: zero_multiplicity_bound_check(Z_SQUARED, 1.5),
     lambda: zero_multiplicity_bound_check(Z_SQUARED, 1, samples=2.5),
-    lambda: convex_bound_cubic(0.5, 1.0),
-    lambda: deriv_witness_quartic(0.5, NAN),
     lambda: SchwarzPowerMap(2, 1).apply((0.1,)),
     lambda: TruncatedSeries.constant(1, 1) + TruncatedSeries.constant(1, 2),
     lambda: phi_psi_monotone(PhiPsiParams(0.1, 0.2, 0.3), "phi"),
@@ -407,13 +410,12 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
         "series-max-degree", "problem-float-n", "uniform-direction-zero",
         "uniform-direction-float", "uniform-direction-negative",
         "verify-inflate-nan", "verify-float-grid", "zero-order-nan-k",
-        "zero-order-float-k", "zero-order-float-samples", "cubic-rho-one",
-        "witness-quartic-rho", "power-map-short-point", "series-add-n",
-        "phi-psi-mode-string"])
+        "zero-order-float-k", "zero-order-float-samples", "power-map-short-point",
+        "series-add-n", "phi-psi-mode-string"])
 def test_nan_and_non_integer_inputs_raise(call):
     # each of these returned a value (or a NaN, or raised TypeError) before its
-    # gate was NaN-safe and took integers only; the last five are range,
-    # shape and mode checks that no other test reaches
+    # gate was NaN-safe and took integers only; the last three are shape
+    # and mode checks that no other test reaches
     with pytest.raises(ValueError):
         call()
 
@@ -561,5 +563,5 @@ def test_rogosinski_thresholds():
 def test_radius_roots_inside_search_caps():
     assert radius_deriv(1, 1, 10.0).rho_root < SQRT2_MINUS_1
     assert radius_sq_deriv(1, 1, 10.0).rho_root < GOLDEN_CONJUGATE
-    root = solve_unique_positive_root(deriv_rho_polynomial(0.5), (0.0, SQRT2_MINUS_1))
+    root = radius_deriv(1, 1, 0.5).rho_root
     assert 0 < root < SQRT2_MINUS_1

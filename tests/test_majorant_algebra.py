@@ -3,20 +3,20 @@
 The closed forms below are copied from the docstrings of extremal (the
 witness family F, and the majorant M as the upper-bound chain states it,
 which the library evaluates as F with tail ratio 1) and radii (the factors
-G and H, the witness quartic, the radius polynomials); the CONVEX and
-SQ_DERIV sign polynomials are derived alongside.  sympy proves each
-identity as rational functions; float spot checks tie the copied forms to
-the library.
+K, G and H, the radius polynomials); the sign polynomials W of F - 1 are
+derived alongside.  sympy proves each identity as rational functions; float
+spot checks tie the copied forms to the library.  sympy is imported, not
+skipped when missing: this file is the only place these factorizations are
+checked.
 The library is never called with symbols: its weight checks reject them.
 """
 
 import pytest
+import sympy as sp
 
-from polybohr import (Functional, FunctionalKind, deriv_rho_polynomial,
-                      deriv_witness_quartic, extremal_functional,
+from polybohr import (Functional, FunctionalKind, convex_rho_polynomial,
+                      deriv_rho_polynomial, extremal_functional,
                       majorant_functional, sq_deriv_rho_polynomial)
-
-sp = pytest.importorskip("sympy")
 
 a, a0, rho, t, lam = sp.symbols("a a0 rho t lam")
 
@@ -82,6 +82,20 @@ def test_majorant_minus_family_is_the_dominance_margin(kind):
         assert extremal_functional(func, x, r) == pytest.approx(f_num(x, r, v), rel=1e-13)
 
 
+def test_convex_majorant_factors_through_the_quadratic():
+    k = (t - 1) * rho**2 * a0**2 + 2 * (t - 1) * rho**2 * a0 + t * rho**2 \
+        - 2 * rho + 1
+    assert is_zero(majorant("convex") - 1
+                   + (1 - a0) * k / ((1 - rho) * (1 + a0 * rho)))
+    assert sp.expand(k.subs(a0, 1) - CONVEX_QUADRATIC) == 0
+    # K decreases in a0, so its minimum over a0 in [0, 1] is the quadratic
+    assert sp.expand(sp.diff(k, a0) + 2 * (1 - t) * rho**2 * (1 + a0)) == 0
+    for v in (0.0, 0.75, 0.9):  # at 3/4 the leading coefficient is 0
+        coeffs = [CONVEX_QUADRATIC.subs(t, v).coeff(rho, i) for i in range(3)]
+        assert convex_rho_polynomial(v).coefficients == \
+            pytest.approx([float(c) for c in coeffs], rel=1e-15)
+
+
 def test_deriv_majorant_factors_through_the_weighted_quartic():
     g = sp.cancel((majorant("deriv") - 1) * (1 - rho) * (1 + a0 * rho) ** 2 / (1 - a0))
     assert sp.denom(sp.together(g)) == 1  # G is a polynomial
@@ -129,13 +143,6 @@ def test_family_factors_through_its_sign_polynomial(kind):
     w, d, at_one = SIGN_FACTORS[kind]
     assert is_zero(family(kind) - 1 - (1 - a) * w / d)
     assert sp.expand(w.subs(a, 1) - at_one) == 0
-
-
-def test_witness_quartic_coefficients_match_the_library():
-    for v, r in ((0.02, 0.4), (0.5, 0.1), (3.0, 0.3)):
-        coeffs = sp.Poly(WITNESS_QUARTIC.subs({lam: v, rho: r}), a).all_coeffs()[::-1]
-        assert deriv_witness_quartic(v, r).coefficients == \
-            pytest.approx([float(c) for c in coeffs], rel=1e-14, abs=1e-15)
 
 
 def test_phi_psi_step():

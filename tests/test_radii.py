@@ -7,11 +7,10 @@ import pytest
 
 from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
                       PolyLabel, RadiusProblem, RhoPolynomial,
-                      convex_bound_cubic, convex_rho_closed_form,
-                      convex_rho_polynomial, deriv_rho_polynomial,
-                      deriv_witness_quartic, radius_convex, radius_deriv,
-                      radius_for, radius_sq_deriv, solve_unique_positive_root,
-                      sq_deriv_rho_polynomial)
+                      convex_rho_closed_form, convex_rho_polynomial,
+                      deriv_rho_polynomial, radius_convex, radius_deriv,
+                      radius_for, radius_sq_deriv, sq_deriv_rho_polynomial)
+from polybohr.radii import _bisect_newton
 
 # the paper's weight-free quartics, ascending coefficients
 PAPER_DERIV_COEFFS = (-1.0, 3.0, 0.0, 1.0, 1.0)  # rho^4 + rho^3 + 3 rho - 1
@@ -210,64 +209,28 @@ def test_radius_monotone_in_m():
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
-# -- proof polynomials --------------------------------------------------------------------
-
-def test_convex_bound_cubic_identities():
-    rng = np.random.default_rng(77)
-    for _ in range(50):
-        t = float(rng.uniform(0.0, 1.0))
-        rho = float(rng.uniform(0.0, 0.95))
-        cubic = convex_bound_cubic(t, rho)
-        assert cubic.degree == 3
-        assert cubic.label is PolyLabel.CONVEX_A0_CUBIC
-        # value at 1 vanishes identically
-        assert abs(cubic(1.0)) < 1e-14
-        # slope at 1 equals the margin quadratic
-        assert abs(cubic.derivative_at(1.0) - convex_rho_polynomial(t)(rho)) < 1e-13
-
-
-def test_deriv_witness_quartic_identities():
-    rng = np.random.default_rng(78)
-    for _ in range(50):
-        lam = float(rng.uniform(0.05, 3.0))
-        rho = float(rng.uniform(0.0, 0.41))
-        quartic = deriv_witness_quartic(lam, rho)
-        assert quartic.degree == 4
-        # value at a = 1 equals the weighted radius quartic at rho
-        assert abs(quartic(1.0) - deriv_rho_polynomial(lam)(rho)) < 1e-13
-        # value at a = 0 is 2 rho - 1 exactly
-        assert quartic(0.0) == 2.0 * rho - 1.0
-
-
-def test_deriv_witness_quartic_below_small_branch_bound():
-    # at lam = 1/2 the quartic never exceeds the weight-free polynomial value
-    rho = 0.3
-    w_val = deriv_rho_polynomial(0.5)(rho)
-    quartic = deriv_witness_quartic(0.5, rho)
-    for a in np.linspace(0.0, 1.0, 201):
-        assert quartic(float(a)) <= w_val + 1e-14
-
-
 # -- solver ------------------------------------------------------------------------------
 
 def test_solver_requires_sign_change():
     poly = convex_rho_polynomial(0.0)
     with pytest.raises(ValueError):
-        solve_unique_positive_root(poly, (0.0, 0.1))  # both ends positive
+        _bisect_newton(poly, 0.0, 0.1)  # both ends positive
     with pytest.raises(ValueError):
-        solve_unique_positive_root(poly, (0.5, 0.5))  # empty bracket
+        _bisect_newton(poly, 0.5, 0.5)  # empty bracket
 
 
 def test_solver_hits_interior_root():
     poly = convex_rho_polynomial(0.0)
-    root = solve_unique_positive_root(poly, (0.0, 1.0))
+    root, (lo, hi), residual = _bisect_newton(poly, 0.0, 1.0)
     assert abs(root - 1 / 3) <= 1e-12
+    assert lo <= root <= hi and hi - lo <= 1e-14
+    assert residual <= 1e-12
 
 
 def test_solver_endpoint_roots():
     # weight 1 quadratic vanishes at rho = 1 (its double root)
     poly = convex_rho_polynomial(1.0)
-    assert solve_unique_positive_root(poly, (0.0, 1.0)) == 1.0
+    assert _bisect_newton(poly, 0.0, 1.0) == (1.0, (1.0, 1.0), 0.0)
     # degenerate linear case: root exactly 1/2
     res = radius_convex(3, 1, 0.75)
     assert res.rho_root == 0.5
