@@ -49,6 +49,11 @@ CROSSING_TOL = 1e-12
 
 _RHO_TOL = 1e-7  # bracket width at which a crossing bisection stops
 
+# bound once: on Python 3.11 each FunctionalKind.X lookup costs about 150 ns,
+# and verify's loop would pay two or three of them per grid point
+_CONVEX, _DERIV, _SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
+                              FunctionalKind.SQ_DERIV)
+
 # The search a-grid: 512 uniform points on [0, 1), then 1 - 2^-k for
 # k = 10..30 (smaller k are uniform points already).  The functionals
 # approach 1 as a -> 1 with slope proportional to (1 - a), so witnesses often
@@ -187,15 +192,16 @@ def _functional_value(func: Functional, a, rho, ratio=None):
     each geometric tail has ratio ratio * rho.  ratio = None means a: the
     witness family.  ratio = 1 bounds a^(k-1) by 1: the majorant.
     """
+    kind = func.kind
     q = a if ratio is None else ratio
     first = (rho + a) / (1.0 + a * rho)
-    if func.kind is FunctionalKind.CONVEX:
+    if kind is _CONVEX:
         t = func.t
         return t * first + (1.0 - t) * (a + (1.0 - a * a) * rho / (1.0 - q * rho))
     d = 1.0 + a * rho
     second = (1.0 - a * a) * rho / (d * d)
     tail = func.lam * (1.0 - a * a) * q * rho * rho / (1.0 - q * rho)
-    if func.kind is FunctionalKind.DERIV:
+    if kind is _DERIV:
         return first + second + tail
     return first * first + second + tail
 
@@ -223,13 +229,14 @@ def majorant_functional(func: Functional, a0: float, rho: float) -> float:
         raise ValueError(f"a0 must lie in [0, 1], got {a0!r}")
     if not rho >= 0.0:
         raise ValueError(f"rho must be nonnegative, got {rho!r}")
-    if func.kind is FunctionalKind.CONVEX:
+    kind = func.kind
+    if kind is _CONVEX:
         if not rho < 1.0:
             raise ValueError(f"CONVEX majorant needs rho < 1, got {rho!r}")
     else:
-        cap = KINDS[func.kind].rho_cap
+        cap = KINDS[kind].rho_cap
         if not rho <= cap:
-            raise ValueError(f"{func.kind.value} majorant needs rho <= {cap!r}, got {rho!r}")
+            raise ValueError(f"{kind.value} majorant needs rho <= {cap!r}, got {rho!r}")
     return float(_functional_value(func, a0, rho, 1.0))
 
 
@@ -254,14 +261,15 @@ def extremal_functional_from_series(func: Functional, params: ExtremalParams,
     z = tuple(r * cmath.exp(-1j * math.pi / m) for _ in range(n))
     w = omega.apply(z)  # each coordinate is exactly -r^m
     first = abs(g.eval(z))
-    if func.kind is FunctionalKind.CONVEX:
+    kind = func.kind
+    if kind is _CONVEX:
         return func.t * first + (1.0 - func.t) * g.bohr_majorant_sum(r, k_min=0)
     du = f.directional_derivative(Direction.uniform(n))
     # the derivative term carries n * ||omega(z)||_inf = n r^m = rho; the
     # radii are exact under this polydisc normalization
     second = abs(du.eval(w)) * (n * abs(w[0]))
     tail = g.bohr_majorant_sum(r, k_min=2 * m)
-    head = first * first if func.kind is FunctionalKind.SQ_DERIV else first
+    head = first * first if kind is _SQ_DERIV else first
     return head + second + func.lam * tail
 
 
@@ -278,12 +286,17 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
     exists just beyond it.  When no grid point exceeds 1 the search raises
     WitnessNotFoundError, as it often does for delta <~ 1e-8.  Below about
     1e-9 the float comparison no longer decides the exact sign, so a
-    returned value there may exceed 1 only by rounding.
+    returned value there may exceed 1 only by rounding.  The family lives on
+    |s| < 1, so rho >= 1 (CONVEX near t = 1, or a large delta) raises
+    ValueError.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
     result = radius_for(problem)
     rho = (1.0 + delta) * result.rho_root
+    if not rho < 1.0:
+        raise ValueError(f"the witness point rho = (1 + delta) * {result.rho_root!r} = {rho!r} "
+                         f"is outside the family's domain rho < 1; lower delta")
     func = Functional.from_problem(problem)
     vals = _functional_value(func, _A_GRID, rho)
     above = np.nonzero(vals > 1.0)[0]
@@ -317,6 +330,7 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
     rhos = np.linspace(0.0, rho_max, rho_grid)
     a_list = avals.tolist()
     cap = KINDS[func.kind].search_cap
+    majorant = majorant_functional  # the module global, read once per call
     max_value = 0.0
     below_violations = []
     dominance_violations = []
@@ -335,7 +349,7 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
         rr = min(rho, cap)
         fam = vals if rr == rho else _functional_value(func, avals, rr)
         for a, value in zip(a_list, fam.tolist()):
-            margin = majorant_functional(func, a, rr) - value
+            margin = majorant(func, a, rr) - value
             if margin < min_margin:
                 min_margin = margin
             if margin < -1e-12:

@@ -124,6 +124,9 @@ def test_radius_scales_with_variable_count(capsys):
     ["verify", "--theorem", "convex", "--t", "0.5", "--inflate-radius", "inf"],
     ["sharpness", "--theorem", "convex", "--t", "0.5", "--delta", "nan"],
     ["sharpness", "--theorem", "convex", "--t", "0.5", "--delta", "inf"],
+    # finite, but (1 + delta) * rho_root >= 1 leaves the family's domain |s| < 1
+    ["sharpness", "--theorem", "convex", "--t", "1"],
+    ["sharpness", "--theorem", "deriv", "--lambda", "1", "--delta", "1e300"],
     ["sweep", "--theorem", "deriv", "--param", "lambda", "--from", "1",
      "--to", "inf", "--steps", "3"],
     ["sweep", "--theorem", "deriv", "--param", "n", "--from", "nan",
@@ -131,7 +134,7 @@ def test_radius_scales_with_variable_count(capsys):
 ], ids=["radius-deriv-inf", "radius-sq-deriv-nan", "verify-deriv-inf",
         "verify-sq-deriv-inf", "table-deriv-inf", "verify-inflate-nan",
         "verify-inflate-inf", "sharpness-delta-nan", "sharpness-delta-inf",
-        "sweep-to-inf", "sweep-from-nan"])
+        "sharpness-convex-t-1", "sharpness-rho-past-1", "sweep-to-inf", "sweep-from-nan"])
 def test_non_finite_weight_exits_one(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1

@@ -2,7 +2,11 @@
 sign-equivalence identities, witness search, and empirical thresholds."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +355,23 @@ def test_sharpness_witness_raises_when_no_grid_point_exceeds_one(problem, delta)
         sharpness_witness(problem, delta=delta)
 
 
+@pytest.mark.parametrize("problem, delta", [
+    (RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=1.0), 1e-3),
+    (RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=1.0), 1e300),
+], ids=["convex-t-1", "deriv-huge-delta"])
+def test_sharpness_witness_refuses_rho_outside_the_domain(problem, delta):
+    # the family (a - s)/(1 - a s) lives on |s| < 1, and |s| = rho there
+    with pytest.raises(ValueError, match="outside the family's domain"):
+        sharpness_witness(problem, delta=delta)
+
+
+def test_sharpness_witness_just_inside_the_domain():
+    problem = RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=0.9)
+    rho_root = radius_for(problem).rho_root
+    w = sharpness_witness(problem, delta=0.999 / rho_root - 1.0)
+    assert 0.998 < w.rho < 1.0 and w.value > 1.0
+
+
 def test_empirical_radius_matches_certified_on_sharp_branches():
     configs = [
         RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=0.0),
@@ -441,6 +462,33 @@ def test_verify_radius_calls_the_majorant_once_per_grid_point(problem, monkeypat
     monkeypatch.setattr(extremal, "majorant_functional", counted)
     verify_radius(problem, 23, 11, 0.0)
     assert calls == 23 * 11
+
+
+def test_bench_tracer_counts_one_majorant_call_per_verify_grid_point():
+    # the traced benchmark wraps majorant_functional in every namespace that
+    # bound it and checks its call count against the verify grid points
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "from polybohr import FunctionalKind, RadiusProblem, verify_radius\n"
+        "for kind, w in (('convex', {'t': 0.3}), ('deriv', {'lam': 1.0}),\n"
+        "                ('sq_deriv', {'lam': 2.0})):\n"
+        "    verify_radius(RadiusProblem(FunctionalKind(kind), 2, 2, **w), 23, 11, 0.0)\n"
+        "print(tracer.calls['extremal.majorant_functional'])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 3 * 23 * 11
+
+
+def test_hot_path_names_no_enum_member_lookup():
+    # FunctionalKind.X costs about 150 ns per lookup on Python 3.11; the
+    # per-point functions compare against the module's bound members
+    for fn in (extremal._functional_value, extremal.majorant_functional):
+        assert "FunctionalKind" not in fn.__code__.co_names
 
 
 @pytest.mark.parametrize("problem", VERIFY_PROBLEMS,
