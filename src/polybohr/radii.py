@@ -274,7 +274,10 @@ def radius_for(problem: RadiusProblem) -> RadiusResult:
     """Certified radius of a RadiusProblem; r = (rho / n)^(1/m).
 
     The rho root is bracketed by (0, rho_cap), narrowed to 1e-6 either side
-    of the closed form where the kind has one.
+    of the closed form where the kind has one.  It depends on the kind and
+    the weight only, so the CLI's `table` and `sweep` solve each distinct
+    weight once per invocation and give every other (n, m) row this same
+    rescaling of that root; the bytes are unchanged.
     """
     spec = KINDS[problem.kind]
     w = problem.weight

@@ -494,6 +494,75 @@ def test_table_rejects_cross_weight_lists(capsys):
     assert code == 1
 
 
+def test_table_and_sweep_solve_each_weight_once(capsys, monkeypatch):
+    calls = 0
+    real = cli.radius_for
+
+    def counted(problem):
+        nonlocal calls
+        calls += 1
+        return real(problem)
+    monkeypatch.setattr(cli, "radius_for", counted)
+    cases = [
+        (["table", "--theorem", "deriv", "--n-list", "1,2,3,4,5,6,7,8",
+          "--m-list", "1,2,3,4", "--lambda-list", "0.5,1,2"], 3, 96),
+        (["sweep", "--theorem", "convex", "--param", "n", "--from", "1",
+          "--to", "8", "--t", "0.5"], 1, 8),
+        (["sweep", "--theorem", "sq_deriv", "--param", "lambda", "--from", "0.5",
+          "--to", "2.5", "--steps", "5", "--n", "2"], 5, 5),
+        (["table", "--theorem", "convex", "--n-list", "1", "--m-list", "1",
+          "--t-list", "0.5,0.5"], 1, 2),
+    ]
+    for argv, solves, rows in cases:
+        calls = 0
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert calls == solves
+        assert len(out.splitlines()) == rows + 1
+    # the repeated weight still prints its own row
+    lines = out.splitlines()
+    assert lines[1] == lines[2]
+    assert lines[1].startswith("1,1,0.5,")
+
+
+@pytest.mark.parametrize("theorem,flag,weights", [
+    ("convex", "--t-list", ["-0.0", "0", "0.75", "1"]),
+    ("deriv", "--lambda-list", ["1e-12", "0.5", "1", "1e6"]),
+    ("sq_deriv", "--lambda-list", ["1e-12", "0.5", "1", "1e6"]),
+])
+def test_table_rows_match_one_radius_for_per_row(theorem, flag, weights, capsys):
+    kind = polybohr.FunctionalKind(theorem)
+    own = "t" if theorem == "convex" else "lam"
+    expected = ["n,m,param,radius,rho_root,residual"]
+    for n in range(1, 9):
+        for m in range(1, 5):
+            for w in weights:
+                res = polybohr.radius_for(
+                    polybohr.RadiusProblem(kind, n, m, **{own: float(w)}))
+                expected.append(",".join(
+                    [str(n), str(m)] + [format(float(x), ".12g") for x in
+                                        (w, res.radius, res.rho_root, res.residual)]))
+    code, out, err = run_cli(
+        ["table", "--theorem", theorem, "--n-list", "1,2,3,4,5,6,7,8",
+         "--m-list", "1,2,3,4", f"{flag}={','.join(weights)}"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("lists,message", [
+    (["--n-list", "1,0", "--lambda-list", "1,1e300"],
+     "residual 1.6918391710511735e+268 exceeds 1e-12 for deriv-rho-quartic"),
+    (["--n-list", "0,1", "--lambda-list", "1,1e300"],
+     "n must be an integer >= 1, got 0"),
+    (["--n-list", "1", "--lambda-list", "1,2,nan"],
+     "lam must be positive and finite, got nan"),
+])
+def test_table_reports_the_first_failing_row(lists, message, capsys):
+    code, out, err = run_cli(
+        ["table", "--theorem", "deriv", "--m-list", "1"] + lists, capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # -- determinism -------------------------------------------------------------------
 
 def test_identical_invocations_identical_bytes(tmp_path, capsys):
