@@ -11,9 +11,9 @@ routes at once; the truncation tail decays geometrically.
 
 import numpy as np
 
-from polybohr import (DEFAULT_SEED, ExtremalParams, Functional, MultiIndex,
-                      extremal_functional, extremal_functional_from_series,
-                      extremal_series)
+from polybohr import (DEFAULT_SEED, ExtremalParams, Functional, FunctionalKind,
+                      MultiIndex, extremal_functional,
+                      extremal_functional_from_series, extremal_series)
 
 
 def coefficient_anatomy():
@@ -47,13 +47,13 @@ def route_comparison():
             m = int(rng.integers(1, 4))
             rho = float(rng.uniform(0.05, 0.3))
             if kind == "convex":
-                func = Functional.convex(float(rng.uniform(0.0, 1.0)))
+                func = Functional(FunctionalKind.CONVEX, t=float(rng.uniform(0.0, 1.0)))
                 weight = func.t
             elif kind == "deriv":
-                func = Functional.deriv(float(rng.uniform(0.1, 3.0)))
+                func = Functional(FunctionalKind.DERIV, lam=float(rng.uniform(0.1, 3.0)))
                 weight = func.lam
             else:
-                func = Functional.sq_deriv(float(rng.uniform(0.1, 3.0)))
+                func = Functional(FunctionalKind.SQ_DERIV, lam=float(rng.uniform(0.1, 3.0)))
                 weight = func.lam
             cases.append((func, weight, a, n, m, rho))
     print(f"{'kind':<9} {'weight':>7} {'a':>5} {'n':>2} {'m':>2} {'rho':>6} "
@@ -76,7 +76,7 @@ def truncation_decay():
     print("-" * 72)
     print("Truncation decay: the series route converges geometrically in D")
     print("-" * 72)
-    func = Functional.deriv(1.0)
+    func = Functional(FunctionalKind.DERIV, lam=1.0)
     params = ExtremalParams(0.8, 2, 1)
     rho = 0.28
     closed = extremal_functional(func, 0.8, rho)

@@ -19,10 +19,9 @@ from .extremal import (ExtremalParams, Functional, Verification, Witness,
 from .mvseries import (Direction, MultiIndex, SchwarzPowerMap,
                        TruncatedSeries, multi_indices)
 from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
-                    PolyLabel, RadiusProblem, RadiusResult, RhoPolynomial,
+                    RadiusProblem, RadiusResult, RhoPolynomial,
                     convex_rho_closed_form, convex_rho_polynomial,
-                    deriv_rho_polynomial, radius_convex, radius_deriv,
-                    radius_for, radius_sq_deriv, sq_deriv_rho_polynomial)
+                    deriv_rho_polynomial, radius_for, sq_deriv_rho_polynomial)
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,6 @@ __all__ = [
     "MultiIndex",
     "PhiPsiMode",
     "PhiPsiParams",
-    "PolyLabel",
     "RadiusProblem",
     "RadiusResult",
     "RhoPolynomial",
@@ -58,10 +56,7 @@ __all__ = [
     "majorant_functional",
     "multi_indices",
     "phi_psi_monotone",
-    "radius_convex",
-    "radius_deriv",
     "radius_for",
-    "radius_sq_deriv",
     "rogosinski_threshold",
     "rogosinski_value",
     "schwarz_pick_bound",

@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     except WitnessNotFoundError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,18 +80,6 @@ class Functional:
         check_weight(self.kind, self.t, self.lam)
 
     @classmethod
-    def convex(cls, t: float) -> "Functional":
-        return cls(FunctionalKind.CONVEX, t=t)
-
-    @classmethod
-    def deriv(cls, lam: float) -> "Functional":
-        return cls(FunctionalKind.DERIV, lam=lam)
-
-    @classmethod
-    def sq_deriv(cls, lam: float) -> "Functional":
-        return cls(FunctionalKind.SQ_DERIV, lam=lam)
-
-    @classmethod
     def from_problem(cls, problem: RadiusProblem) -> "Functional":
         return cls(problem.kind, t=problem.t, lam=problem.lam)
 

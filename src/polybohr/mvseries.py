@@ -31,8 +31,10 @@ from typing import Iterable, Iterator, Mapping
 
 
 def _check_count(name: str, value, least: int) -> None:
-    # numbers.Integral admits numpy integers; testing int first skips its slow ABC lookup
-    if not (type(value) is int or isinstance(value, numbers.Integral)) or value < least:
+    # numbers.Integral admits numpy integers, and bool, which is refused;
+    # testing int first skips its slow ABC lookup
+    if type(value) is not int and (not isinstance(value, numbers.Integral)
+                                   or isinstance(value, bool)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -44,7 +46,7 @@ class MultiIndex(tuple):
         if not ex:
             raise ValueError("a multi-index needs at least one entry")
         for e in ex:
-            if e != int(e):
+            if e in (math.inf, -math.inf) or e != int(e):
                 raise ValueError(f"non-integer exponent {e!r}")
             if e < 0:
                 raise ValueError(f"negative exponent {e!r}")

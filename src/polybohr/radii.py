@@ -47,8 +47,12 @@ L <= 1/2) and rho^4 + rho^3 + rho^2 + 2 rho - 1 (SQ_DERIV, L <= 1).  They
 are deriv_rho_polynomial(0.5) and sq_deriv_rho_polynomial(1.0); below those
 weights their roots (0.31905..., 0.38579...) are safe but not sharp.
 
-Roots are certified: bisection down to a bracket of width 1e-14, a short
-clamped Newton polish, and a residual check at 1e-12.
+Roots are solved in floating point: bisection down to a bracket of width
+1e-14, a short clamped Newton polish, and a residual check at 1e-12.  The
+bracket's end signs are float signs, not exact ones: for CONVEX at t = 0
+the bracket collapses to the single float nearest 1/3, where the float
+value of P is 0 but its exact value is about 7.4e-17.  An exact-sign
+certificate is ROADMAP item 4.
 """
 
 from __future__ import annotations
@@ -82,20 +86,12 @@ class FunctionalKind(Enum):
     __hash__ = object.__hash__
 
 
-class PolyLabel(Enum):
-    """Which radius polynomial a RhoPolynomial instance is."""
-
-    CONVEX_RHO = "convex-rho-quadratic"
-    DERIV_RHO = "deriv-rho-quartic"
-    SQ_DERIV_RHO = "sq-deriv-rho-quartic"
-
-
 @dataclass(frozen=True)
 class RhoPolynomial:
     """Polynomial with real coefficients in ascending order, degree <= 4."""
 
     coefficients: tuple
-    label: PolyLabel
+    label: str
 
     def __post_init__(self):
         if not self.coefficients:
@@ -104,10 +100,6 @@ class RhoPolynomial:
             raise ValueError("degree must be <= 4")
         object.__setattr__(self, "coefficients",
                            tuple(float(c) for c in self.coefficients))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def __call__(self, x: float) -> float:
         acc = 0.0
@@ -133,7 +125,7 @@ def convex_rho_polynomial(t: float) -> RhoPolynomial:
     exactly 1/2; at t = 1 the root sits at rho = 1.
     """
     _check_t(t)
-    return RhoPolynomial((1.0, -2.0, 4.0 * t - 3.0), PolyLabel.CONVEX_RHO)
+    return RhoPolynomial((1.0, -2.0, 4.0 * t - 3.0), "convex-rho-quadratic")
 
 
 def deriv_rho_polynomial(lam: float) -> RhoPolynomial:
@@ -148,7 +140,7 @@ def deriv_rho_polynomial(lam: float) -> RhoPolynomial:
     """
     _check_lam(lam)
     return RhoPolynomial((-1.0, 3.0, 2.0 * lam - 1.0, 4.0 * lam - 1.0, 2.0 * lam),
-                         PolyLabel.DERIV_RHO)
+                         "deriv-rho-quartic")
 
 
 def sq_deriv_rho_polynomial(lam: float) -> RhoPolynomial:
@@ -162,7 +154,7 @@ def sq_deriv_rho_polynomial(lam: float) -> RhoPolynomial:
     """
     _check_lam(lam)
     return RhoPolynomial((-1.0, 2.0, lam, 2.0 * lam - 1.0, lam),
-                         PolyLabel.SQ_DERIV_RHO)
+                         "sq-deriv-rho-quartic")
 
 
 # -- problem and result types ------------------------------------------------
@@ -189,7 +181,7 @@ class RadiusProblem:
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """Certified radius: r = (rho_root / n)^(1/m), the rho root itself, the
+    """Radius r = (rho_root / n)^(1/m), the rho root itself, the
     final bisection bracket, the polynomial residual at the root, and which
     polynomial branch produced it."""
 
@@ -218,7 +210,7 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
     if fhi == 0.0:
         return hi, (hi, hi), 0.0
     if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError(f"no sign change on [{lo!r}, {hi!r}] for {poly.label.value}")
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}] for {poly.label}")
     while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -249,7 +241,7 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
     residual = abs(poly(root))
     if not residual <= RESIDUAL_TOL:
         raise ArithmeticError(
-            f"residual {residual!r} exceeds {RESIDUAL_TOL} for {poly.label.value}")
+            f"residual {residual!r} exceeds {RESIDUAL_TOL} for {poly.label}")
     return root, (lo, hi), residual
 
 
@@ -271,13 +263,16 @@ def _geometric_radius(rho: float, n: int, m: int) -> float:
 
 
 def radius_for(problem: RadiusProblem) -> RadiusResult:
-    """Certified radius of a RadiusProblem; r = (rho / n)^(1/m).
+    """Radius of a RadiusProblem; r = (rho / n)^(1/m).
 
     The rho root is bracketed by (0, rho_cap), narrowed to 1e-6 either side
-    of the closed form where the kind has one.  It depends on the kind and
-    the weight only, so the CLI's `table` and `sweep` solve each distinct
-    weight once per invocation and give every other (n, m) row this same
-    rescaling of that root; the bytes are unchanged.
+    of the closed form where the kind has one.  For CONVEX that bracket
+    always holds a sign change: the quadratic's other root lies below 0 or
+    above 1, and at t = 1 the root is rho = 1, where the quadratic is
+    exactly 0.  The root depends on the kind and the weight only, so the
+    CLI's `table` and `sweep` solve each distinct weight once per invocation
+    and give every other (n, m) row this same rescaling of that root; the
+    bytes are unchanged.
     """
     spec = KINDS[problem.kind]
     w = problem.weight
@@ -288,39 +283,7 @@ def radius_for(problem: RadiusProblem) -> RadiusResult:
         lo, hi = max(rho_star - 1e-6, lo), min(rho_star + 1e-6, hi)
     root, bracket, residual = _bisect_newton(poly, lo, hi)
     return RadiusResult(_geometric_radius(root, problem.n, problem.m), root,
-                        residual, bracket, poly.label.value)
-
-
-def radius_convex(n: int, m: int, t: float) -> RadiusResult:
-    """Radius for the CONVEX functional; r = (rho / n)^(1/m).
-
-    The rho root is certified against the quadratic within 1e-6 of the
-    closed form.  That bracket always holds a sign change: the quadratic's
-    other root lies below 0 or above 1, and at t = 1 the root is rho = 1,
-    where the quadratic is exactly 0.
-    """
-    return radius_for(RadiusProblem(FunctionalKind.CONVEX, n, m, t=t))
-
-
-def radius_deriv(n: int, m: int, lam: float) -> RadiusResult:
-    """Sharp radius for the DERIV functional; r = (rho / n)^(1/m).
-
-    rho is the root of the weighted quartic for every lam > 0: the majorant
-    stays <= 1 up to it and the witness family exceeds 1 just beyond it (see
-    the module docstring).  For lam < 1/2 this is larger than the root of the
-    paper's weight-free quartic, which is safe but not sharp there.
-    """
-    return radius_for(RadiusProblem(FunctionalKind.DERIV, n, m, lam=lam))
-
-
-def radius_sq_deriv(n: int, m: int, lam: float) -> RadiusResult:
-    """Sharp radius for the SQ_DERIV functional; r = (rho / n)^(1/m).
-
-    rho is the root of the weighted quartic for every lam > 0, by the same
-    factorization as radius_deriv.  For lam < 1 this is larger than the root
-    of the paper's weight-free quartic, which is safe but not sharp there.
-    """
-    return radius_for(RadiusProblem(FunctionalKind.SQ_DERIV, n, m, lam=lam))
+                        residual, bracket, poly.label)
 
 
 # -- validation ---------------------------------------------------------------

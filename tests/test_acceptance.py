@@ -22,15 +22,17 @@ import pytest
 
 from polybohr import (DEFAULT_SEED, Direction, ExtremalParams, Functional,
                       FunctionalKind, MultiIndex, PhiPsiMode, PhiPsiParams,
-                      PolyLabel, RadiusProblem, RhoPolynomial, TruncatedSeries,
+                      RadiusProblem, RhoPolynomial, TruncatedSeries,
                       WitnessNotFoundError, coefficient_bound_check,
                       convex_rho_closed_form, deriv_rho_polynomial,
                       empirical_radius, extremal_functional,
                       extremal_functional_from_series, extremal_series,
-                      multi_indices, phi_psi_monotone, radius_convex,
-                      radius_deriv, radius_for, radius_sq_deriv,
+                      multi_indices, phi_psi_monotone, radius_for,
                       rogosinski_threshold, sharpness_witness,
                       sq_deriv_rho_polynomial, zero_multiplicity_bound_check)
+
+CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
+                           FunctionalKind.SQ_DERIV)
 
 N_GRID = (1, 2, 4)
 M_GRID = (1, 2, 3)
@@ -38,9 +40,9 @@ T_GRID = (0.0, 0.3, 0.75, 0.9)
 LAM_GRID = (0.25, 0.5, 1.0, 2.0)
 
 # the paper's weight-free quartics, from their literal coefficients
-PAPER_DERIV_QUARTIC = RhoPolynomial((-1.0, 3.0, 0.0, 1.0, 1.0), PolyLabel.DERIV_RHO)
+PAPER_DERIV_QUARTIC = RhoPolynomial((-1.0, 3.0, 0.0, 1.0, 1.0), "deriv-rho-quartic")
 PAPER_SQ_DERIV_QUARTIC = RhoPolynomial((-1.0, 2.0, 1.0, 1.0, 1.0),
-                                       PolyLabel.SQ_DERIV_RHO)
+                                       "sq-deriv-rho-quartic")
 
 
 def announce(capsys, line: str) -> None:
@@ -85,22 +87,22 @@ def below_radius_max(problem: RadiusProblem) -> float:
 
 
 def test_criterion_01_classical_recovery(capsys):
-    res, dt = best_of(lambda: radius_convex(1, 1, 0.0))
+    res, dt = best_of(lambda: radius_for(RadiusProblem(CONVEX, 1, 1, t=0.0)))
     err = abs(res.radius - 1.0 / 3.0)
     assert err <= 1e-12
     assert dt < 1e-3
-    announce(capsys, f"[criterion 1] PASS radius_convex(1,1,0) = {res.radius:.15f} "
+    announce(capsys, f"[criterion 1] PASS convex radius (n=m=1, t=0) = {res.radius:.15f} "
                      f"(err {err:.2e}, {dt * 1e3:.3f} ms)")
 
 
 def test_criterion_02_degenerate_weight_and_closed_form(capsys):
-    assert radius_convex(1, 1, 0.75).radius == 0.5
+    assert radius_for(RadiusProblem(CONVEX, 1, 1, t=0.75)).radius == 0.5
 
     def sweep():
         worst = 0.0
         for t in np.linspace(0.0, 1.0, 101):
             t = float(t)
-            got = radius_convex(1, 1, t).radius
+            got = radius_for(RadiusProblem(CONVEX, 1, 1, t=t)).radius
             if abs(t - 0.75) < 1e-9:
                 want = 0.5
             else:
@@ -116,12 +118,12 @@ def test_criterion_02_degenerate_weight_and_closed_form(capsys):
 
 
 def test_criterion_03_small_weight_quartic_root(capsys):
-    res, dt = best_of(lambda: radius_deriv(1, 1, 0.5))
+    res, dt = best_of(lambda: radius_for(RadiusProblem(DERIV, 1, 1, lam=0.5)))
     assert abs(res.radius - 0.3191) <= 5e-4
     residual = abs(PAPER_DERIV_QUARTIC(res.rho_root))
     assert residual <= 1e-12
     assert dt < 1e-3
-    announce(capsys, f"[criterion 3] PASS radius_deriv(1,1,1/2) = {res.radius:.10f} "
+    announce(capsys, f"[criterion 3] PASS deriv radius (n=m=1, lam=1/2) = {res.radius:.10f} "
                      f"(vs 0.3191, quartic residual {residual:.2e}, {dt * 1e3:.3f} ms)")
 
 
@@ -134,10 +136,10 @@ def test_criterion_04_factorization_cross_check(capsys):
                     - (2 * p * p + 3 * p - 1) * (p * p + 1))
                 for p in np.linspace(0.0, 0.45, 91))
     assert worst < 1e-15
-    got = radius_deriv(1, 1, 1.0).rho_root
+    got = radius_for(RadiusProblem(DERIV, 1, 1, lam=1.0)).rho_root
     err = abs(got - oracle)
     assert err <= 1e-10
-    announce(capsys, f"[criterion 4] PASS radius_deriv(1,1,1) = {got:.15f} vs "
+    announce(capsys, f"[criterion 4] PASS deriv rho root (n=m=1, lam=1) = {got:.15f} vs "
                      f"(sqrt(17)-3)/4 (err {err:.2e}, factorization defect {worst:.2e})")
 
 
@@ -231,11 +233,11 @@ def test_criterion_07c_branch_continuity(capsys):
     worst = 0.0
     for n in N_GRID:
         for m in M_GRID:
-            a = radius_deriv(n, m, 0.5).radius
-            b = radius_deriv(n, m, 0.5 + 1e-15).radius
+            a = radius_for(RadiusProblem(DERIV, n, m, lam=0.5)).radius
+            b = radius_for(RadiusProblem(DERIV, n, m, lam=0.5 + 1e-15)).radius
             worst = max(worst, abs(a - b))
-            c = radius_sq_deriv(n, m, 1.0).radius
-            d = radius_sq_deriv(n, m, 1.0 + 2e-16).radius
+            c = radius_for(RadiusProblem(SQ_DERIV, n, m, lam=1.0)).radius
+            d = radius_for(RadiusProblem(SQ_DERIV, n, m, lam=1.0 + 2e-16)).radius
             worst = max(worst, abs(c - d))
     assert worst <= 1e-12
     # at those weights the weighted quartics are the paper's, coefficient
@@ -346,11 +348,11 @@ def test_criterion_10_series_oracle(capsys):
     for i in range(20):
         kind = kinds[i % 3]
         if kind is FunctionalKind.CONVEX:
-            func = Functional.convex(float(rng.uniform(0.0, 1.0)))
+            func = Functional(CONVEX, t=float(rng.uniform(0.0, 1.0)))
         elif kind is FunctionalKind.DERIV:
-            func = Functional.deriv(float(rng.uniform(0.1, 3.0)))
+            func = Functional(DERIV, lam=float(rng.uniform(0.1, 3.0)))
         else:
-            func = Functional.sq_deriv(float(rng.uniform(0.1, 3.0)))
+            func = Functional(SQ_DERIV, lam=float(rng.uniform(0.1, 3.0)))
         a = float(rng.uniform(0.1, 0.9))
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 4))

@@ -171,6 +171,21 @@ def test_residual_failure_exits_one_without_traceback(capsys, monkeypatch):
     assert err == "error: residual 1e-09 exceeds 1e-12 for deriv-rho-quartic\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["radius", "--theorem", "convex", "--t", "0.5"],
+    ["table", "--theorem", "deriv", "--n-list", "1", "--m-list", "1",
+     "--lambda-list", "1"],
+], ids=["radius", "table"])
+def test_unwritable_out_path_exits_one(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 # -- verify -------------------------------------------------------------------
 
 def test_verify_passes_at_stated_radius(capsys):

@@ -18,12 +18,14 @@ from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Direction,
                       convex_rho_polynomial, deriv_rho_polynomial,
                       empirical_radius, extremal_functional,
                       extremal_functional_from_series, extremal_series,
-                      majorant_functional, phi_psi_monotone,
-                      radius_deriv, radius_for, radius_sq_deriv,
+                      majorant_functional, phi_psi_monotone, radius_for,
                       rogosinski_threshold, rogosinski_value,
                       sharpness_witness, sq_deriv_rho_polynomial,
                       verify_radius, zero_multiplicity_bound_check)
 from polybohr import extremal
+
+CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
+                           FunctionalKind.SQ_DERIV)
 
 
 def reference_bisect(f, lo, hi, iters=200):
@@ -96,19 +98,19 @@ def test_extremal_params_validation():
 
 # -- closed-form functional valuesable against inline oracles ------------------
 
-@pytest.mark.parametrize("make", [Functional.deriv, Functional.sq_deriv])
+@pytest.mark.parametrize("kind", [DERIV, SQ_DERIV], ids=lambda kind: kind.value)
 @pytest.mark.parametrize("lam", [math.inf, math.nan])
-def test_functional_rejects_non_finite_lam(make, lam):
+def test_functional_rejects_non_finite_lam(kind, lam):
     with pytest.raises(ValueError):
-        make(lam)
+        Functional(kind, lam=lam)
 
 
 def test_extremal_functional_at_zero_parameter():
     # a = 0: convex value t*rho + (1-t)*rho = rho; deriv value 2*rho
     for rho in (0.1, 0.25):
-        f_convex = Functional.convex(0.3)
+        f_convex = Functional(CONVEX, t=0.3)
         assert extremal_functional(f_convex, 0.0, rho) == pytest.approx(rho, abs=1e-15)
-        f_deriv = Functional.deriv(1.0)
+        f_deriv = Functional(DERIV, lam=1.0)
         assert extremal_functional(f_deriv, 0.0, rho) == pytest.approx(2 * rho, abs=1e-15)
 
 
@@ -117,7 +119,7 @@ def test_extremal_functional_inline_oracle_convex():
     #   a + (1 - a^2) rho / (1 - a rho)
     a, rho = 0.99, 0.34
     expected = a + (1 - a * a) * rho / (1 - a * rho)
-    got = extremal_functional(Functional.convex(0.0), a, rho)
+    got = extremal_functional(Functional(CONVEX, t=0.0), a, rho)
     assert abs(got - expected) <= 1e-15
 
 
@@ -127,7 +129,7 @@ def test_extremal_functional_inline_oracle_deriv():
     head = (rho + a) / (1 + a * rho)
     expected = head + rho * (1 - a) * (1 + a) / (1 + a * rho) ** 2 \
         + lam * a * rho * rho * (1 - a) * (1 + a) / (1 - a * rho)
-    got = extremal_functional(Functional.deriv(lam), a, rho)
+    got = extremal_functional(Functional(DERIV, lam=lam), a, rho)
     assert abs(got - expected) <= 1e-15
 
 
@@ -137,12 +139,12 @@ def test_extremal_functional_inline_oracle_sq_deriv():
     head = (rho + a) / (1 + a * rho)
     expected = head * head + rho * (1 - a) * (1 + a) / (1 + a * rho) ** 2 \
         + lam * a * rho * rho * (1 - a) * (1 + a) / (1 - a * rho)
-    got = extremal_functional(Functional.sq_deriv(lam), a, rho)
+    got = extremal_functional(Functional(SQ_DERIV, lam=lam), a, rho)
     assert abs(got - expected) <= 1e-14
 
 
 def test_extremal_functional_validation():
-    f = Functional.convex(0.5)
+    f = Functional(CONVEX, t=0.5)
     with pytest.raises(ValueError):
         extremal_functional(f, 1.0, 0.2)
     with pytest.raises(ValueError):
@@ -155,13 +157,13 @@ def test_extremal_functional_validation():
 
 def test_functional_construction_validation():
     with pytest.raises(ValueError):
-        Functional.convex(-0.2)
+        Functional(CONVEX, t=-0.2)
     with pytest.raises(ValueError):
-        Functional.convex(1.2)
+        Functional(CONVEX, t=1.2)
     with pytest.raises(ValueError):
-        Functional.deriv(0.0)
+        Functional(DERIV, lam=0.0)
     with pytest.raises(ValueError):
-        Functional.sq_deriv(-1.0)
+        Functional(SQ_DERIV, lam=-1.0)
     with pytest.raises(ValueError):
         Functional(FunctionalKind.CONVEX, t=None, lam=None)
 
@@ -171,14 +173,14 @@ def test_functional_construction_validation():
 def test_majorant_exactly_one_at_unit_constant():
     # at a0 = 1 the bound collapses to exactly 1.0 in floating point
     for t in np.linspace(0.0, 1.0, 41):
-        f = Functional.convex(float(t))
+        f = Functional(CONVEX, t=float(t))
         for rho in np.linspace(0.0, 0.99, 34):
             assert majorant_functional(f, 1.0, float(rho)) == 1.0
     for lam in (0.25, 0.5, 1.0, 3.0):
         for rho in np.linspace(0.0, SQRT2_MINUS_1, 20):
-            assert majorant_functional(Functional.deriv(lam), 1.0, float(rho)) == 1.0
+            assert majorant_functional(Functional(DERIV, lam=lam), 1.0, float(rho)) == 1.0
         for rho in np.linspace(0.0, GOLDEN_CONJUGATE, 20):
-            assert majorant_functional(Functional.sq_deriv(lam), 1.0, float(rho)) == 1.0
+            assert majorant_functional(Functional(SQ_DERIV, lam=lam), 1.0, float(rho)) == 1.0
 
 
 def test_majorant_dominates_extremal():
@@ -188,14 +190,9 @@ def test_majorant_dominates_extremal():
         FunctionalKind.DERIV: ([0.25, 0.5, 1.0, 2.0], np.linspace(0.0, SQRT2_MINUS_1, 20)),
         FunctionalKind.SQ_DERIV: ([0.25, 1.0, 2.0], np.linspace(0.0, GOLDEN_CONJUGATE, 20)),
     }
-    builders = {
-        FunctionalKind.CONVEX: Functional.convex,
-        FunctionalKind.DERIV: Functional.deriv,
-        FunctionalKind.SQ_DERIV: Functional.sq_deriv,
-    }
     for kind, (weights, rhos) in grids.items():
         for w in weights:
-            f = builders[kind](w)
+            f = Functional(kind, **{extremal.KINDS[kind].weight: w})
             for rho in rhos:
                 rho = float(rho)
                 for a in np.linspace(0.0, 0.995, 200):
@@ -208,13 +205,13 @@ def test_majorant_dominates_extremal():
 
 
 def test_majorant_validation():
-    f = Functional.deriv(1.0)
+    f = Functional(DERIV, lam=1.0)
     with pytest.raises(ValueError):
         majorant_functional(f, 1.1, 0.2)
     with pytest.raises(ValueError):
         majorant_functional(f, 0.5, 0.5)  # beyond sqrt(2) - 1 cap
     with pytest.raises(ValueError):
-        majorant_functional(Functional.convex(0.5), 0.5, 1.0)
+        majorant_functional(Functional(CONVEX, t=0.5), 0.5, 1.0)
 
 
 # -- sign-equivalence identities -----------------------------------------------
@@ -228,7 +225,7 @@ def test_convex_sign_identity():
         t = float(rng.uniform(0.0, 1.0))
         rho = float(rng.uniform(0.01, 0.95))
         a = float(rng.uniform(0.0, 0.99))
-        v = extremal_functional(Functional.convex(t), a, rho)
+        v = extremal_functional(Functional(CONVEX, t=t), a, rho)
         lhs = (v - 1.0) * (1.0 - a * a * rho * rho) / (1.0 - a)
         g = -t * (1 - rho) * (1 - a * rho) + (1 - t) * (2 * a * rho + rho - 1) * (1 + a * rho)
         assert abs(lhs - g) < 1e-10
@@ -249,7 +246,7 @@ def test_deriv_sign_identity():
         lam = float(rng.uniform(0.05, 3.0))
         rho = float(rng.uniform(0.01, 0.41))
         a = float(rng.uniform(0.0, 0.99))
-        v = extremal_functional(Functional.deriv(lam), a, rho)
+        v = extremal_functional(Functional(DERIV, lam=lam), a, rho)
         lhs = (v - 1.0) * (1.0 + a * rho) ** 2 * (1.0 - a * rho) / (1.0 - a)
         assert abs(lhs - quartic(lam, rho, a)) < 1e-10
     # and at a = 1 the quartic in a is the weighted radius quartic in rho
@@ -264,7 +261,7 @@ def test_sq_deriv_sign_identity():
         lam = float(rng.uniform(0.05, 3.0))
         rho = float(rng.uniform(0.01, 0.6))
         a = float(rng.uniform(0.0, 0.99))
-        v = extremal_functional(Functional.sq_deriv(lam), a, rho)
+        v = extremal_functional(Functional(SQ_DERIV, lam=lam), a, rho)
         lhs = (v - 1.0) * (1.0 + a * rho) ** 2 * (1.0 - a * rho) / (1.0 - a * a)
         rhs = (rho * rho + rho - 1.0) * (1.0 - a * rho) + lam * a * rho * rho * (1.0 + a * rho) ** 2
         assert abs(lhs - rhs) < 1e-10
@@ -398,12 +395,12 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
 
 
 @pytest.mark.parametrize("call", [
-    lambda: extremal_functional(Functional.deriv(1.0), 0.5, NAN),
-    lambda: majorant_functional(Functional.deriv(1.0), 0.5, NAN),
-    lambda: majorant_functional(Functional.convex(0.5), 0.5, NAN),
+    lambda: extremal_functional(Functional(DERIV, lam=1.0), 0.5, NAN),
+    lambda: majorant_functional(Functional(DERIV, lam=1.0), 0.5, NAN),
+    lambda: majorant_functional(Functional(CONVEX, t=0.5), 0.5, NAN),
     lambda: rogosinski_value(0.5, NAN),
     lambda: extremal_functional_from_series(
-        Functional.deriv(1.0), ExtremalParams(0.5, 1, 1), NAN, max_degree=40),
+        Functional(DERIV, lam=1.0), ExtremalParams(0.5, 1, 1), NAN, max_degree=40),
     lambda: Direction((NAN, 0.5)),
     lambda: TruncatedSeries.constant(0.5, 1).bohr_majorant_sum(NAN),
     lambda: PhiPsiParams(NAN, 0.1, 0.2),
@@ -509,7 +506,7 @@ def test_verify_radius_passes_at_the_radius_and_fails_the_control(problem):
 
 
 def test_witness_validation():
-    f = Functional.convex(0.5)
+    f = Functional(CONVEX, t=0.5)
     with pytest.raises(ValueError):
         Witness(a=0.5, value=0.99, rho=0.4, functional=f, radius=0.3)
     w = Witness(a=0.5, value=1.001, rho=0.4, functional=f, radius=0.3)
@@ -526,7 +523,7 @@ def test_witness_carries_the_stated_radius():
 def test_scalar_and_array_closed_forms_agree_bitwise():
     # one closed form serves scalars and arrays; x ** 2 on a Python float can
     # round differently from numpy's square, x * x cannot
-    f = Functional.sq_deriv(2.0)
+    f = Functional(SQ_DERIV, lam=2.0)
     a, rho = 0.04, 0.51
     row = extremal._functional_value(f, np.array([a]), rho)
     assert extremal_functional(f, a, rho) == float(row[0])
@@ -566,7 +563,7 @@ def test_verify_radius_margin_past_the_cap():
 def test_series_route_matches_closed_form_pinned():
     # the truncated-series evaluation of the functional agrees with the
     # closed form once the tail is negligible
-    f = Functional.deriv(1.0)
+    f = Functional(DERIV, lam=1.0)
     params = ExtremalParams(0.7, 2, 1)
     rho = 0.2
     closed = extremal_functional(f, 0.7, rho)
@@ -576,13 +573,13 @@ def test_series_route_matches_closed_form_pinned():
 
 def test_series_route_matches_closed_form_sweep():
     cases = [
-        (Functional.convex(0.0), ExtremalParams(0.5, 1, 1), 0.3),
-        (Functional.convex(0.6), ExtremalParams(0.4, 3, 1), 0.15),
-        (Functional.convex(0.75), ExtremalParams(0.6, 2, 2), 0.25),
-        (Functional.deriv(0.5), ExtremalParams(0.3, 2, 1), 0.25),
-        (Functional.deriv(2.0), ExtremalParams(0.5, 2, 2), 0.2),
-        (Functional.sq_deriv(1.0), ExtremalParams(0.45, 3, 1), 0.2),
-        (Functional.sq_deriv(2.0), ExtremalParams(0.3, 1, 3), 0.3),
+        (Functional(CONVEX, t=0.0), ExtremalParams(0.5, 1, 1), 0.3),
+        (Functional(CONVEX, t=0.6), ExtremalParams(0.4, 3, 1), 0.15),
+        (Functional(CONVEX, t=0.75), ExtremalParams(0.6, 2, 2), 0.25),
+        (Functional(DERIV, lam=0.5), ExtremalParams(0.3, 2, 1), 0.25),
+        (Functional(DERIV, lam=2.0), ExtremalParams(0.5, 2, 2), 0.2),
+        (Functional(SQ_DERIV, lam=1.0), ExtremalParams(0.45, 3, 1), 0.2),
+        (Functional(SQ_DERIV, lam=2.0), ExtremalParams(0.3, 1, 3), 0.3),
     ]
     for f, params, rho in cases:
         closed = extremal_functional(f, params.a, rho)
@@ -609,7 +606,7 @@ def test_rogosinski_thresholds():
 # -- consistency between witness rho cap and radius brackets ------------------------
 
 def test_radius_roots_inside_search_caps():
-    assert radius_deriv(1, 1, 10.0).rho_root < SQRT2_MINUS_1
-    assert radius_sq_deriv(1, 1, 10.0).rho_root < GOLDEN_CONJUGATE
-    root = radius_deriv(1, 1, 0.5).rho_root
+    assert radius_for(RadiusProblem(DERIV, 1, 1, lam=10.0)).rho_root < SQRT2_MINUS_1
+    assert radius_for(RadiusProblem(SQ_DERIV, 1, 1, lam=10.0)).rho_root < GOLDEN_CONJUGATE
+    root = radius_for(RadiusProblem(DERIV, 1, 1, lam=0.5)).rho_root
     assert 0 < root < SQRT2_MINUS_1

@@ -56,6 +56,8 @@ def test_multi_index_rejects_bad_entries():
         MultiIndex((0.5,))
     with pytest.raises(ValueError):
         MultiIndex(())
+    with pytest.raises(ValueError):
+        MultiIndex((math.inf,))
 
 
 def test_multi_indices_enumeration_and_multinomial_sum():

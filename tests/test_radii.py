@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
-                      PolyLabel, RadiusProblem, RhoPolynomial,
-                      convex_rho_closed_form, convex_rho_polynomial,
-                      deriv_rho_polynomial, radius_convex, radius_deriv,
-                      radius_for, radius_sq_deriv, sq_deriv_rho_polynomial)
+                      RadiusProblem, RhoPolynomial, convex_rho_closed_form,
+                      convex_rho_polynomial, deriv_rho_polynomial, radius_for,
+                      sq_deriv_rho_polynomial)
 from polybohr.radii import _bisect_newton
+
+CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
+                           FunctionalKind.SQ_DERIV)
 
 # the paper's weight-free quartics, ascending coefficients
 PAPER_DERIV_COEFFS = (-1.0, 3.0, 0.0, 1.0, 1.0)  # rho^4 + rho^3 + 3 rho - 1
@@ -68,12 +70,12 @@ def test_closed_form_stable_near_degenerate_weight():
 # -- convex radius ------------------------------------------------------------------
 
 def test_radius_convex_basics():
-    res = radius_convex(1, 1, 0.0)
+    res = radius_for(RadiusProblem(CONVEX, 1, 1, t=0.0))
     assert abs(res.radius - 1 / 3) <= 1e-12
     assert res.residual <= 1e-12
-    assert res.branch == PolyLabel.CONVEX_RHO.value
-    assert radius_convex(1, 1, 0.75).radius == 0.5
-    assert radius_convex(1, 1, 1.0).radius == 1.0
+    assert res.branch == "convex-rho-quadratic"
+    assert radius_for(RadiusProblem(CONVEX, 1, 1, t=0.75)).radius == 0.5
+    assert radius_for(RadiusProblem(CONVEX, 1, 1, t=1.0)).radius == 1.0
 
 
 def test_radius_convex_random_configs_match_closed_form():
@@ -82,7 +84,7 @@ def test_radius_convex_random_configs_match_closed_form():
         n = int(rng.integers(1, 9))
         m = int(rng.integers(1, 7))
         t = float(rng.uniform(0.0, 1.0))
-        res = radius_convex(n, m, t)
+        res = radius_for(RadiusProblem(CONVEX, n, m, t=t))
         rho = convex_rho_closed_form(t)
         assert abs(res.rho_root - rho) <= 1e-10
         assert abs(res.radius - (rho / n) ** (1.0 / m)) <= 1e-10
@@ -93,30 +95,35 @@ def test_radius_convex_random_configs_match_closed_form():
 
 def test_radius_convex_rejects_bad_weight():
     with pytest.raises(ValueError):
-        radius_convex(1, 1, -0.1)
+        radius_for(RadiusProblem(CONVEX, 1, 1, t=-0.1))
     with pytest.raises(ValueError):
-        radius_convex(1, 1, 1.5)
+        radius_for(RadiusProblem(CONVEX, 1, 1, t=1.5))
     with pytest.raises(ValueError):
-        radius_convex(0, 1, 0.5)
+        radius_for(RadiusProblem(CONVEX, 0, 1, t=0.5))
+    # bool is a numbers.Integral, but not a count
+    with pytest.raises(ValueError):
+        RadiusProblem(DERIV, True, 1, lam=1.0)
+    with pytest.raises(ValueError):
+        RadiusProblem(DERIV, 1, True, lam=1.0)
 
 
 # -- deriv radius --------------------------------------------------------------------
 
 def test_radius_deriv_small_weight_root():
-    res = radius_deriv(1, 1, 0.5)
+    res = radius_for(RadiusProblem(DERIV, 1, 1, lam=0.5))
     oracle = reference_bisect(lambda p: p ** 4 + p ** 3 + 3 * p - 1, 0.0, SQRT2_MINUS_1)
     assert abs(res.rho_root - oracle) <= 1e-12
-    assert res.branch == PolyLabel.DERIV_RHO.value
+    assert res.branch == "deriv-rho-quartic"
     assert deriv_rho_polynomial(0.5)(res.rho_root) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_radius_deriv_weighted_roots_match_reference():
     for lam in (0.6, 0.75, 1.0, 2.0, 10.0):
-        res = radius_deriv(1, 1, lam)
+        res = radius_for(RadiusProblem(DERIV, 1, 1, lam=lam))
         f = lambda p: 2 * lam * p ** 4 + (4 * lam - 1) * p ** 3 + (2 * lam - 1) * p ** 2 + 3 * p - 1
         oracle = reference_bisect(f, 0.0, SQRT2_MINUS_1)
         assert abs(res.rho_root - oracle) <= 1e-12
-        assert res.branch == PolyLabel.DERIV_RHO.value
+        assert res.branch == "deriv-rho-quartic"
         assert 0.0 < res.rho_root < SQRT2_MINUS_1
 
 
@@ -127,24 +134,25 @@ def test_radius_deriv_weight_one_factorization():
         lhs = deriv_rho_polynomial(1.0)(float(p))
         rhs = (2 * p * p + 3 * p - 1) * (p * p + 1)
         assert abs(lhs - rhs) < 1e-15
-    assert abs(radius_deriv(1, 1, 1.0).rho_root - (math.sqrt(17) - 3) / 4) <= 1e-12
+    root = radius_for(RadiusProblem(DERIV, 1, 1, lam=1.0)).rho_root
+    assert abs(root - (math.sqrt(17) - 3) / 4) <= 1e-12
 
 
 def test_radius_deriv_branch_continuity():
     # at 1/2 the weighted quartic is the paper's weight-free one, coefficient
     # by coefficient
     assert deriv_rho_polynomial(0.5).coefficients == PAPER_DERIV_COEFFS
-    below = radius_deriv(2, 2, 0.5).radius
-    above = radius_deriv(2, 2, 0.5 + 1e-13).radius
+    below = radius_for(RadiusProblem(DERIV, 2, 2, lam=0.5)).radius
+    above = radius_for(RadiusProblem(DERIV, 2, 2, lam=0.5 + 1e-13)).radius
     assert abs(below - above) <= 1e-12
 
 
 def test_radius_deriv_small_weight_root_depends_on_weight():
     # the weighted quartic at lam = 0.1 factors as
     # 0.2 (rho^2 - 3 rho + 1)(rho^2 - 5), so its root is (3 - sqrt(5))/2
-    root = radius_deriv(1, 1, 0.1).rho_root
+    root = radius_for(RadiusProblem(DERIV, 1, 1, lam=0.1)).rho_root
     assert abs(root - (3.0 - math.sqrt(5.0)) / 2.0) <= 1e-12
-    assert root != radius_deriv(1, 1, 0.5).rho_root
+    assert root != radius_for(RadiusProblem(DERIV, 1, 1, lam=0.5)).rho_root
 
 
 def test_radius_deriv_endpoint_value():
@@ -157,17 +165,17 @@ def test_radius_deriv_endpoint_value():
 # -- sq-deriv radius ------------------------------------------------------------------
 
 def test_radius_sq_deriv_small_weight_root():
-    res = radius_sq_deriv(1, 1, 1.0)
+    res = radius_for(RadiusProblem(SQ_DERIV, 1, 1, lam=1.0))
     oracle = reference_bisect(lambda p: p ** 4 + p ** 3 + p * p + 2 * p - 1,
                               0.0, GOLDEN_CONJUGATE)
     assert abs(res.rho_root - oracle) <= 1e-12
     assert abs(res.rho_root - 0.3856) < 5e-4
-    assert res.branch == PolyLabel.SQ_DERIV_RHO.value
+    assert res.branch == "sq-deriv-rho-quartic"
 
 
 def test_radius_sq_deriv_weighted_roots_match_reference():
     for lam in (1.5, 2.0, 10.0):
-        res = radius_sq_deriv(1, 1, lam)
+        res = radius_for(RadiusProblem(SQ_DERIV, 1, 1, lam=lam))
         f = lambda p: lam * p ** 4 + (2 * lam - 1) * p ** 3 + lam * p * p + 2 * p - 1
         oracle = reference_bisect(f, 0.0, GOLDEN_CONJUGATE)
         assert abs(res.rho_root - oracle) <= 1e-12
@@ -176,8 +184,8 @@ def test_radius_sq_deriv_weighted_roots_match_reference():
 
 def test_radius_sq_deriv_branch_continuity():
     assert sq_deriv_rho_polynomial(1.0).coefficients == PAPER_SQ_DERIV_COEFFS
-    below = radius_sq_deriv(3, 2, 1.0).radius
-    above = radius_sq_deriv(3, 2, 1.0 + 1e-13).radius
+    below = radius_for(RadiusProblem(SQ_DERIV, 3, 2, lam=1.0)).radius
+    above = radius_for(RadiusProblem(SQ_DERIV, 3, 2, lam=1.0 + 1e-13)).radius
     assert abs(below - above) <= 1e-12
 
 
@@ -193,18 +201,18 @@ def test_sq_deriv_endpoint_identities():
 # -- monotonicity -----------------------------------------------------------------------
 
 def test_radius_monotone_in_n():
-    for build in (lambda n: radius_convex(n, 2, 0.4),
-                  lambda n: radius_deriv(n, 2, 1.5),
-                  lambda n: radius_sq_deriv(n, 2, 2.0)):
+    for build in (lambda n: radius_for(RadiusProblem(CONVEX, n, 2, t=0.4)),
+                  lambda n: radius_for(RadiusProblem(DERIV, n, 2, lam=1.5)),
+                  lambda n: radius_for(RadiusProblem(SQ_DERIV, n, 2, lam=2.0))):
         vals = [build(n).radius for n in range(1, 9)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
 def test_radius_monotone_in_m():
     # rho/n < 1 throughout, so the m-th root grows strictly with m
-    for build in (lambda m: radius_convex(2, m, 0.4),
-                  lambda m: radius_deriv(2, m, 1.5),
-                  lambda m: radius_sq_deriv(2, m, 2.0)):
+    for build in (lambda m: radius_for(RadiusProblem(CONVEX, 2, m, t=0.4)),
+                  lambda m: radius_for(RadiusProblem(DERIV, 2, m, lam=1.5)),
+                  lambda m: radius_for(RadiusProblem(SQ_DERIV, 2, m, lam=2.0))):
         vals = [build(m).radius for m in range(1, 7)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
@@ -232,17 +240,17 @@ def test_solver_endpoint_roots():
     poly = convex_rho_polynomial(1.0)
     assert _bisect_newton(poly, 0.0, 1.0) == (1.0, (1.0, 1.0), 0.0)
     # degenerate linear case: root exactly 1/2
-    res = radius_convex(3, 1, 0.75)
+    res = radius_for(RadiusProblem(CONVEX, 3, 1, t=0.75))
     assert res.rho_root == 0.5
     assert res.residual == 0.0
 
 
 def test_rho_polynomial_validation_and_derivative():
     with pytest.raises(ValueError):
-        RhoPolynomial((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), PolyLabel.CONVEX_RHO)
+        RhoPolynomial((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), "convex-rho-quadratic")
     with pytest.raises(ValueError):
-        RhoPolynomial((), PolyLabel.CONVEX_RHO)
-    p = RhoPolynomial((1.0, -2.0, 3.0), PolyLabel.CONVEX_RHO)
+        RhoPolynomial((), "convex-rho-quadratic")
+    p = RhoPolynomial((1.0, -2.0, 3.0), "convex-rho-quadratic")
     assert p(0.5) == 1.0 - 1.0 + 0.75
     assert p.derivative_at(0.5) == -2.0 + 3.0
 
@@ -270,17 +278,21 @@ def test_radius_problem_rejects_non_finite_lam(kind, lam):
 
 
 def test_radius_for_dispatch():
-    assert radius_for(RadiusProblem(FunctionalKind.CONVEX, 2, 2, t=0.3)) == \
-        radius_convex(2, 2, 0.3)
-    assert radius_for(RadiusProblem(FunctionalKind.DERIV, 2, 2, lam=1.0)) == \
-        radius_deriv(2, 2, 1.0)
-    assert radius_for(RadiusProblem(FunctionalKind.SQ_DERIV, 2, 2, lam=2.0)) == \
-        radius_sq_deriv(2, 2, 2.0)
+    # each kind solves its own polynomial, rescaled as r = (rho / n)^(1/m)
+    for problem, poly in ((RadiusProblem(CONVEX, 2, 2, t=0.3), convex_rho_polynomial(0.3)),
+                          (RadiusProblem(DERIV, 2, 2, lam=1.0), deriv_rho_polynomial(1.0)),
+                          (RadiusProblem(SQ_DERIV, 2, 2, lam=2.0),
+                           sq_deriv_rho_polynomial(2.0))):
+        res = radius_for(problem)
+        assert res.branch == poly.label
+        assert abs(poly(res.rho_root)) <= 1e-12
+        assert res.radius == (res.rho_root / 2) ** 0.5
 
 
 def test_univariate_specializations():
     # n = m = 1 reproduces the classical one-variable values
-    assert abs(radius_convex(1, 1, 0.0).radius - 1 / 3) <= 1e-12
-    assert radius_convex(1, 1, 0.75).radius == 0.5
-    assert abs(radius_deriv(1, 1, 0.5).radius - 0.3191) < 5e-4
-    assert abs(radius_deriv(1, 1, 1.0).radius - (math.sqrt(17) - 3) / 4) <= 1e-12
+    assert abs(radius_for(RadiusProblem(CONVEX, 1, 1, t=0.0)).radius - 1 / 3) <= 1e-12
+    assert radius_for(RadiusProblem(CONVEX, 1, 1, t=0.75)).radius == 0.5
+    assert abs(radius_for(RadiusProblem(DERIV, 1, 1, lam=0.5)).radius - 0.3191) < 5e-4
+    r = radius_for(RadiusProblem(DERIV, 1, 1, lam=1.0)).radius
+    assert abs(r - (math.sqrt(17) - 3) / 4) <= 1e-12

@@ -25,6 +25,7 @@ from polybohr import Direction, SchwarzPowerMap, TruncatedSeries
 from polybohr.bounds import coefficient_bound_check, zero_multiplicity_bound_check
 from polybohr.extremal import (ExtremalParams, Functional,
                                extremal_functional_from_series, extremal_series)
+from polybohr.radii import KINDS, FunctionalKind
 
 GOLDEN_PATH = Path(__file__).with_name("series_golden.json")
 _KINDS = ("convex", "deriv", "sq_deriv")
@@ -44,10 +45,11 @@ def series_values(case) -> dict:
     du = f.directional_derivative(Direction.uniform(n))
     h = g - TruncatedSeries.constant(a, n)
     low = extremal_series(params, max_degree=6)
+    func = Functional(FunctionalKind(kind), **{KINDS[FunctionalKind(kind)].weight: w})
     z = tuple(complex(0.3 + 0.1 * j, -0.2 + 0.05 * j) / n for j in range(n))
     return {
-        "from_series": repr(extremal_functional_from_series(getattr(Functional, kind)(w), params,
-                                                            rho, max_degree=degree)),
+        "from_series": repr(extremal_functional_from_series(func, params, rho,
+                                                            max_degree=degree)),
         "f_eval": repr(f.eval(z)),
         "g_eval": repr(g.eval(z)),
         "du_eval": repr(du.eval(z)),
