@@ -1,7 +1,7 @@
 """Radius tables for the three Bohr-type functionals on the polydisc.
 
-Walks the certified solver across (n, m, weight) grids and prints the
-resulting radii next to the quantities that certify them: the rho root,
+Walks the root solver across (n, m, weight) grids and prints the
+resulting radii next to the quantities that back them: the rho root,
 the polynomial residual, and (for the convex functional) the closed form.
 """
 
@@ -79,9 +79,10 @@ def main() -> int:
     convex_table()
     deriv_table()
     sq_deriv_table()
-    print("All radii above carry a certified bracket of width <= 1e-14 and a")
-    print("polynomial residual <= 1e-12; rho = n * r^m converts between the")
-    print("geometric radius r and the normalized variable the quartics live in.")
+    print("All radii above carry a float bracket of width <= 1e-14 and a")
+    print("polynomial residual <= 1e-12, not yet an exact certificate (ROADMAP")
+    print("item 4); rho = n * r^m converts between the geometric radius r and")
+    print("the normalized variable the quartics live in.")
     return 0
 
 

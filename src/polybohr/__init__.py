@@ -1,9 +1,10 @@
 """Sharp Bohr-type radii on the unit polydisc.
 
-Closed-form and root-certified radii for three families of Bohr-type
-functionals, the Mobius witness family attaining them, the elementary
-polydisc bounds the proofs rest on, and a truncated-series engine that
-certifies every closed form independently.
+Closed-form and root-solved radii (float bracket <= 1e-14 plus residual
+<= 1e-12; an exact certificate is ROADMAP item 4) for three families of
+Bohr-type functionals, the Mobius witness family attaining them, the
+elementary polydisc bounds the proofs rest on, and a truncated-series
+engine that checks every closed form independently.
 """
 
 from .bounds import (DEFAULT_SEED, PhiPsiMode, PhiPsiParams,

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-- radius     one certified radius as JSON
+- radius     one radius as JSON, with its float bracket and residual
 - verify     extremal.verify_radius's sweeps as JSON (exit 2 on any violation)
 - sharpness  explicit witness just beyond the stated radius
 - sweep      radius curve along one parameter, as CSV
@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .extremal import WitnessNotFoundError, sharpness_witness, verify_radius
-from .radii import KINDS, FunctionalKind, RadiusProblem, _geometric_radius, radius_for
+from .radii import FunctionalKind, RadiusProblem, _geometric_radius, radius_for
 
 _THEOREMS = [kind.value for kind in FunctionalKind]
 
@@ -171,7 +171,7 @@ def _parse_list(text, cast):
 
 def cmd_table(args) -> int:
     kind = FunctionalKind(args.theorem)
-    own = KINDS[kind].weight
+    own = kind.weight
     flag, other = ("t", "lambda") if own == "t" else ("lambda", "t")
     ns = _parse_list(args.n_list, int)
     ms = _parse_list(args.m_list, int)
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Sharp Bohr-type radii on the unit polydisc")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("radius", help="one certified radius as JSON")
+    p = sub.add_parser("radius", help="one radius as JSON")
     _add_common(p)
     p.set_defaults(func=cmd_radius)
 

@@ -40,8 +40,8 @@ import numpy as np
 
 from .mvseries import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
                        _check_count, multi_indices)
-from .radii import (KINDS, FunctionalKind, RadiusProblem, _check_nm,
-                    _geometric_radius, check_weight, radius_for)
+from .radii import (FunctionalKind, RadiusProblem, _check_nm, _geometric_radius,
+                    check_weight, radius_for)
 
 # sup-over-grid crossing guard: a radius is "crossed" only when the grid sup
 # exceeds 1 by more than this
@@ -119,9 +119,9 @@ class Verification:
 
 @dataclass(frozen=True)
 class Witness:
-    """A certified witness: functional value strictly above 1 at (a, rho).
-
-    radius is the stated radius, not inflated, as in Verification.
+    """A witness: a float functional value above 1 at (a, rho), not an exact
+    sign (below delta ~ 1e-9 it may exceed 1 by rounding alone; ROADMAP
+    item 5).  radius is the stated radius, not inflated, as in Verification.
     """
 
     a: float
@@ -215,16 +215,10 @@ def majorant_functional(func: Functional, a0: float, rho: float) -> float:
     """
     if not 0.0 <= a0 <= 1.0:
         raise ValueError(f"a0 must lie in [0, 1], got {a0!r}")
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho!r}")
     kind = func.kind
-    if kind is _CONVEX:
-        if not rho < 1.0:
-            raise ValueError(f"CONVEX majorant needs rho < 1, got {rho!r}")
-    else:
-        cap = KINDS[kind].rho_cap
-        if not rho <= cap:
-            raise ValueError(f"{kind.value} majorant needs rho <= {cap!r}, got {rho!r}")
+    if not (0.0 <= rho <= kind.rho_cap and rho < 1.0):
+        raise ValueError(f"{kind.value} majorant needs 0 <= rho <= {kind.rho_cap!r} "
+                         f"and rho < 1, got {rho!r}")
     return float(_functional_value(func, a0, rho, 1.0))
 
 
@@ -238,7 +232,7 @@ def extremal_functional_from_series(func: Functional, params: ExtremalParams,
     evaluates at the aligned point z_j = r e^(-i pi/m) with rho = n r^m, and
     assembles the functional from |g(z)|, the directional derivative along
     (1/n, ..., 1/n), and majorant sums.  Agreement with extremal_functional
-    certifies the closed forms; the truncation error decays like (a rho)^D.
+    checks the closed forms; the truncation error decays like (a rho)^D.
     """
     a, n, m = params.a, params.n, params.m
     _check_point(a, rho)
@@ -317,7 +311,7 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
     avals = np.linspace(0.0, 1.0, a_grid, endpoint=False)
     rhos = np.linspace(0.0, rho_max, rho_grid)
     a_list = avals.tolist()
-    cap = KINDS[func.kind].search_cap
+    cap = func.kind.search_cap
     majorant = majorant_functional  # the module global, read once per call
     max_value = 0.0
     below_violations = []
@@ -381,14 +375,16 @@ def empirical_radius(problem: RadiusProblem) -> float:
     quadratic or of the weighted DERIV / SQ_DERIV quartic, until the
     family's excess over 1 at the search cap falls below CROSSING_TOL, near
     float resolution.  Then it raises "threshold not bracketed", though
-    radius_for still certifies the root: DERIV from lam = 1e-6 down (excess
-    9.9e-13 there) and SQ_DERIV from lam = 1e-12 down (excess 2.4e-13).  A
-    deeper a-grid tail does not help; an exact sign test would.
+    radius_for still solves the root (float bracket <= 1e-14 plus residual
+    <= 1e-12; an exact certificate is ROADMAP item 4): DERIV from
+    lam = 1e-6 down (excess 9.9e-13 there) and SQ_DERIV from lam = 1e-12
+    down (excess 2.4e-13).  A deeper a-grid tail does not help; an exact
+    sign test would.
     """
     func = Functional.from_problem(problem)
     rho_star = _bisect_crossing(
         lambda a, rho: _functional_value(func, a, rho),
-        1e-9, KINDS[func.kind].search_cap,
+        1e-9, func.kind.search_cap,
         f" for {func.kind.value} with weight {problem.weight!r}")
     return _geometric_radius(rho_star, problem.n, problem.m)
 

@@ -58,7 +58,6 @@ certificate is ROADMAP item 4.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -70,20 +69,6 @@ GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 BRACKET_WIDTH = 1e-14
 RESIDUAL_TOL = 1e-12
 NEWTON_STEPS = 5
-
-
-class FunctionalKind(Enum):
-    """The three Bohr-type functionals, also used to tag radius problems."""
-
-    CONVEX = "convex"
-    DERIV = "deriv"
-    SQ_DERIV = "sq_deriv"
-
-    # members are singletons compared by identity, so object's C-level hash
-    # agrees with Enum's Python-level one; KINDS[kind] runs in verify's loop.
-    # Class-attribute lookups (FunctionalKind.CONVEX) cost about 150 ns on
-    # Python 3.11, so per-point code binds the members once as module names.
-    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -115,7 +100,17 @@ class RhoPolynomial:
         return acc
 
 
-# -- polynomial factories ---------------------------------------------------
+# -- weights and polynomial factories ------------------------------------------
+
+def _check_t(t):
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+
+
+def _check_lam(lam):
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
+
 
 def convex_rho_polynomial(t: float) -> RhoPolynomial:
     """(4t-3) rho^2 - 2 rho + 1; value 1 at rho = 0.
@@ -157,6 +152,43 @@ def sq_deriv_rho_polynomial(lam: float) -> RhoPolynomial:
                          "sq-deriv-rho-quartic")
 
 
+def convex_rho_closed_form(t: float) -> float:
+    """Normalized CONVEX radius rho = 1 / (1 + 2 sqrt(1 - t)).
+
+    Algebraically equal to (1 - 2 sqrt(1-t)) / (4t - 3) with the removable
+    0/0 at t = 3/4 eliminated; this form is exact in floating point at
+    t = 3/4 (giving 1/2) and at t = 1 (giving 1) and is stable in between.
+    """
+    _check_t(t)
+    return 1.0 / (1.0 + 2.0 * math.sqrt(1.0 - t))
+
+
+class FunctionalKind(Enum):
+    """The three Bohr-type functionals, also used to tag radius problems.
+
+    Each member carries its own spec: the name of its weight and the weight's
+    check, its radius polynomial, the cap of the rho interval on which the
+    majorant holds, the closed form of the rho root where there is one, and
+    search_cap, the largest rho the crossing searches and the verify sweep
+    use.
+    """
+
+    def __new__(cls, value, weight, check, polynomial, rho_cap, closed_form=None):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.weight = weight
+        member.check = check
+        member.polynomial = polynomial
+        member.rho_cap = rho_cap
+        member.closed_form = closed_form
+        member.search_cap = min(rho_cap, 1.0 - 1e-9)
+        return member
+
+    CONVEX = ("convex", "t", _check_t, convex_rho_polynomial, 1.0, convex_rho_closed_form)
+    DERIV = ("deriv", "lam", _check_lam, deriv_rho_polynomial, SQRT2_MINUS_1)
+    SQ_DERIV = ("sq_deriv", "lam", _check_lam, sq_deriv_rho_polynomial, GOLDEN_CONJUGATE)
+
+
 # -- problem and result types ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -176,7 +208,7 @@ class RadiusProblem:
 
     @property
     def weight(self) -> float:
-        return getattr(self, KINDS[self.kind].weight)
+        return getattr(self, self.kind.weight)
 
 
 @dataclass(frozen=True)
@@ -195,13 +227,15 @@ class RadiusResult:
 # -- root solving -------------------------------------------------------------
 
 def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
-    """Root of poly on [lo, hi] with a sign-change certificate.
+    """Root of poly on [lo, hi] by bisection on the float signs of poly.
 
     Bisection narrows the bracket to width <= 1e-14, then at most five Newton
     steps (clamped into the bracket) polish the midpoint.  Returns
-    (root, (lo, hi), residual).  Raises ValueError when the endpoints do not
-    straddle a sign change, ArithmeticError when the residual exceeds 1e-12
-    or is NaN (an overflowed coefficient gives a NaN root).
+    (root, (lo, hi), residual): a float bracket <= 1e-14 wide plus a residual
+    <= 1e-12, not a proof, since a float sign near the root may be wrong; an
+    exact certificate is ROADMAP item 4.  Raises ValueError when the float
+    end values do not differ in sign, ArithmeticError when the residual
+    exceeds 1e-12 or is NaN (an overflowed coefficient gives a NaN root).
     """
     flo = poly(lo)
     fhi = poly(hi)
@@ -209,7 +243,8 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
         return lo, (lo, lo), 0.0
     if fhi == 0.0:
         return hi, (hi, hi), 0.0
-    if (flo > 0.0) == (fhi > 0.0):
+    up = fhi > 0.0
+    if (flo > 0.0) == up:
         raise ValueError(f"no sign change on [{lo!r}, {hi!r}] for {poly.label}")
     while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
@@ -218,10 +253,10 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
         fm = poly(mid)
         if fm == 0.0:
             return mid, (mid, mid), 0.0
-        if (fm > 0.0) == (fhi > 0.0):
-            hi, fhi = mid, fm
+        if (fm > 0.0) == up:
+            hi = mid
         else:
-            lo, flo = mid, fm
+            lo = mid
     root = 0.5 * (lo + hi)
     for _ in range(NEWTON_STEPS):
         f = poly(root)
@@ -247,17 +282,6 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
 
 # -- radii --------------------------------------------------------------------
 
-def convex_rho_closed_form(t: float) -> float:
-    """Normalized CONVEX radius rho = 1 / (1 + 2 sqrt(1 - t)).
-
-    Algebraically equal to (1 - 2 sqrt(1-t)) / (4t - 3) with the removable
-    0/0 at t = 3/4 eliminated; this form is exact in floating point at
-    t = 3/4 (giving 1/2) and at t = 1 (giving 1) and is stable in between.
-    """
-    _check_t(t)
-    return 1.0 / (1.0 + 2.0 * math.sqrt(1.0 - t))
-
-
 def _geometric_radius(rho: float, n: int, m: int) -> float:
     return (rho / n) ** (1.0 / m)
 
@@ -274,12 +298,12 @@ def radius_for(problem: RadiusProblem) -> RadiusResult:
     and give every other (n, m) row this same rescaling of that root; the
     bytes are unchanged.
     """
-    spec = KINDS[problem.kind]
+    kind = problem.kind
     w = problem.weight
-    poly = spec.polynomial(w)
-    lo, hi = 0.0, spec.rho_cap
-    if spec.closed_form is not None:
-        rho_star = spec.closed_form(w)
+    poly = kind.polynomial(w)
+    lo, hi = 0.0, kind.rho_cap
+    if kind.closed_form is not None:
+        rho_star = kind.closed_form(w)
         lo, hi = max(rho_star - 1e-6, lo), min(rho_star + 1e-6, hi)
     root, bracket, residual = _bisect_newton(poly, lo, hi)
     return RadiusResult(_geometric_radius(root, problem.n, problem.m), root,
@@ -293,50 +317,9 @@ def _check_nm(n, m):
     _check_count("m", m, 1)
 
 
-def _check_t(t):
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-
-
-def _check_lam(lam):
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
-
-
 def check_weight(kind: FunctionalKind, t, lam) -> None:
     """Check that exactly the kind's own weight is given, and admissible."""
-    spec = KINDS[kind]
-    own, other = (t, lam) if spec.weight == "t" else (lam, t)
+    own, other = (t, lam) if kind.weight == "t" else (lam, t)
     if own is None or other is not None:
-        raise ValueError(f"{kind.value} takes {spec.weight} only")
-    spec.check(own)
-
-
-# -- the per-kind table ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class KindSpec:
-    """One functional kind: its weight's name and check, its radius
-    polynomial, the cap of the rho interval on which the majorant holds, and
-    the closed form of the rho root where there is one."""
-
-    weight: str
-    check: Callable[[float], None]
-    polynomial: Callable[[float], RhoPolynomial]
-    rho_cap: float
-    closed_form: Callable[[float], float] | None = None
-
-    @property
-    def search_cap(self) -> float:
-        """Largest rho the crossing searches and the verify sweep use."""
-        return min(self.rho_cap, 1.0 - 1e-9)
-
-
-KINDS = {
-    FunctionalKind.CONVEX: KindSpec("t", _check_t, convex_rho_polynomial, 1.0,
-                                    convex_rho_closed_form),
-    FunctionalKind.DERIV: KindSpec("lam", _check_lam, deriv_rho_polynomial,
-                                   SQRT2_MINUS_1),
-    FunctionalKind.SQ_DERIV: KindSpec("lam", _check_lam, sq_deriv_rho_polynomial,
-                                      GOLDEN_CONJUGATE),
-}
+        raise ValueError(f"{kind.value} takes {kind.weight} only")
+    kind.check(own)

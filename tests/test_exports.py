@@ -8,6 +8,7 @@ DELETED = ("deriv_rho_polynomial_small", "sq_deriv_rho_polynomial_small",
            "GrowthBound", "DEFAULT_MAX_DEGREE", "convex_bound_cubic",
            "deriv_witness_quartic", "solve_unique_positive_root", "PolyLabel",
            "radius_convex", "radius_deriv", "radius_sq_deriv") + DELETED_LABELS
+DELETED_FROM_RADII = ("KINDS", "KindSpec")
 
 
 def test_all_names_resolve_once_and_deleted_aliases_stay_gone():
@@ -19,6 +20,7 @@ def test_all_names_resolve_once_and_deleted_aliases_stay_gone():
     assert not hasattr(polybohr, "PolyLabel")
     assert not any(hasattr(polybohr.Functional, kind)
                    for kind in ("convex", "deriv", "sq_deriv"))
+    assert not any(hasattr(polybohr.radii, name) for name in DELETED_FROM_RADII)
 
 
 def test_export_list_is_pinned():

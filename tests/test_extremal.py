@@ -192,7 +192,7 @@ def test_majorant_dominates_extremal():
     }
     for kind, (weights, rhos) in grids.items():
         for w in weights:
-            f = Functional(kind, **{extremal.KINDS[kind].weight: w})
+            f = Functional(kind, **{kind.weight: w})
             for rho in rhos:
                 rho = float(rho)
                 for a in np.linspace(0.0, 0.995, 200):
@@ -212,6 +212,15 @@ def test_majorant_validation():
         majorant_functional(f, 0.5, 0.5)  # beyond sqrt(2) - 1 cap
     with pytest.raises(ValueError):
         majorant_functional(Functional(CONVEX, t=0.5), 0.5, 1.0)
+    with pytest.raises(ValueError):
+        majorant_functional(f, 0.5, math.nan)
+    # the domain is the kind's closed interval [0, cap], and rho < 1 for CONVEX
+    for g in (f, Functional(SQ_DERIV, lam=1.0)):
+        cap = g.kind.rho_cap
+        assert majorant_functional(g, 0.5, cap) > 0.0
+        with pytest.raises(ValueError, match=f"{g.kind.value} majorant"):
+            majorant_functional(g, 0.5, math.nextafter(cap, 1.0))
+    majorant_functional(Functional(CONVEX, t=0.5), 0.5, math.nextafter(1.0, 0.0))
 
 
 # -- sign-equivalence identities -----------------------------------------------
@@ -546,7 +555,7 @@ def test_verify_radius_margin_past_the_cap():
     # at the clamped rho and the family row is recomputed there
     problem = RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=1.0)
     check = verify_radius(problem, 20, 12, 0.5)
-    cap = extremal.KINDS[FunctionalKind.DERIV].search_cap
+    cap = FunctionalKind.DERIV.search_cap
     assert check.rho_max > cap
     f = Functional.from_problem(problem)
     margins = []

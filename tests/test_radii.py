@@ -1,6 +1,8 @@
-"""Radius tests: closed forms, root certificates, branch structure, identities."""
+"""Radius tests: closed forms, root brackets, per-kind specs, branch structure, identities."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -275,6 +277,28 @@ def test_radius_problem_validation():
 def test_radius_problem_rejects_non_finite_lam(kind, lam):
     with pytest.raises(ValueError):
         RadiusProblem(kind, 1, 1, lam=lam)
+
+
+@pytest.mark.parametrize("kind, value, weight, cap, search_cap, closed_form, label", [
+    (CONVEX, "convex", "t", 1.0, 1.0 - 1e-9, convex_rho_closed_form,
+     "convex-rho-quadratic"),
+    (DERIV, "deriv", "lam", SQRT2_MINUS_1, SQRT2_MINUS_1, None, "deriv-rho-quartic"),
+    (SQ_DERIV, "sq_deriv", "lam", GOLDEN_CONJUGATE, GOLDEN_CONJUGATE, None,
+     "sq-deriv-rho-quartic"),
+], ids=["convex", "deriv", "sq_deriv"])
+def test_each_kind_carries_its_spec(kind, value, weight, cap, search_cap,
+                                    closed_form, label):
+    assert kind.value == value
+    assert repr(kind) == f"<FunctionalKind.{kind.name}: {value!r}>"
+    assert kind.weight == weight
+    assert kind.rho_cap == cap
+    assert kind.search_cap == search_cap
+    assert kind.closed_form is closed_form
+    assert kind.polynomial(0.5).label == label
+    assert FunctionalKind(value) is kind
+    assert pickle.loads(pickle.dumps(kind)) is kind
+    assert copy.deepcopy(kind) is kind
+    assert list(FunctionalKind) == [CONVEX, DERIV, SQ_DERIV]
 
 
 def test_radius_for_dispatch():

@@ -25,10 +25,10 @@ from polybohr import Direction, SchwarzPowerMap, TruncatedSeries
 from polybohr.bounds import coefficient_bound_check, zero_multiplicity_bound_check
 from polybohr.extremal import (ExtremalParams, Functional,
                                extremal_functional_from_series, extremal_series)
-from polybohr.radii import KINDS, FunctionalKind
+from polybohr.radii import FunctionalKind
 
 GOLDEN_PATH = Path(__file__).with_name("series_golden.json")
-_KINDS = ("convex", "deriv", "sq_deriv")
+_KIND_NAMES = ("convex", "deriv", "sq_deriv")
 
 
 def _digest(items) -> list:
@@ -45,7 +45,7 @@ def series_values(case) -> dict:
     du = f.directional_derivative(Direction.uniform(n))
     h = g - TruncatedSeries.constant(a, n)
     low = extremal_series(params, max_degree=6)
-    func = Functional(FunctionalKind(kind), **{KINDS[FunctionalKind(kind)].weight: w})
+    func = Functional(FunctionalKind(kind), **{FunctionalKind(kind).weight: w})
     z = tuple(complex(0.3 + 0.1 * j, -0.2 + 0.05 * j) / n for j in range(n))
     return {
         "from_series": repr(extremal_functional_from_series(func, params, rho,
@@ -71,7 +71,7 @@ def _cases():
     for n in (1, 2, 3):
         for m in (1, 2, 3):
             for degree in (24, 40):
-                kind = _KINDS[(n + m + degree // 40) % 3]
+                kind = _KIND_NAMES[(n + m + degree // 40) % 3]
                 rho = rng.uniform(0.05, 0.6)
                 a = rng.uniform(0.05, min(0.95, 0.9 * 1e-13 ** (1.0 / degree) / rho))
                 w = rng.uniform(0.0, 1.0) if kind == "convex" else rng.uniform(0.05, 4.0)
@@ -90,7 +90,7 @@ def test_series_values_are_bit_identical(case):
 
 
 def test_golden_covers_every_kind_n_m_and_degree():
-    assert {c["kind"] for c in GOLDEN} == set(_KINDS)
+    assert {c["kind"] for c in GOLDEN} == set(_KIND_NAMES)
     assert {(c["n"], c["m"], c["D"]) for c in GOLDEN} == {
         (n, m, d) for n in (1, 2, 3) for m in (1, 2, 3) for d in (24, 40)}
 
