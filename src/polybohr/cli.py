@@ -192,29 +192,24 @@ def cmd_table(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--theorem", required=True, choices=_THEOREMS,
-                     help="functional kind")
-    sub.add_argument("--n", type=int, default=1, help="number of variables")
-    sub.add_argument("--m", type=int, default=1, help="power-map order")
-    sub.add_argument("--t", type=float, default=None,
-                     help="convex weight in [0, 1]")
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="tail weight > 0 for deriv / sq_deriv")
-    sub.add_argument("--out", default=None, help="write output to this path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polybohr",
                      description="Sharp Bohr-type radii on the unit polydisc")
     sub = parser.add_subparsers(dest="command")
+    # options shared by radius, verify, sharpness and sweep: added once, not per subparser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--theorem", required=True, choices=_THEOREMS, help="functional kind")
+    common.add_argument("--n", type=int, default=1, help="number of variables")
+    common.add_argument("--m", type=int, default=1, help="power-map order")
+    common.add_argument("--t", type=float, default=None, help="convex weight in [0, 1]")
+    common.add_argument("--lambda", dest="lam", type=float, default=None,
+                        help="tail weight > 0 for deriv / sq_deriv")
+    common.add_argument("--out", default=None, help="write output to this path")
 
-    p = sub.add_parser("radius", help="one radius as JSON")
-    _add_common(p)
+    p = sub.add_parser("radius", parents=[common], help="one radius as JSON")
     p.set_defaults(func=cmd_radius)
 
-    p = sub.add_parser("verify", help="below-radius and dominance sweeps")
-    _add_common(p)
+    p = sub.add_parser("verify", parents=[common], help="below-radius and dominance sweeps")
     p.add_argument("--a-grid", type=int, default=200, help="a-grid size (>= 10)")
     p.add_argument("--rho-grid", type=int, default=50, help="rho-grid size (>= 10)")
     p.add_argument("--inflate-radius", type=float, default=0.0,
@@ -222,14 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(negative control; 0.01 = +1%%)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sharpness", help="witness just beyond the radius")
-    _add_common(p)
+    p = sub.add_parser("sharpness", parents=[common], help="witness just beyond the radius")
     p.add_argument("--delta", type=float, default=1e-3,
                    help="relative overshoot of rho (default 1e-3)")
     p.set_defaults(func=cmd_sharpness)
 
-    p = sub.add_parser("sweep", help="radius curve along one parameter (CSV)")
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[common], help="radius curve along one parameter (CSV)")
     p.add_argument("--param", required=True, choices=["t", "lambda", "n", "m"])
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)

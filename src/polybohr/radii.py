@@ -39,8 +39,8 @@ sup over a0 of M is <= 1 exactly when the quadratic is >= 0, or the quartic
 majorant's range.  The witness family factors the same way, F - 1 =
 (1 - a) W(a, rho) / D with D > 0, and W at a = 1 is the kind's polynomial
 times -1, 1 or 2 respectively, so the family exceeds 1 just beyond the
-root.  tests/test_majorant_algebra.py proves every one of these
-factorizations as a sympy identity.
+root.  tests/test_majorant_algebra.py proves these factorizations, the
+quartics' slopes and the values at the caps in sympy.
 
 The paper states the weight-free quartics rho^4 + rho^3 + 3 rho - 1 (DERIV,
 L <= 1/2) and rho^4 + rho^3 + rho^2 + 2 rho - 1 (SQ_DERIV, L <= 1).  They
@@ -73,31 +73,29 @@ NEWTON_STEPS = 5
 
 @dataclass(frozen=True)
 class RhoPolynomial:
-    """Polynomial with real coefficients in ascending order, degree <= 4."""
+    """Polynomial with real coefficients in ascending order, degree <= 4,
+    evaluated by straight-line Horner over them padded with 0.0 to degree 4."""
 
     coefficients: tuple
     label: str
 
     def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("need at least one coefficient")
-        if len(self.coefficients) > 5:
-            raise ValueError("degree must be <= 4")
-        object.__setattr__(self, "coefficients",
-                           tuple(float(c) for c in self.coefficients))
+        if not 1 <= len(self.coefficients) <= 5:
+            raise ValueError(f"need 1 to 5 coefficients, got {len(self.coefficients)}")
+        coeffs = tuple(float(c) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coeffs)
+        # padding is exact: from acc = 0.0 a padded step gives +0.0 (NaN if x is inf/NaN)
+        object.__setattr__(self, "_padded", coeffs + (0.0,) * (5 - len(coeffs)))
 
     def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        c0, c1, c2, c3, c4 = self._padded
+        return ((((0.0 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0
 
     def derivative_at(self, x: float) -> float:
-        acc = 0.0
-        n = len(self.coefficients)
-        for k in range(n - 1, 0, -1):
-            acc = acc * x + k * self.coefficients[k]
-        return acc
+        if len(self.coefficients) == 1:
+            return 0.0  # a constant: the slope is 0.0 even at non-finite x
+        _, c1, c2, c3, c4 = self._padded
+        return (((0.0 * x + 4 * c4) * x + 3 * c3) * x + 2 * c2) * x + c1
 
 
 # -- weights and polynomial factories ------------------------------------------
@@ -170,7 +168,7 @@ class FunctionalKind(Enum):
     check, its radius polynomial, the cap of the rho interval on which the
     majorant holds, the closed form of the rho root where there is one, and
     search_cap, the largest rho the crossing searches and the verify sweep
-    use.
+    use.  A public attribute, once set, can be neither overwritten nor deleted.
     """
 
     def __new__(cls, value, weight, check, polynomial, rho_cap, closed_form=None):
@@ -183,6 +181,15 @@ class FunctionalKind(Enum):
         member.closed_form = closed_form
         member.search_cap = min(rho_cap, 1.0 - 1e-9)
         return member
+
+    def __setattr__(self, name, value):
+        # hasattr, not vars(self): a materialized __dict__ slows each spec read ~4x
+        if not name.startswith("_") and hasattr(self, name):
+            raise AttributeError(f"{self!r}.{name} is read-only")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self!r}.{name} is read-only")
 
     CONVEX = ("convex", "t", _check_t, convex_rho_polynomial, 1.0, convex_rho_closed_form)
     DERIV = ("deriv", "lam", _check_lam, deriv_rho_polynomial, SQRT2_MINUS_1)
@@ -230,15 +237,17 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
     """Root of poly on [lo, hi] by bisection on the float signs of poly.
 
     Bisection narrows the bracket to width <= 1e-14, then at most five Newton
-    steps (clamped into the bracket) polish the midpoint.  Returns
+    steps (clamped into the bracket, slope from poly.derivative_at) polish
+    the midpoint; every value comes from poly.__call__, bound once.  Returns
     (root, (lo, hi), residual): a float bracket <= 1e-14 wide plus a residual
     <= 1e-12, not a proof, since a float sign near the root may be wrong; an
     exact certificate is ROADMAP item 4.  Raises ValueError when the float
     end values do not differ in sign, ArithmeticError when the residual
     exceeds 1e-12 or is NaN (an overflowed coefficient gives a NaN root).
     """
-    flo = poly(lo)
-    fhi = poly(hi)
+    # bound once: calling the instance would look up __call__ on each step
+    value = poly.__call__
+    flo, fhi = value(lo), value(hi)
     if flo == 0.0:
         return lo, (lo, lo), 0.0
     if fhi == 0.0:
@@ -250,7 +259,7 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fm = poly(mid)
+        fm = value(mid)
         if fm == 0.0:
             return mid, (mid, mid), 0.0
         if (fm > 0.0) == up:
@@ -259,7 +268,7 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
             lo = mid
     root = 0.5 * (lo + hi)
     for _ in range(NEWTON_STEPS):
-        f = poly(root)
+        f = value(root)
         if f == 0.0:
             break
         d = poly.derivative_at(root)
@@ -273,7 +282,7 @@ def _bisect_newton(poly: RhoPolynomial, lo: float, hi: float):
         if cand == root:
             break
         root = cand
-    residual = abs(poly(root))
+    residual = abs(value(root))
     if not residual <= RESIDUAL_TOL:
         raise ArithmeticError(
             f"residual {residual!r} exceeds {RESIDUAL_TOL} for {poly.label}")
@@ -293,10 +302,8 @@ def radius_for(problem: RadiusProblem) -> RadiusResult:
     of the closed form where the kind has one.  For CONVEX that bracket
     always holds a sign change: the quadratic's other root lies below 0 or
     above 1, and at t = 1 the root is rho = 1, where the quadratic is
-    exactly 0.  The root depends on the kind and the weight only, so the
-    CLI's `table` and `sweep` solve each distinct weight once per invocation
-    and give every other (n, m) row this same rescaling of that root; the
-    bytes are unchanged.
+    exactly 0.  The root depends on the kind and the weight only (the CLI's
+    `table` and `sweep` solve each distinct weight once).
     """
     kind = problem.kind
     w = problem.weight

@@ -151,3 +151,50 @@ def test_phi_psi_step():
     big_a = rho / (1 - rho**2)
     second = (1 - a**2) * rho / (1 + a * rho) ** 2
     assert is_zero(big_a * (1 - _first(a) ** 2) - second)
+
+
+# -- each radius polynomial has exactly one sign change on its interval ------------
+# _bisect_newton bisects on float signs, which presumes a single crossing: P is
+# strictly monotone on [0, cap] for every admissible weight, and its end values
+# have opposite signs (P(0) = 1 for CONVEX, -1 for the quartics).
+
+QUARTIC_SLOPES = {  # kind: (quartic, cap, lam part of P' / lam, free part, free root)
+    "deriv": (DERIV_QUARTIC, sp.sqrt(2) - 1, 8 * rho**3 + 12 * rho**2 + 4 * rho,
+              3 - 2 * rho - 3 * rho**2, (sp.sqrt(10) - 1) / 3),
+    "sq_deriv": (SQ_DERIV_QUARTIC, (sp.sqrt(5) - 1) / 2, 4 * rho**3 + 6 * rho**2 + 2 * rho,
+                 2 - 3 * rho**2, sp.sqrt(6) / 3),
+}
+
+
+@pytest.mark.parametrize("kind", ["deriv", "sq_deriv"])
+def test_quartic_increases_on_its_interval(kind):
+    quartic, cap, lam_part, free, free_root = QUARTIC_SLOPES[kind]
+    assert sp.expand(sp.diff(quartic, rho) - (lam * lam_part + free)) == 0
+    # the lam part is >= 0 for rho >= 0, since no coefficient is negative
+    assert all(c >= 0 for c in sp.Poly(lam_part, rho).all_coeffs())
+    # the free part is a downward parabola whose only positive root lies
+    # beyond the cap, so it is > 0 on [0, cap], and P' > 0 there for lam > 0
+    assert sp.LC(sp.Poly(free, rho)) < 0
+    roots = sp.solve(free, rho)
+    assert [r for r in roots if r > 0] == [free_root]
+    assert all(r < 0 for r in roots if r != free_root)
+    assert free_root > cap
+    assert free.subs(rho, 0) > 0
+    assert quartic.subs(rho, 0) == -1
+
+
+def test_quartic_end_values_at_the_cap():
+    assert sp.expand(DERIV_QUARTIC.subs(rho, sp.sqrt(2) - 1)
+                     - 4 * lam * (3 - 2 * sp.sqrt(2))) == 0
+    assert sp.expand(SQ_DERIV_QUARTIC.subs(rho, (sp.sqrt(5) - 1) / 2) - lam) == 0
+    assert 3 - 2 * sp.sqrt(2) > 0  # so both are > 0 for lam > 0
+
+
+def test_convex_quadratic_decreases_on_the_unit_interval():
+    # P' = 2 (4t - 3) rho - 2 = 2 rho - 2 - 8 (1 - t) rho <= 2 rho - 2 < 0
+    # for t <= 1 and 0 <= rho < 1
+    slope = sp.diff(CONVEX_QUADRATIC, rho)
+    assert sp.expand(slope - (2 * (4 * t - 3) * rho - 2)) == 0
+    assert sp.expand((2 * rho - 2) - slope - 8 * (1 - t) * rho) == 0
+    assert CONVEX_QUADRATIC.subs(rho, 0) == 1
+    assert sp.expand(CONVEX_QUADRATIC.subs(rho, 1) - 4 * (t - 1)) == 0  # <= 0

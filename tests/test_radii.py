@@ -295,6 +295,14 @@ def test_each_kind_carries_its_spec(kind, value, weight, cap, search_cap,
     assert kind.search_cap == search_cap
     assert kind.closed_form is closed_form
     assert kind.polynomial(0.5).label == label
+    # the spec is read-only: a reassigned cap would break every later solve
+    for attr in ("weight", "check", "polynomial", "rho_cap", "closed_form", "search_cap"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(kind, attr, 0.2)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(kind, attr)
+    assert kind.rho_cap == cap
+    assert radius_for(RadiusProblem(kind, 1, 1, **{weight: 0.5})).branch == label
     assert FunctionalKind(value) is kind
     assert pickle.loads(pickle.dumps(kind)) is kind
     assert copy.deepcopy(kind) is kind
