@@ -7,11 +7,10 @@ elementary polydisc bounds the proofs rest on, and a truncated-series
 engine that checks every closed form independently.
 """
 
-from .bounds import (DEFAULT_SEED, PhiPsiMode, PhiPsiParams,
-                     coefficient_bound_check, derivative_bound,
+from .bounds import (DEFAULT_SEED, coefficient_bound_check, derivative_bound,
                      phi_psi_monotone, schwarz_pick_bound,
                      zero_multiplicity_bound_check)
-from .extremal import (ExtremalParams, Functional, Verification, Witness,
+from .extremal import (ExtremalParams, Verification, Witness,
                        WitnessNotFoundError, empirical_radius,
                        extremal_functional, extremal_functional_from_series,
                        extremal_series, majorant_functional,
@@ -19,8 +18,8 @@ from .extremal import (ExtremalParams, Functional, Verification, Witness,
                        sharpness_witness, verify_radius)
 from .mvseries import (Direction, MultiIndex, SchwarzPowerMap,
                        TruncatedSeries, multi_indices)
-from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
-                    RadiusProblem, RadiusResult, RhoPolynomial,
+from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Functional,
+                    FunctionalKind, RadiusProblem, RadiusResult, RhoPolynomial,
                     convex_rho_closed_form, convex_rho_polynomial,
                     deriv_rho_polynomial, radius_for, sq_deriv_rho_polynomial)
 
@@ -34,8 +33,6 @@ __all__ = [
     "FunctionalKind",
     "GOLDEN_CONJUGATE",
     "MultiIndex",
-    "PhiPsiMode",
-    "PhiPsiParams",
     "RadiusProblem",
     "RadiusResult",
     "RhoPolynomial",

@@ -17,9 +17,6 @@ instead of extrapolating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .mvseries import MultiIndex, TruncatedSeries, _check_count
@@ -28,26 +25,6 @@ DEFAULT_SEED = 1234
 
 # slack for floating-point comparisons in the checkers
 _CHECK_TOL = 1e-12
-
-
-class PhiPsiMode(Enum):
-    PHI = "phi"
-    PSI = "psi"
-
-
-@dataclass(frozen=True)
-class PhiPsiParams:
-    """Weight A and comparison points x <= x0 for the monotonicity check."""
-
-    A: float
-    x: float
-    x0: float
-
-    def __post_init__(self):
-        if not self.A >= 0.0:
-            raise ValueError(f"A must be nonnegative, got {self.A!r}")
-        if not 0.0 <= self.x <= self.x0 <= 1.0:
-            raise ValueError(f"need 0 <= x <= x0 <= 1, got x={self.x!r}, x0={self.x0!r}")
 
 
 def schwarz_pick_bound(a0: float, s: float) -> float:
@@ -133,25 +110,26 @@ def zero_multiplicity_bound_check(series: TruncatedSeries, k: int,
     return worst
 
 
-def phi_psi_monotone(params: PhiPsiParams, mode: PhiPsiMode) -> bool:
-    """Whether the weighted comparison phi(x) <= phi(x0) (resp. psi) holds.
+def phi_psi_monotone(A: float, x: float, x0: float, squared: bool = False) -> bool:
+    """Whether phi(x) <= phi(x0) (psi if squared) holds, for 0 <= x <= x0 <= 1.
 
-    phi(x) = x + A (1 - x^2) with A <= 1/2, psi(x) = x^2 + A (1 - x^2) with
-    A <= 1; outside those ranges monotonicity genuinely fails and the call is
-    refused.  The comparison carries a 1e-12 guard so that equal endpoints do
-    not flap on rounding.
+    phi(x) = x + A (1 - x^2) with 0 <= A <= 1/2, psi(x) = x^2 + A (1 - x^2)
+    with 0 <= A <= 1; outside those ranges monotonicity genuinely fails and
+    the call is refused.  The comparison carries a 1e-12 guard so that equal
+    endpoints do not flap on rounding.
     """
-    A, x, x0 = params.A, params.x, params.x0
-    if mode is PhiPsiMode.PHI:
-        if A > 0.5:
-            raise ValueError(f"phi is only monotone for A <= 1/2, got A={A!r}")
-        lo = x + A * (1.0 - x * x)
-        hi = x0 + A * (1.0 - x0 * x0)
-    elif mode is PhiPsiMode.PSI:
+    if not A >= 0.0:
+        raise ValueError(f"A must be nonnegative, got {A!r}")
+    if not 0.0 <= x <= x0 <= 1.0:
+        raise ValueError(f"need 0 <= x <= x0 <= 1, got x={x!r}, x0={x0!r}")
+    if squared:
         if A > 1.0:
             raise ValueError(f"psi is only monotone for A <= 1, got A={A!r}")
         lo = x * x + A * (1.0 - x * x)
         hi = x0 * x0 + A * (1.0 - x0 * x0)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        if A > 0.5:
+            raise ValueError(f"phi is only monotone for A <= 1/2, got A={A!r}")
+        lo = x + A * (1.0 - x * x)
+        hi = x0 + A * (1.0 - x0 * x0)
     return lo <= hi + _CHECK_TOL

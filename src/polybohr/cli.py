@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -35,6 +36,12 @@ _THEOREMS = [kind.value for kind in FunctionalKind]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -1.5 for negative numbers, so -1e-3 and
+        # -1,2 would be read as options; any '-' then digit or '.digit' is a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # usage problems must exit 1; argparse's default is 2, which this CLI
     # reserves for verification failures
     def error(self, message):

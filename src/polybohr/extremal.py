@@ -19,15 +19,17 @@ Each geometric tail above has ratio a rho.  The majorant (an upper-bound
 chain valid for every self-map with |f(0)| = a0) is the same closed form
 with tail ratio 1, i.e. rho in place of a rho, since it bounds a^(k-1) by
 1.  It dominates the family, and the value crosses 1 for some a precisely
-when rho exceeds the family threshold.  empirical_radius recovers radii by bisecting that
-crossing; sharpness_witness exhibits an explicit a just beyond a stated
-radius, the first point of one a-grid where the value exceeds 1, and raises
-when no grid point does (as for delta <~ 1e-8); verify_radius checks on an
-(a, rho) grid that the family stays at or below 1 inside it and that the
-majorant dominates.
+when rho exceeds the family threshold.  empirical_radius recovers radii by
+bisecting that crossing; sharpness_witness exhibits an explicit a just
+beyond a stated radius, the first point of one a-grid where the value
+exceeds 1, and raises when no grid point does (as for delta <~ 1e-8);
+verify_radius checks on an (a, rho) grid that the family stays at or below
+1 inside it and that the majorant dominates.
 Both thresholds are the roots of the radius polynomials in radii, for every
 weight: the majorant factors through the same quartic (see the radii module
-docstring), so every stated radius is sharp.
+docstring), so every stated radius is sharp.  A functional is a
+radii.Functional (a kind and its weight); a RadiusProblem is one at (n, m),
+so the searches evaluate the problem itself.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import numpy as np
 
 from .mvseries import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
                        _check_count, multi_indices)
-from .radii import (FunctionalKind, RadiusProblem, _check_nm, _geometric_radius,
-                    check_weight, radius_for)
+from .radii import (Functional, FunctionalKind, RadiusProblem, _check_nm,
+                    _geometric_radius, radius_for)
 
 # sup-over-grid crossing guard: a radius is "crossed" only when the grid sup
 # exceeds 1 by more than this
@@ -66,22 +68,6 @@ _A_GRID.flags.writeable = False
 
 class WitnessNotFoundError(RuntimeError):
     """Raised when no witness parameter pushes the functional above 1."""
-
-
-@dataclass(frozen=True)
-class Functional:
-    """A Bohr-type functional: kind plus its weight (t or lam)."""
-
-    kind: FunctionalKind
-    t: float | None = None
-    lam: float | None = None
-
-    def __post_init__(self):
-        check_weight(self.kind, self.t, self.lam)
-
-    @classmethod
-    def from_problem(cls, problem: RadiusProblem) -> "Functional":
-        return cls(problem.kind, t=problem.t, lam=problem.lam)
 
 
 @dataclass(frozen=True)
@@ -236,7 +222,7 @@ def extremal_functional_from_series(func: Functional, params: ExtremalParams,
     """
     a, n, m = params.a, params.n, params.m
     _check_point(a, rho)
-    r = (rho / n) ** (1.0 / m)
+    r = _geometric_radius(rho, n, m)
     f = extremal_series(params, max_degree=max_degree)
     omega = SchwarzPowerMap(n, m)
     g = f.compose_power_map(omega)
@@ -279,14 +265,13 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
     if not rho < 1.0:
         raise ValueError(f"the witness point rho = (1 + delta) * {result.rho_root!r} = {rho!r} "
                          f"is outside the family's domain rho < 1; lower delta")
-    func = Functional.from_problem(problem)
-    vals = _functional_value(func, _A_GRID, rho)
+    vals = _functional_value(problem, _A_GRID, rho)
     above = np.nonzero(vals > 1.0)[0]
     if above.size:
         i = int(above[0])
-        return Witness(float(_A_GRID[i]), float(vals[i]), rho, func, result.radius)
+        return Witness(float(_A_GRID[i]), float(vals[i]), rho, problem, result.radius)
     raise WitnessNotFoundError(
-        f"no witness up to a = {float(_A_GRID[-1])!r} for {func.kind.value} at rho = {rho!r} "
+        f"no witness up to a = {float(_A_GRID[-1])!r} for {problem.kind.value} at rho = {rho!r} "
         f"(grid sup = {float(np.max(vals))!r})")
 
 
@@ -306,12 +291,11 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
     if not 0.0 <= inflate < math.inf:
         raise ValueError(f"inflate must be finite and >= 0, got {inflate!r}")
     radius = radius_for(problem).radius
-    func = Functional.from_problem(problem)
     rho_max = problem.n * (radius * (1.0 + inflate)) ** problem.m
     avals = np.linspace(0.0, 1.0, a_grid, endpoint=False)
     rhos = np.linspace(0.0, rho_max, rho_grid)
     a_list = avals.tolist()
-    cap = func.kind.search_cap
+    cap = problem.kind.search_cap
     majorant = majorant_functional  # the module global, read once per call
     max_value = 0.0
     below_violations = []
@@ -322,16 +306,16 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
         if rho > 1.0 and (avals * rho == 1.0).any():
             raise ValueError(f"the verify grid reaches a * rho = 1 at rho = {rho!r}, "
                              f"the pole of the family's tail; lower inflate")
-        vals = _functional_value(func, avals, rho)
+        vals = _functional_value(problem, avals, rho)
         top = float(np.max(vals))
         if top > max_value:
             max_value = top
         for i in np.nonzero(vals > 1.0 + 1e-12)[0]:
             below_violations.append([a_list[i], rho, float(vals[i])])
         rr = min(rho, cap)
-        fam = vals if rr == rho else _functional_value(func, avals, rr)
+        fam = vals if rr == rho else _functional_value(problem, avals, rr)
         for a, value in zip(a_list, fam.tolist()):
-            margin = majorant(func, a, rr) - value
+            margin = majorant(problem, a, rr) - value
             if margin < min_margin:
                 min_margin = margin
             if margin < -1e-12:
@@ -381,11 +365,10 @@ def empirical_radius(problem: RadiusProblem) -> float:
     down (excess 2.4e-13).  A deeper a-grid tail does not help; an exact
     sign test would.
     """
-    func = Functional.from_problem(problem)
+    kind = problem.kind
     rho_star = _bisect_crossing(
-        lambda a, rho: _functional_value(func, a, rho),
-        1e-9, func.kind.search_cap,
-        f" for {func.kind.value} with weight {problem.weight!r}")
+        lambda a, rho: _functional_value(problem, a, rho),
+        1e-9, kind.search_cap, f" for {kind.value} with weight {problem.weight!r}")
     return _geometric_radius(rho_star, problem.n, problem.m)
 
 

@@ -4,7 +4,9 @@ Everything is computed in the normalized variable rho = n * r^m, where n is
 the number of variables and m the order of the componentwise power map; the
 geometric radius is recovered as r = (rho / n)^(1/m) at the API boundary.
 
-Three functionals are covered, tagged by FunctionalKind:
+Three functionals are covered, tagged by FunctionalKind.  A Functional is
+a kind with its weight, checked once on construction, and a RadiusProblem
+is a Functional at (n, m):
 
 - CONVEX:    t |f(omega(z))| + (1-t) sum |a_alpha| r^alpha        (weight t in [0,1])
 - DERIV:     |f| + |d_u f| n r^m + lambda * tail                  (weight lambda > 0)
@@ -30,7 +32,7 @@ interval, whatever the weight) factors as
 where K = (t-1) rho^2 a0^2 + 2 (t-1) rho^2 a0 + t rho^2 - 2 rho + 1,
 H = L rho^4 a0^2 + 2 L rho^3 a0 + L rho^2 - rho^3 + 2 rho - 1 and
 dG/da0 = rho^2 (3 L rho^2 a0^2 + 2 L rho^2 a0 + 4 L rho a0 + 2 L rho + L + 1
-- rho) > 0.  K decreases in a0 (dK/da0 = -2 (1-t) rho^2 (1 + a0) <= 0), G
+- rho) >= 0.  K decreases in a0 (dK/da0 = -2 (1-t) rho^2 (1 + a0) <= 0), G
 and H increase, and at a0 = 1 each equals its kind's polynomial above, so
 sup over a0 of M is <= 1 exactly when the quadratic is >= 0, or the quartic
 <= 0.  Each quartic increases on its interval (for DERIV its slope is
@@ -39,8 +41,12 @@ sup over a0 of M is <= 1 exactly when the quadratic is >= 0, or the quartic
 majorant's range.  The witness family factors the same way, F - 1 =
 (1 - a) W(a, rho) / D with D > 0, and W at a = 1 is the kind's polynomial
 times -1, 1 or 2 respectively, so the family exceeds 1 just beyond the
-root.  tests/test_majorant_algebra.py proves these factorizations, the
-quartics' slopes and the values at the caps in sympy.
+root.  tests/test_majorant_algebra.py proves in sympy every identity and
+inequality above, for every admissible weight: the factorizations, the
+slopes of K, G, H and the quartics, the values at the caps, D > 0, and the
+dominance margin M - F >= 0.  What rests on the paper's lemmas, which
+bounds evaluates in floats only, is that the majorant bounds every
+self-map.
 
 The paper states the weight-free quartics rho^4 + rho^3 + 3 rho - 1 (DERIV,
 L <= 1/2) and rho^4 + rho^3 + rho^2 + 2 rho - 1 (SQ_DERIV, L <= 1).  They
@@ -58,7 +64,7 @@ certificate is ROADMAP item 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .mvseries import _check_count
@@ -196,26 +202,40 @@ class FunctionalKind(Enum):
     SQ_DERIV = ("sq_deriv", "lam", _check_lam, sq_deriv_rho_polynomial, GOLDEN_CONJUGATE)
 
 
-# -- problem and result types ------------------------------------------------
+# -- functional, problem and result types -----------------------------------
 
 @dataclass(frozen=True)
-class RadiusProblem:
-    """A radius query: functional kind, variable count n, power-map order m,
-    and the kind's weight (t for CONVEX, lam for DERIV / SQ_DERIV)."""
+class Functional:
+    """A Bohr-type functional: its kind and exactly the kind's own weight,
+    given by keyword (t for CONVEX, lam for DERIV / SQ_DERIV)."""
 
     kind: FunctionalKind
-    n: int
-    m: int
-    t: float | None = None
-    lam: float | None = None
+    t: float | None = field(default=None, kw_only=True)
+    lam: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        _check_nm(self.n, self.m)
-        check_weight(self.kind, self.t, self.lam)
+        kind = self.kind
+        own, other = (self.t, self.lam) if kind.weight == "t" else (self.lam, self.t)
+        if own is None or other is not None:
+            raise ValueError(f"{kind.value} takes {kind.weight} only")
+        kind.check(own)
 
     @property
     def weight(self) -> float:
         return getattr(self, self.kind.weight)
+
+
+@dataclass(frozen=True)
+class RadiusProblem(Functional):
+    """A radius query: a functional at variable count n and power-map order
+    m, built as RadiusProblem(kind, n, m, t=... or lam=...)."""
+
+    n: int
+    m: int
+
+    def __post_init__(self):
+        _check_nm(self.n, self.m)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -322,11 +342,3 @@ def radius_for(problem: RadiusProblem) -> RadiusResult:
 def _check_nm(n, m):
     _check_count("n", n, 1)
     _check_count("m", m, 1)
-
-
-def check_weight(kind: FunctionalKind, t, lam) -> None:
-    """Check that exactly the kind's own weight is given, and admissible."""
-    own, other = (t, lam) if kind.weight == "t" else (lam, t)
-    if own is None or other is not None:
-        raise ValueError(f"{kind.value} takes {kind.weight} only")
-    kind.check(own)

@@ -21,9 +21,8 @@ import numpy as np
 import pytest
 
 from polybohr import (DEFAULT_SEED, Direction, ExtremalParams, Functional,
-                      FunctionalKind, MultiIndex, PhiPsiMode, PhiPsiParams,
-                      RadiusProblem, RhoPolynomial, TruncatedSeries,
-                      WitnessNotFoundError, coefficient_bound_check,
+                      FunctionalKind, MultiIndex, RadiusProblem, RhoPolynomial,
+                      TruncatedSeries, WitnessNotFoundError, coefficient_bound_check,
                       convex_rho_closed_form, deriv_rho_polynomial,
                       empirical_radius, extremal_functional,
                       extremal_functional_from_series, extremal_series,
@@ -82,8 +81,7 @@ def below_radius_max(problem: RadiusProblem) -> float:
     """Largest functional value on the witness family at rho = n * R^m."""
     res = radius_for(problem)
     rho = problem.n * res.radius ** problem.m
-    func = Functional.from_problem(problem)
-    return max(extremal_functional(func, float(a), rho) for a in a_grid(200))
+    return max(extremal_functional(problem, float(a), rho) for a in a_grid(200))
 
 
 def test_criterion_01_classical_recovery(capsys):
@@ -200,11 +198,10 @@ def test_criterion_07b_derivative_grids_witness_existence(capsys):
                 assert witness.value > 1.0
                 found += 1
             except WitnessNotFoundError:
-                func = Functional.from_problem(problem)
                 rho = 1.001 * radius_for(problem).rho_root
                 avals = np.concatenate([a_grid(512),
                                         1.0 - 2.0 ** -np.arange(1, 21)])
-                sup = max(extremal_functional(func, float(a), rho) for a in avals)
+                sup = max(extremal_functional(problem, float(a), rho) for a in avals)
                 failures.append((kind.value, problem.n, problem.m,
                                  problem.lam, sup))
     dt = time.perf_counter() - t0
@@ -282,12 +279,11 @@ def test_criterion_09_lemma_suite(capsys):
     # admissible weight ranges
     xs = np.round(np.linspace(0.0, 1.0, 101), 10)
     failures = 0
-    for mode, a_top in ((PhiPsiMode.PHI, 0.5), (PhiPsiMode.PSI, 1.0)):
+    for squared, a_top in ((False, 0.5), (True, 1.0)):
         for A in np.round(np.arange(0.0, a_top + 1e-9, 0.01), 10):
             for i, x in enumerate(xs):
                 for x0 in xs[i:]:
-                    if not phi_psi_monotone(
-                            PhiPsiParams(float(A), float(x), float(x0)), mode):
+                    if not phi_psi_monotone(float(A), float(x), float(x0), squared):
                         failures += 1
     assert failures == 0
 

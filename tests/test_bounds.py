@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from polybohr import (PhiPsiMode, PhiPsiParams, TruncatedSeries,
-                      coefficient_bound_check, derivative_bound,
-                      phi_psi_monotone, schwarz_pick_bound,
+from polybohr import (TruncatedSeries, coefficient_bound_check,
+                      derivative_bound, phi_psi_monotone, schwarz_pick_bound,
                       zero_multiplicity_bound_check)
 from polybohr.mvseries import multi_indices
 
@@ -169,21 +168,21 @@ def test_zero_multiplicity_seed_reproducible():
 # -- phi/psi monotonicity ----------------------------------------------------------------
 
 def test_phi_psi_spot_values():
-    assert phi_psi_monotone(PhiPsiParams(A=0.5, x=0.2, x0=0.9), PhiPsiMode.PHI)
-    assert phi_psi_monotone(PhiPsiParams(A=1.0, x=0.2, x0=0.9), PhiPsiMode.PSI)
+    assert phi_psi_monotone(A=0.5, x=0.2, x0=0.9)
+    assert phi_psi_monotone(A=1.0, x=0.2, x0=0.9, squared=True)
     # equal endpoints hold under the guard
-    assert phi_psi_monotone(PhiPsiParams(A=0.3, x=0.5, x0=0.5), PhiPsiMode.PHI)
+    assert phi_psi_monotone(A=0.3, x=0.5, x0=0.5)
 
 
 def test_phi_psi_range_errors():
     with pytest.raises(ValueError):
-        phi_psi_monotone(PhiPsiParams(A=0.6, x=0.1, x0=0.9), PhiPsiMode.PHI)
+        phi_psi_monotone(A=0.6, x=0.1, x0=0.9)
     with pytest.raises(ValueError):
-        phi_psi_monotone(PhiPsiParams(A=1.1, x=0.1, x0=0.9), PhiPsiMode.PSI)
+        phi_psi_monotone(A=1.1, x=0.1, x0=0.9, squared=True)
     with pytest.raises(ValueError):
-        PhiPsiParams(A=0.5, x=0.9, x0=0.1)
+        phi_psi_monotone(A=0.5, x=0.9, x0=0.1)
     with pytest.raises(ValueError):
-        PhiPsiParams(A=-0.1, x=0.1, x0=0.9)
+        phi_psi_monotone(A=-0.1, x=0.1, x0=0.9)
 
 
 def test_phi_fails_beyond_half_by_construction():

@@ -578,6 +578,23 @@ def test_table_reports_the_first_failing_row(lists, message, capsys):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["table", "--theorem", "convex", "--n-list", "-1,2", "--m-list", "1",
+      "--t-list", "0.5"], "n must be an integer >= 1, got -1"),
+    (["table", "--theorem", "deriv", "--n-list", "1", "--m-list", "1",
+      "--lambda-list", "-0.5,1"], "lam must be positive and finite, got -0.5"),
+    (["radius", "--theorem", "deriv", "--lambda", "-1e-3"],
+     "lam must be positive and finite, got -0.001"),
+    (["sweep", "--theorem", "convex", "--t", "0.5", "--param", "n", "--from", "-1e0",
+      "--to", "2"], "n must be an integer >= 1, got -1"),
+], ids=["table-n-list", "table-lambda-list", "radius-lambda-exponent", "sweep-from-exponent"])
+def test_negative_values_in_the_spaced_form_reach_the_library_check(argv, message, capsys):
+    # argparse alone takes only -1 and -1.5 for negative numbers and refuses
+    # -1,2 or -1e-3 with "expected one argument"
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # -- determinism -------------------------------------------------------------------
 
 def test_identical_invocations_identical_bytes(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Direction,
                       ExtremalParams, Functional, FunctionalKind, MultiIndex,
-                      PhiPsiParams, RadiusProblem, SchwarzPowerMap,
+                      RadiusProblem, SchwarzPowerMap,
                       TruncatedSeries, Witness, WitnessNotFoundError,
                       convex_rho_polynomial, deriv_rho_polynomial,
                       empirical_radius, extremal_functional,
@@ -166,6 +166,25 @@ def test_functional_construction_validation():
         Functional(SQ_DERIV, lam=-1.0)
     with pytest.raises(ValueError):
         Functional(FunctionalKind.CONVEX, t=None, lam=None)
+
+
+@pytest.mark.parametrize("kind,w", [(CONVEX, 0.3), (DERIV, 0.7), (SQ_DERIV, 2.0)],
+                         ids=["convex", "deriv", "sq_deriv"])
+def test_a_problem_is_its_functional(kind, w):
+    # a RadiusProblem is a Functional at (n, m): every evaluator reads it
+    # exactly as the equal-weight Functional, bit for bit
+    problem = RadiusProblem(kind, 2, 3, **{kind.weight: w})
+    func = Functional(kind, **{kind.weight: w})
+    assert isinstance(problem, Functional)
+    assert problem.weight == func.weight == w
+    params = ExtremalParams(0.45, 2, 3)
+    for rho in (0.0, 0.1, 0.25, 0.3):
+        for value in (lambda f: extremal_functional(f, 0.45, rho),
+                      lambda f: majorant_functional(f, 0.45, rho),
+                      lambda f: extremal_functional_from_series(f, params, rho, max_degree=12)):
+            assert value(problem).hex() == value(func).hex()
+    with pytest.raises(TypeError):
+        Functional(kind, w)  # the weight is keyword-only
 
 
 # -- majorant form -------------------------------------------------------------
@@ -412,7 +431,7 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
         Functional(DERIV, lam=1.0), ExtremalParams(0.5, 1, 1), NAN, max_degree=40),
     lambda: Direction((NAN, 0.5)),
     lambda: TruncatedSeries.constant(0.5, 1).bohr_majorant_sum(NAN),
-    lambda: PhiPsiParams(NAN, 0.1, 0.2),
+    lambda: phi_psi_monotone(NAN, 0.1, 0.2),
     lambda: ExtremalParams(0.5, 1.5, 1),
     lambda: extremal_series(ExtremalParams(0.5, 2.0, 1), max_degree=4),
     lambda: SchwarzPowerMap(2, 2.5),
@@ -430,7 +449,6 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
     lambda: zero_multiplicity_bound_check(Z_SQUARED, 1, samples=2.5),
     lambda: SchwarzPowerMap(2, 1).apply((0.1,)),
     lambda: TruncatedSeries.constant(1, 1) + TruncatedSeries.constant(1, 2),
-    lambda: phi_psi_monotone(PhiPsiParams(0.1, 0.2, 0.3), "phi"),
 ], ids=["extremal-rho", "majorant-deriv-rho", "majorant-convex-rho",
         "rogosinski-rho", "series-rho", "direction", "majorant-sum-radius",
         "phi-psi-weight", "extremal-params-n", "series-float-n", "power-map-power",
@@ -438,11 +456,11 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
         "uniform-direction-float", "uniform-direction-negative",
         "verify-inflate-nan", "verify-float-grid", "zero-order-nan-k",
         "zero-order-float-k", "zero-order-float-samples", "power-map-short-point",
-        "series-add-n", "phi-psi-mode-string"])
+        "series-add-n"])
 def test_nan_and_non_integer_inputs_raise(call):
     # each of these returned a value (or a NaN, or raised TypeError) before its
-    # gate was NaN-safe and took integers only; the last three are shape
-    # and mode checks that no other test reaches
+    # gate was NaN-safe and took integers only; the last two are shape
+    # checks that no other test reaches
     with pytest.raises(ValueError):
         call()
 
@@ -557,12 +575,12 @@ def test_verify_radius_margin_past_the_cap():
     check = verify_radius(problem, 20, 12, 0.5)
     cap = FunctionalKind.DERIV.search_cap
     assert check.rho_max > cap
-    f = Functional.from_problem(problem)
     margins = []
     for rho in np.linspace(0.0, check.rho_max, 12).tolist():
         rr = min(rho, cap)
         for a in np.linspace(0.0, 1.0, 20, endpoint=False).tolist():
-            margins.append((a, rr, majorant_functional(f, a, rr) - extremal_functional(f, a, rr)))
+            margins.append((a, rr, majorant_functional(problem, a, rr)
+                            - extremal_functional(problem, a, rr)))
     assert check.min_margin == min(m for _, _, m in margins)
     assert check.dominance_violations == [list(v) for v in margins if v[2] < -1e-12]
 

@@ -4,10 +4,10 @@ The closed forms below are copied from the docstrings of extremal (the
 witness family F, and the majorant M as the upper-bound chain states it,
 which the library evaluates as F with tail ratio 1) and radii (the factors
 K, G and H, the radius polynomials); the sign polynomials W of F - 1 are
-derived alongside.  sympy proves each identity as rational functions; float
-spot checks tie the copied forms to the library.  sympy is imported, not
-skipped when missing: this file is the only place these factorizations are
-checked.
+derived alongside.  sympy proves each identity as rational functions and
+each sign claim from the assumptions of the domain; float spot checks tie
+the copied forms to the library.  sympy is imported, not skipped when
+missing: this file is the only place these factorizations are checked.
 The library is never called with symbols: its weight checks reject them.
 """
 
@@ -52,6 +52,18 @@ def is_zero(expr):
     return sp.cancel(sp.together(expr)) == 0
 
 
+# 0 <= a < 1, a0 >= 0, 0 <= rho < 1, t <= 1 and lam > 0 are the images of
+# nonnegative A, B, R, S and a positive L; sympy then decides a sign claim
+# from these assumptions alone, for every admissible weight at once
+_A, _B, _R, _S = sp.symbols("A B R S", nonnegative=True)
+_L = sp.Symbol("L", positive=True)
+DOMAIN = {a: _A / (1 + _A), a0: _B, rho: _R / (1 + _R), t: 1 - _S, lam: _L}
+
+
+def on_domain(expr):
+    return sp.factor(sp.together(expr.subs(DOMAIN)))
+
+
 @pytest.mark.parametrize("kind", ["convex", "deriv", "sq_deriv"])
 def test_majorant_is_the_family_with_tail_ratio_one(kind):
     # majorant_functional evaluates the family's closed form with ratio 1
@@ -70,10 +82,14 @@ POINTS = [(0.0, 0.1, 0.3), (0.5, 0.2, 0.7), (0.9, 0.35, 1.0)]  # (a, rho, weight
 
 @pytest.mark.parametrize("kind", ["convex", "deriv", "sq_deriv"])
 def test_majorant_minus_family_is_the_dominance_margin(kind):
-    # M - F >= 0 on the domain, so the dominance half of verify is an identity
+    # M - F >= 0 on the domain, so the dominance half of verify is an identity:
+    # every factor of the margin is >= 0 there, and each denominator > 0
     sym, name, w = (t, "t", 1 - t) if kind == "convex" else (lam, "lam", lam)
-    margin = w * (1 - a) ** 2 * (1 + a) * rho**2 / ((1 - rho) * (1 - a * rho))
-    assert is_zero(majorant(kind, a) - family(kind) - margin)
+    top = [w, (1 - a) ** 2, 1 + a, rho**2]
+    bottom = [1 - rho, 1 - a * rho]
+    assert is_zero(majorant(kind, a) - family(kind) - sp.Mul(*top) / sp.Mul(*bottom))
+    assert all(on_domain(f).is_nonnegative for f in top)
+    assert all(on_domain(f).is_positive for f in bottom)
     m_num = sp.lambdify((a, rho, sym), majorant(kind, a))
     f_num = sp.lambdify((a, rho, sym), family(kind))
     for x, r, v in POINTS:
@@ -96,13 +112,18 @@ def test_convex_majorant_factors_through_the_quadratic():
             pytest.approx([float(c) for c in coeffs], rel=1e-15)
 
 
+# the a0-slope of G and the factor H, from the radii docstring
+G_SLOPE = rho**2 * (3 * lam * rho**2 * a0**2 + 2 * lam * rho**2 * a0
+                    + 4 * lam * rho * a0 + 2 * lam * rho + lam + 1 - rho)
+H_FACTOR = lam * rho**4 * a0**2 + 2 * lam * rho**3 * a0 + lam * rho**2 - rho**3 \
+    + 2 * rho - 1
+
+
 def test_deriv_majorant_factors_through_the_weighted_quartic():
     g = sp.cancel((majorant("deriv") - 1) * (1 - rho) * (1 + a0 * rho) ** 2 / (1 - a0))
     assert sp.denom(sp.together(g)) == 1  # G is a polynomial
     assert sp.expand(g.subs(a0, 1) - DERIV_QUARTIC) == 0
-    slope = rho**2 * (3 * lam * rho**2 * a0**2 + 2 * lam * rho**2 * a0
-                      + 4 * lam * rho * a0 + 2 * lam * rho + lam + 1 - rho)
-    assert sp.expand(sp.diff(g, a0) - slope) == 0
+    assert sp.expand(sp.diff(g, a0) - G_SLOPE) == 0
     for v in (0.02, 0.5, 3.0):
         coeffs = sp.Poly(DERIV_QUARTIC.subs(lam, v), rho).all_coeffs()[::-1]
         assert deriv_rho_polynomial(v).coefficients == \
@@ -110,11 +131,9 @@ def test_deriv_majorant_factors_through_the_weighted_quartic():
 
 
 def test_sq_deriv_majorant_factors_through_the_weighted_quartic():
-    h = lam * rho**4 * a0**2 + 2 * lam * rho**3 * a0 + lam * rho**2 - rho**3 \
-        + 2 * rho - 1
     assert is_zero(majorant("sq_deriv") - 1
-                   - (1 - a0**2) * h / ((1 - rho) * (1 + a0 * rho) ** 2))
-    assert sp.expand(h.subs(a0, 1) - SQ_DERIV_QUARTIC) == 0
+                   - (1 - a0**2) * H_FACTOR / ((1 - rho) * (1 + a0 * rho) ** 2))
+    assert sp.expand(H_FACTOR.subs(a0, 1) - SQ_DERIV_QUARTIC) == 0
     for v in (0.02, 0.5, 3.0):
         coeffs = sp.Poly(SQ_DERIV_QUARTIC.subs(lam, v), rho).all_coeffs()[::-1]
         assert sq_deriv_rho_polynomial(v).coefficients == \
@@ -142,6 +161,7 @@ SIGN_FACTORS = {
 def test_family_factors_through_its_sign_polynomial(kind):
     w, d, at_one = SIGN_FACTORS[kind]
     assert is_zero(family(kind) - 1 - (1 - a) * w / d)
+    assert on_domain(d).is_positive
     assert sp.expand(w.subs(a, 1) - at_one) == 0
 
 
@@ -198,3 +218,19 @@ def test_convex_quadratic_decreases_on_the_unit_interval():
     assert sp.expand((2 * rho - 2) - slope - 8 * (1 - t) * rho) == 0
     assert CONVEX_QUADRATIC.subs(rho, 0) == 1
     assert sp.expand(CONVEX_QUADRATIC.subs(rho, 1) - 4 * (t - 1)) == 0  # <= 0
+
+
+# -- the majorant's factors move the right way in a0 --------------------------------
+
+def test_majorant_factors_move_the_right_way_in_a0():
+    # K's slope is -2 (1 - t) rho^2 (1 + a0) (an identity checked above)
+    assert on_domain(2 * (1 - t) * rho**2 * (1 + a0)).is_nonnegative
+    # G's slope is rho^2 (lam * (nonnegative coefficients) + (1 - rho)), a sum
+    # of nonnegative terms for 0 <= rho < 1 and lam > 0
+    lam_part = 3 * rho**2 * a0**2 + 2 * rho**2 * a0 + 4 * rho * a0 + 2 * rho + 1
+    assert sp.expand(G_SLOPE - rho**2 * (lam * lam_part + (1 - rho))) == 0
+    assert all(c > 0 for c in sp.Poly(lam_part, rho, a0).coeffs())
+    assert on_domain(G_SLOPE).is_nonnegative
+    h_slope = 2 * lam * rho**3 * (a0 * rho + 1)
+    assert sp.expand(sp.diff(H_FACTOR, a0) - h_slope) == 0
+    assert on_domain(h_slope).is_nonnegative
