@@ -5,8 +5,9 @@ directly. This demo rebuilds the same quantities from first principles using
 the truncated-series machinery: expand the family to total degree D, compose
 with the componentwise power map z_j -> z_j^m, evaluate the modulus, the
 directional derivative, and the majorant sums at an aligned point, and
-assemble the functional. Agreement to near machine precision certifies both
-routes at once; the truncation tail decays geometrically.
+assemble the functional. Agreement to near machine precision at the sampled
+points checks each route against the other in floats, not as a proof; the
+truncation tail decays geometrically.
 """
 
 import numpy as np

@@ -8,10 +8,12 @@ Subcommands:
 - sweep      radius curve along one parameter, as CSV
 - table      radius table over (n, m, weight) lists, as CSV
 
-`sweep` and `table` solve each distinct weight once per invocation: the rho
-root depends only on the kind and the weight, and every other (n, m) row
-reuses it through r = (rho / n)^(1/m), the rescaling radius_for applies, so
-the bytes are those of one radius_for call per row.
+Each command returns its text and exit code; main writes the text once, to
+stdout or to --out, after the whole result exists.  `sweep` and `table` solve
+each distinct weight once per invocation: the rho root depends only on the
+kind and the weight, and every other (n, m) row reuses it through
+r = (rho / n)^(1/m), the rescaling radius_for applies, so the bytes are those
+of one radius_for call per row.
 
 Exit codes: 0 success, 1 usage or invalid parameters, 2 verification failure.
 CSV is written with 12 significant digits, '.' decimals, LF line endings;
@@ -53,12 +55,27 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _write_out(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _csv(lead_header: str, rows) -> str:
+    """CSV text: each row's leading columns, then radius,rho_root,residual.
+
+    rows yields (leading columns, RadiusProblem) pairs one at a time, so
+    validation and solving interleave in row order.  The problems share one
+    kind, so the rho root depends on the weight alone: each distinct weight
+    is solved once and later rows only rescale it.
+    """
+    roots = {}
+    lines = [lead_header + ",radius,rho_root,residual"]
+    for lead, problem in rows:
+        res = roots.get(problem.weight)
+        if res is None:
+            res = roots[problem.weight] = radius_for(problem)
+        radius = _geometric_radius(res.rho_root, problem.n, problem.m)
+        lines.append(",".join([*lead, _fmt(radius), _fmt(res.rho_root), _fmt(res.residual)]))
+    return "\n".join(lines) + "\n"
 
 
 def _problem_from_args(args) -> RadiusProblem:
@@ -68,24 +85,22 @@ def _problem_from_args(args) -> RadiusProblem:
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_radius(args) -> int:
+def cmd_radius(args) -> tuple[str, int]:
     problem = _problem_from_args(args)
     res = radius_for(problem)
-    payload = {
+    return _json({
         "radius": res.radius,
         "rho_root": res.rho_root,
         "residual": res.residual,
         "branch": res.branch,
         "bracket": [res.bracket[0], res.bracket[1]],
-    }
-    _write_out(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
-    return 0
+    }), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     problem = _problem_from_args(args)
     check = verify_radius(problem, args.a_grid, args.rho_grid, args.inflate_radius)
-    payload = {
+    return _json({
         "kind": problem.kind.value,
         "n": problem.n,
         "m": problem.m,
@@ -100,15 +115,13 @@ def cmd_verify(args) -> int:
         "violations_below_radius": check.below_violations[:20],
         "violations_dominance": check.dominance_violations[:20],
         "ok": check.ok,
-    }
-    _write_out(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
-    return 0 if check.ok else 2
+    }), 0 if check.ok else 2
 
 
-def cmd_sharpness(args) -> int:
+def cmd_sharpness(args) -> tuple[str, int]:
     problem = _problem_from_args(args)
     witness = sharpness_witness(problem, delta=args.delta)
-    payload = {
+    return _json({
         "kind": problem.kind.value,
         "n": problem.n,
         "m": problem.m,
@@ -118,24 +131,7 @@ def cmd_sharpness(args) -> int:
         "rho": witness.rho,
         "a": witness.a,
         "value": witness.value,
-    }
-    _write_out(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
-    return 0
-
-
-def _solve_rows(problems):
-    """Yield (radius, result) per problem, solving each weight once.
-
-    The problems share one kind, so the rho root depends on the weight alone;
-    later rows with a known weight only rescale it.  Problems are drawn one
-    at a time, so validation and solving interleave in row order.
-    """
-    roots = {}
-    for problem in problems:
-        res = roots.get(problem.weight)
-        if res is None:
-            res = roots[problem.weight] = radius_for(problem)
-        yield _geometric_radius(res.rho_root, problem.n, problem.m), res
+    }), 0
 
 
 def _sweep_values(args):
@@ -158,25 +154,20 @@ def _sweep_values(args):
     return list(range(lo, hi + 1))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[str, int]:
     kind = FunctionalKind(args.theorem)
     values = _sweep_values(args)
     fixed = {"n": args.n, "m": args.m, "t": args.t, "lam": args.lam}
     swept = "lam" if args.param == "lambda" else args.param
-    rows = ["param,radius,rho_root,residual"]
-    problems = (RadiusProblem(kind, **{**fixed, swept: v}) for v in values)
-    for v, (radius, res) in zip(values, _solve_rows(problems)):
-        rows.append(",".join([_fmt(v), _fmt(radius), _fmt(res.rho_root),
-                              _fmt(res.residual)]))
-    _write_out("\n".join(rows) + "\n", args.out)
-    return 0
+    rows = (([_fmt(v)], RadiusProblem(kind, **{**fixed, swept: v})) for v in values)
+    return _csv("param", rows), 0
 
 
 def _parse_list(text, cast):
     return [cast(tok) for tok in (text or "").split(",") if tok.strip() != ""]
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[str, int]:
     kind = FunctionalKind(args.theorem)
     own = kind.weight
     flag, other = ("t", "lambda") if own == "t" else ("lambda", "t")
@@ -186,14 +177,9 @@ def cmd_table(args) -> int:
         raise ValueError(f"--theorem {args.theorem} takes --{flag}-list, "
                          f"not --{other}-list")
     weights = _parse_list(getattr(args, f"{flag}_list"), float)
-    rows = ["n,m,param,radius,rho_root,residual"]
-    cells = [(n, m, w) for n in ns for m in ms for w in weights]
-    problems = (RadiusProblem(kind, n, m, **{own: w}) for n, m, w in cells)
-    for (n, m, w), (radius, res) in zip(cells, _solve_rows(problems)):
-        rows.append(",".join([str(n), str(m), _fmt(w), _fmt(radius),
-                              _fmt(res.rho_root), _fmt(res.residual)]))
-    _write_out("\n".join(rows) + "\n", args.out)
-    return 0
+    rows = (([str(n), str(m), _fmt(w)], RadiusProblem(kind, n, m, **{own: w}))
+            for n in ns for m in ms for w in weights)
+    return _csv("n,m,param", rows), 0
 
 
 # -- parser ----------------------------------------------------------------------
@@ -258,7 +244,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if args.out:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except WitnessNotFoundError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2

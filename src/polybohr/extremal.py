@@ -263,8 +263,10 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
     result = radius_for(problem)
     rho = (1.0 + delta) * result.rho_root
     if not rho < 1.0:
+        hint = ("lower delta" if result.rho_root < 1.0 else "the stated radius is already "
+                "rho = 1, the edge of the domain, so no witness lies beyond it")
         raise ValueError(f"the witness point rho = (1 + delta) * {result.rho_root!r} = {rho!r} "
-                         f"is outside the family's domain rho < 1; lower delta")
+                         f"is outside the family's domain rho < 1; {hint}")
     vals = _functional_value(problem, _A_GRID, rho)
     above = np.nonzero(vals > 1.0)[0]
     if above.size:

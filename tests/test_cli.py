@@ -362,6 +362,19 @@ def test_sharpness_unresolved_delta_exits_two(argv, capsys):
     assert err.startswith("verification failure: no witness")
 
 
+@pytest.mark.parametrize("delta,hint", [
+    ("1e-3", False), ("1e-300", False), ("0.1", True),
+], ids=["t-1", "t-1-tiny-delta", "t-0.9999-large-delta"])
+def test_sharpness_outside_the_domain_suggests_lower_delta_only_below_rho_1(delta, hint, capsys):
+    # at t = 1 the stated radius is rho = 1 itself, so no delta reaches a witness
+    t = "0.9999" if hint else "1"
+    code, out, err = run_cli(
+        ["sharpness", "--theorem", "convex", "--t", t, "--delta", delta], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "outside the family's domain" in err
+    assert ("lower delta" in err) is hint
+
+
 # -- sweep ------------------------------------------------------------------------
 
 def test_sweep_t_csv(tmp_path, capsys):
@@ -593,6 +606,56 @@ def test_negative_values_in_the_spaced_form_reach_the_library_check(argv, messag
     # -1,2 or -1e-3 with "expected one argument"
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+# -- output ------------------------------------------------------------------------
+
+RETURNING_ARGV = [
+    ["radius", "--theorem", "convex", "--t", "0.75"],
+    ["verify", "--theorem", "convex", "--t", "0.3", "--a-grid", "20", "--rho-grid", "10",
+     "--inflate-radius", "0.01"],
+    ["sharpness", "--theorem", "deriv", "--lambda", "0.25"],
+    ["sweep", "--theorem", "deriv", "--param", "lambda", "--from", "0.5", "--to", "1",
+     "--steps", "3"],
+    ["table", "--theorem", "sq_deriv", "--n-list", "1,2", "--m-list", "1",
+     "--lambda-list", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", RETURNING_ARGV, ids=lambda argv: argv[0])
+def test_commands_return_their_text_and_main_writes_it(argv, capsys):
+    args = cli.build_parser().parse_args(argv)
+    result = args.func(args)
+    assert capsys.readouterr().out == ""
+    assert isinstance(result, tuple) and len(result) == 2
+    text, code = result
+    assert isinstance(text, str) and isinstance(code, int)
+    assert run_cli(argv, capsys) == (code, text, "")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["table", "--theorem", "deriv", "--n-list", "1", "--m-list", "1",
+      "--lambda-list", "1,2,nan"], 1),
+    (["sweep", "--theorem", "deriv", "--param", "lambda", "--from", "0", "--to", "1",
+      "--steps", "3"], 1),
+    (["sharpness", "--theorem", "deriv", "--lambda", "0.25"], 2),
+], ids=["table-third-row-fails", "sweep-lambda-from-0", "sharpness-no-witness"])
+def test_out_is_not_written_without_a_result(argv, code, tmp_path, capsys, monkeypatch):
+    def no_witness(problem, delta):
+        raise WitnessNotFoundError("no witness up to a = 0.999")
+    monkeypatch.setattr(cli, "sharpness_witness", no_witness)
+    target = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(target)], capsys)[:2] == (code, "")
+    assert not target.exists()
+
+
+def test_verify_failure_still_writes_its_out_file(tmp_path, capsys):
+    argv = ["verify", "--theorem", "convex", "--t", "0.3", "--inflate-radius", "0.01"]
+    target = tmp_path / "verify.json"
+    assert run_cli(argv + ["--out", str(target)], capsys) == (2, "", "")
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2
+    assert target.read_bytes() == out.encode()
 
 
 # -- determinism -------------------------------------------------------------------
