@@ -19,11 +19,18 @@ Exit codes: 0 success, 1 usage or invalid parameters, 2 verification failure.
 CSV is written with 12 significant digits, '.' decimals, LF line endings;
 JSON key order is fixed so identical invocations produce identical bytes.
 No command draws a random number.
+
+The parser is built on the first build_parser() call, not at import, and
+every later in-process main() call reuses it: parse_args returns a new
+namespace each time and leaves the parser unchanged.  The parser binds the
+cmd_* functions that exist at that first call, so a tracer that wraps them
+later records no cli.cmd_* spans; their time still counts in cli.main.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -184,8 +191,9 @@ def cmd_table(args) -> tuple[str, int]:
 
 # -- parser ----------------------------------------------------------------------
 
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; callers must not change it."""
     parser = _Parser(prog="polybohr",
                      description="Sharp Bohr-type radii on the unit polydisc")
     sub = parser.add_subparsers(dest="command")

@@ -256,7 +256,8 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
     1e-9 the float comparison no longer decides the exact sign, so a
     returned value there may exceed 1 only by rounding.  The family lives on
     |s| < 1, so rho >= 1 (CONVEX near t = 1, or a large delta) raises
-    ValueError.
+    ValueError, and so does a delta too small to move rho off rho_root
+    (below about 1.1e-16).
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
@@ -267,6 +268,9 @@ def sharpness_witness(problem: RadiusProblem, delta: float = 1e-3) -> Witness:
                 "rho = 1, the edge of the domain, so no witness lies beyond it")
         raise ValueError(f"the witness point rho = (1 + delta) * {result.rho_root!r} = {rho!r} "
                          f"is outside the family's domain rho < 1; {hint}")
+    if not rho > result.rho_root:
+        raise ValueError(f"delta = {delta!r} is too small to move rho: (1 + delta) * "
+                         f"{result.rho_root!r} rounds back to the stated rho; raise delta")
     vals = _functional_value(problem, _A_GRID, rho)
     above = np.nonzero(vals > 1.0)[0]
     if above.size:

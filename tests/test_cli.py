@@ -375,6 +375,15 @@ def test_sharpness_outside_the_domain_suggests_lower_delta_only_below_rho_1(delt
     assert ("lower delta" in err) is hint
 
 
+def test_sharpness_delta_too_small_to_move_rho_exits_one(capsys):
+    # (1 + 1e-20) * rho_root rounds back to rho_root, the stated sharp radius,
+    # where the family's value 1.0000000000000002 is above 1 only by rounding
+    code, out, err = run_cli(
+        ["sharpness", "--theorem", "deriv", "--lambda", "1", "--delta", "1e-20"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "too small to move rho" in err
+
+
 # -- sweep ------------------------------------------------------------------------
 
 def test_sweep_t_csv(tmp_path, capsys):
@@ -656,6 +665,49 @@ def test_verify_failure_still_writes_its_out_file(tmp_path, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 2
     assert target.read_bytes() == out.encode()
+
+
+# -- shared parser -----------------------------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+
+
+def _golden_stdout(argv):
+    return next(case["stdout"] for case in GOLDEN if case["argv"] == argv)
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    builds = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "polybohr":  # the top-level parser, not a subparser
+            builds.append(self)
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv in RETURNING_ARGV[:3]:
+        cli.main(argv)
+    capsys.readouterr()
+    assert len(builds) <= 1
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    radius = ["radius", "--theorem", "convex", "--t", "0.5"]
+    table = ["table", "--theorem", "convex", "--n-list", "1,2,3", "--m-list", "1,2",
+             "--t-list", "0,0.5,0.75,1"]
+    for argv, code in [(radius + ["--bogus"], 1), (["radius", "--help"], 0)]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+    capsys.readouterr()
+    verify = ["verify", "--theorem", "convex", "--t", "0.3", "--inflate-radius", "0.01"]
+    assert run_cli(verify, capsys)[0] == 2
+    code, out, err = run_cli(["sweep", "--theorem", "deriv", "--param", "lambda",
+                              "--from", "0.1", "--to", "1"], capsys)
+    assert (code, out) == (1, "") and "--steps is required" in err
+    assert run_cli(radius, capsys) == (0, _golden_stdout(radius), "")
+    assert run_cli(table, capsys) == (0, _golden_stdout(table), "")
 
 
 # -- determinism -------------------------------------------------------------------

@@ -390,6 +390,17 @@ def test_sharpness_witness_refuses_rho_outside_the_domain(problem, delta):
         sharpness_witness(problem, delta=delta)
 
 
+@pytest.mark.parametrize("problem", [
+    RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=0.3),
+    RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=1.0),
+    RadiusProblem(FunctionalKind.SQ_DERIV, 1, 1, lam=0.5),
+], ids=["convex", "deriv", "sq_deriv"])
+def test_sharpness_witness_refuses_a_delta_that_leaves_rho_at_the_root(problem):
+    # 1 + 1e-17 rounds to 1, so the search point would be the stated rho itself
+    with pytest.raises(ValueError, match="too small to move rho"):
+        sharpness_witness(problem, delta=1e-17)
+
+
 def test_sharpness_witness_just_inside_the_domain():
     problem = RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=0.9)
     rho_root = radius_for(problem).rho_root
