@@ -26,6 +26,11 @@ DEFAULT_SEED = 1234
 # slack for floating-point comparisons in the checkers
 _CHECK_TOL = 1e-12
 
+# zero_multiplicity_bound_check draws and evaluates at most this many points at
+# a time (the default sample count in one eval_many call), so that its memory
+# does not grow with the sample count
+_SAMPLE_BLOCK = 10_000
+
 
 def schwarz_pick_bound(a0: float, s: float) -> float:
     """Sharp growth bound (a0 + s)/(1 + a0 s) for |f| on ||z||_inf <= s.
@@ -94,19 +99,28 @@ def zero_multiplicity_bound_check(series: TruncatedSeries, k: int,
     """
     _check_count("k", k, 1)
     _check_count("samples", samples, 1)
+    _check_count("seed", seed, 0)
     low = [alpha for alpha in series.coeffs if alpha.degree < k]
     if low:
         raise ValueError(f"series does not vanish to order {k}: found {tuple(low[0])}")
     rng = np.random.default_rng(seed)
     n = series.n_vars
+    lo = [[1e-6] * n, [0.0] * n]
+    hi = [[1.0 - 1e-12] * n, [2.0 * np.pi] * n]
     worst = 0.0
-    for _ in range(samples):
-        radii = rng.uniform(1e-6, 1.0 - 1e-12, size=n)
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        z = tuple(r * complex(np.cos(t), np.sin(t)) for r, t in zip(radii, angles))
-        ratio = abs(series.eval(z)) / float(np.max(radii)) ** k
-        if ratio > worst:
-            worst = ratio
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        # per sample, n radii and then n angles, drawn in that order by the
+        # uniform routine a draw per sample would call
+        draws = rng.uniform(lo, hi, size=(min(_SAMPLE_BLOCK, samples - start), 2, n))
+        radii, angles = draws[:, 0], draws[:, 1]
+        # r * (cos t + i sin t), one float64 product per part
+        real = (radii * np.cos(angles)).tolist()
+        imag = (radii * np.sin(angles)).tolist()
+        values = series.eval_many([tuple(map(complex, re, im)) for re, im in zip(real, imag)])
+        for value, top in zip(values, radii.max(axis=1).tolist()):
+            ratio = abs(value) / top ** k
+            if ratio > worst:
+                worst = ratio
     return worst
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polybohr import (TruncatedSeries, coefficient_bound_check,
+from polybohr import (TruncatedSeries, bounds, coefficient_bound_check,
                       derivative_bound, phi_psi_monotone, schwarz_pick_bound,
                       zero_multiplicity_bound_check)
 from polybohr.mvseries import multi_indices
@@ -163,6 +163,41 @@ def test_zero_multiplicity_seed_reproducible():
     w1 = zero_multiplicity_bound_check(series, 2, samples=500, seed=99)
     w2 = zero_multiplicity_bound_check(series, 2, samples=500, seed=99)
     assert w1 == w2
+
+
+def per_sample_zero_order_check(series, k, samples, seed):
+    """One draw and one eval per sample: the loop the batched check replaces."""
+    rng = np.random.default_rng(seed)
+    n = series.n_vars
+    worst = 0.0
+    for _ in range(samples):
+        radii = rng.uniform(1e-6, 1.0 - 1e-12, size=n)
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        z = tuple(r * complex(np.cos(t), np.sin(t)) for r, t in zip(radii, angles))
+        ratio = abs(series.eval(z)) / float(np.max(radii)) ** k
+        if ratio > worst:
+            worst = ratio
+    return worst
+
+
+@pytest.mark.parametrize("block", [10_000, 7], ids=["default-block", "block-7"])
+def test_zero_multiplicity_draws_points_as_a_per_sample_loop(block, monkeypatch):
+    # same points in the same order, so the same worst ratio to the last bit,
+    # wherever the sample blocks end
+    monkeypatch.setattr(bounds, "_SAMPLE_BLOCK", block)
+    cases = [(TruncatedSeries(3, 1, {(1, 0, 0): 0.25, (0, 1, 0): 0.5, (0, 0, 1): 0.25j}), 1, 50, 3),
+             (TruncatedSeries(2, 2, {(1, 1): 1.0}), 2, 200, 99),
+             (TruncatedSeries(1, 3, {(2,): 0.5, (3,): -0.5}), 2, 1, 0)]
+    for series, k, samples, seed in cases:
+        assert (repr(zero_multiplicity_bound_check(series, k, samples=samples, seed=seed))
+                == repr(per_sample_zero_order_check(series, k, samples, seed)))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True], ids=["negative", "float", "string", "bool"])
+def test_zero_multiplicity_refuses_a_seed_that_is_not_a_count(seed):
+    # -1 and 1.5 used to reach numpy, which raised its own ValueError / TypeError
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        zero_multiplicity_bound_check(TruncatedSeries(1, 1, {(1,): 1.0}), 1, samples=4, seed=seed)
 
 
 # -- phi/psi monotonicity ----------------------------------------------------------------

@@ -458,6 +458,10 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
     lambda: zero_multiplicity_bound_check(Z_SQUARED, NAN),
     lambda: zero_multiplicity_bound_check(Z_SQUARED, 1.5),
     lambda: zero_multiplicity_bound_check(Z_SQUARED, 1, samples=2.5),
+    lambda: zero_multiplicity_bound_check(Z_SQUARED, 1, seed=1.5),
+    lambda: zero_multiplicity_bound_check(Z_SQUARED, 1, seed=-1),
+    lambda: TruncatedSeries.constant(0.5, 1).bohr_majorant_sum(0.1, k_min=-1),
+    lambda: TruncatedSeries.constant(0.5, 1).bohr_majorant_sum(0.1, k_min="2"),
     lambda: SchwarzPowerMap(2, 1).apply((0.1,)),
     lambda: TruncatedSeries.constant(1, 1) + TruncatedSeries.constant(1, 2),
 ], ids=["extremal-rho", "majorant-deriv-rho", "majorant-convex-rho",
@@ -466,7 +470,9 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
         "series-max-degree", "problem-float-n", "uniform-direction-zero",
         "uniform-direction-float", "uniform-direction-negative",
         "verify-inflate-nan", "verify-float-grid", "zero-order-nan-k",
-        "zero-order-float-k", "zero-order-float-samples", "power-map-short-point",
+        "zero-order-float-k", "zero-order-float-samples", "zero-order-float-seed",
+        "zero-order-negative-seed", "majorant-sum-negative-k-min",
+        "majorant-sum-string-k-min", "power-map-short-point",
         "series-add-n"])
 def test_nan_and_non_integer_inputs_raise(call):
     # each of these returned a value (or a NaN, or raised TypeError) before its

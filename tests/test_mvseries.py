@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
 
 from polybohr import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
-                      multi_indices)
+                      multi_indices, mvseries)
 from polybohr.extremal import ExtremalParams, extremal_series
 
 
@@ -164,6 +166,102 @@ def test_eval_linearity():
     z = (0.3 - 0.2j, -0.1 + 0.25j)
     combo = s1 + 2.5 * s2
     assert abs(combo.eval(z) - (s1.eval(z) + 2.5 * s2.eval(z))) < 1e-12
+
+
+def term_loop_eval(series, z):
+    """The sequential term loop that eval_many must reproduce bit for bit."""
+    if len(z) != series.n_vars:
+        raise ValueError(f"expected {series.n_vars} coordinates, got {len(z)}")
+    # per-variable power tables z_j^0 .. z_j^D; no exponent exceeds D
+    top = series.max_degree
+    pows = []
+    for v in z:
+        table = [1 + 0j] * (top + 1)
+        zj = complex(v)
+        for e in range(1, top + 1):
+            table[e] = table[e - 1] * zj
+        pows.append(table)
+    total = 0j
+    for alpha, c in series.coeffs.items():
+        term = c
+        for j, e in enumerate(alpha):
+            if e:
+                term *= pows[j][e]
+        total += term
+    return total
+
+
+EDGE_PARTS = (0.0, -0.0, 1.0, -1.5, 1e300, -1e300, 1e-300, -1e-300,
+              math.inf, -math.inf, math.nan)
+
+
+def edge_series(rng, n, max_degree, terms):
+    """Up to `terms` random keys; each coefficient part is often an edge value."""
+    def part():
+        return rng.choice(EDGE_PARTS) if rng.random() < 0.4 else rng.uniform(-2.0, 2.0)
+
+    coeffs = {}
+    for _ in range(terms):
+        k = rng.randint(0, max_degree)
+        cuts = sorted(rng.randint(0, k) for _ in range(n - 1))
+        coeffs[tuple(b - a for a, b in zip([0] + cuts, cuts + [k]))] = complex(part(), part())
+    return TruncatedSeries(n, max_degree, coeffs)
+
+
+def edge_point(rng, n):
+    return tuple(complex(rng.choice((0.0, -0.0, 0.5, -0.7, 1.3, 1e-200, 1e200,
+                                     rng.uniform(-1.2, 1.2))),
+                         rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0))))
+                 for _ in range(n))
+
+
+def test_eval_many_has_the_bits_of_the_term_loop():
+    rng = random.Random(2025)
+    evaluations = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(700):
+            n, top = rng.randint(1, 4), rng.randint(0, 40)
+            series = edge_series(rng, n, top, rng.randint(0, 30))
+            points = [edge_point(rng, n) for _ in range(3)]
+            want = [repr(term_loop_eval(series, z)) for z in points]
+            assert [repr(v) for v in series.eval_many(points)] == want
+            assert [repr(series.eval(z)) for z in points] == want
+            evaluations += len(points)
+    assert evaluations >= 2000
+    assert caught == []
+
+
+def test_eval_many_blocks_do_not_change_the_bits(monkeypatch):
+    # a block of 2 or 3 points per array pass: block edges fall between points
+    rng = random.Random(7)
+    monkeypatch.setattr(mvseries, "_EVAL_BLOCK", 64)
+    for terms in (20, 30):
+        series = edge_series(rng, 3, 12, terms)
+        points = [edge_point(rng, 3) for _ in range(11)]
+        assert ([repr(v) for v in series.eval_many(points)]
+                == [repr(term_loop_eval(series, z)) for z in points])
+
+
+def test_eval_many_empty_cases():
+    assert TruncatedSeries(2, 3, {}).eval((0.5, -0.25j)) == 0j
+    assert repr(TruncatedSeries(1, 0, {}).eval_many([(0.5,), (2.0,)])) == "[0j, 0j]"
+    assert TruncatedSeries(2, 1, {(1, 0): 1}).eval_many([]) == []
+    assert TruncatedSeries(2, 1, {(1, 0): 1}).eval_many(iter([(2.0, 0.0)])) == [2 + 0j]
+
+
+@pytest.mark.parametrize("point, message", [
+    ((0.1,), "expected 2 coordinates, got 1"),
+    ((0.1, 0.2, 0.3), "expected 2 coordinates, got 3"),
+    ((0.1, "1+"), "complex() arg is a malformed string"),
+], ids=["short", "long", "malformed"])
+def test_eval_many_bad_points_raise_the_errors_eval_raised(point, message):
+    s = TruncatedSeries(2, 1, {(1, 0): 1})
+    for call in (lambda: s.eval(point), lambda: s.eval_many([(0.5, 0.5), point]),
+                 lambda: term_loop_eval(s, point)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 # -- multiply ------------------------------------------------------------------
@@ -325,3 +423,12 @@ def test_bohr_majorant_sum_vector_radius_and_errors():
         s.bohr_majorant_sum(-0.1)
     with pytest.raises(ValueError):
         s.bohr_majorant_sum((0.1,))
+
+
+@pytest.mark.parametrize("k_min", [-1, "2", 1.0, True], ids=["negative", "string", "float", "bool"])
+def test_bohr_majorant_sum_refuses_a_k_min_that_is_not_a_count(k_min):
+    # -1 used to sum every term, as k_min = 0 does, and "2" raised TypeError
+    s = TruncatedSeries(2, 2, {(1, 0): 1, (0, 1): 2})
+    with pytest.raises(ValueError, match="k_min must be an integer >= 0"):
+        s.bohr_majorant_sum(0.1, k_min=k_min)
+    assert s.bohr_majorant_sum(0.1, k_min=np.int64(2)) == 0.0
