@@ -35,13 +35,14 @@ so the searches evaluate the problem itself.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mvseries import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
-                       _check_count, multi_indices)
+                       _check_count, _indices)
 from .radii import (Functional, FunctionalKind, RadiusProblem, _check_nm,
                     _geometric_radius, radius_for)
 
@@ -148,13 +149,20 @@ def extremal_series(params: ExtremalParams, max_degree: int) -> TruncatedSeries:
     a, n = params.a, params.n
     coeffs: dict = {tuple.__new__(MultiIndex, (0,) * n): complex(a)}
     one_minus = 1.0 - a * a
-    fact = [math.factorial(e) for e in range(max_degree + 1)]
     for k in range(1, max_degree + 1):
         base = -one_minus * a ** (k - 1)
-        kfac = fact[k]
-        for alpha in multi_indices(n, k):
-            coeffs[alpha] = complex(base * (kfac // math.prod([fact[e] for e in alpha])))
+        coeffs.update(zip(_indices(n, k), [complex(base * c) for c in _multinomials(n, k)]))
     return TruncatedSeries._trusted(n, max_degree, coeffs)
+
+
+@functools.cache
+def _multinomials(n: int, k: int) -> tuple:
+    """k!/alpha! for each alpha of mvseries._indices(n, k), in its order.
+
+    Exact Python ints, built once per (n, k) and kept for the process.
+    """
+    kfac = math.factorial(k)
+    return tuple(kfac // alpha.factorial for alpha in _indices(n, k))
 
 
 # -- closed-form functional values --------------------------------------------

@@ -1,6 +1,7 @@
 """Extremal-family tests: series coefficients, functional values, dominance,
 sign-equivalence identities, witness search, and empirical thresholds."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -462,6 +463,10 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
     lambda: zero_multiplicity_bound_check(Z_SQUARED, 1, seed=-1),
     lambda: TruncatedSeries.constant(0.5, 1).bohr_majorant_sum(0.1, k_min=-1),
     lambda: TruncatedSeries.constant(0.5, 1).bohr_majorant_sum(0.1, k_min="2"),
+    lambda: Z_SQUARED.degree_slice(1.5),
+    lambda: Z_SQUARED.degree_slice(-1),
+    lambda: Z_SQUARED.degree_slice(NAN),
+    lambda: Z_SQUARED.degree_slice(True),
     lambda: SchwarzPowerMap(2, 1).apply((0.1,)),
     lambda: TruncatedSeries.constant(1, 1) + TruncatedSeries.constant(1, 2),
 ], ids=["extremal-rho", "majorant-deriv-rho", "majorant-convex-rho",
@@ -472,7 +477,8 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
         "verify-inflate-nan", "verify-float-grid", "zero-order-nan-k",
         "zero-order-float-k", "zero-order-float-samples", "zero-order-float-seed",
         "zero-order-negative-seed", "majorant-sum-negative-k-min",
-        "majorant-sum-string-k-min", "power-map-short-point",
+        "majorant-sum-string-k-min", "degree-slice-float", "degree-slice-negative",
+        "degree-slice-nan", "degree-slice-bool", "power-map-short-point",
         "series-add-n"])
 def test_nan_and_non_integer_inputs_raise(call):
     # each of these returned a value (or a NaN, or raised TypeError) before its
@@ -629,6 +635,72 @@ def test_series_route_matches_closed_form_sweep():
         closed = extremal_functional(f, params.a, rho)
         series = extremal_functional_from_series(f, params, rho, max_degree=40)
         assert abs(series - closed) <= 1e-10, (f.kind, params.a, rho)
+
+
+def rotated_route(func, params, rho, max_degree, u, rotate=True):
+    """(functional value, derivative term) of the family rotated toward u.
+
+    The rotated family multiplies each coefficient by
+    prod_k e^(-i alpha_k arg u_k), so that d_u of it at the point
+    z_k = r e^(i (pi + arg u_k) / m) carries sum_k |u_k| = 1 in full; the
+    value is assembled as extremal_functional_from_series assembles it.
+    rotate=False keeps the family unrotated.
+    """
+    n, m = params.n, params.m
+    args = [cmath.phase(c) for c in u.components]
+    f = extremal_series(params, max_degree)
+    if rotate:
+        f = TruncatedSeries(n, max_degree, {
+            alpha: c * cmath.exp(-1j * sum(e * t for e, t in zip(alpha, args)))
+            for alpha, c in f.coeffs.items()})
+    omega = SchwarzPowerMap(n, m)
+    g = f.compose_power_map(omega)
+    r = (rho / n) ** (1.0 / m)
+    z = tuple(r * cmath.exp(1j * (math.pi + t) / m) for t in args)
+    w = omega.apply(z)
+    first = abs(g.eval(z))
+    second = abs(f.directional_derivative(u).eval(w)) * (n * max(abs(x) for x in w))
+    head = first * first if func.kind is SQ_DERIV else first
+    return head + second + func.lam * g.bohr_majorant_sum(r, k_min=2 * m), second
+
+
+def seeded_directions(n, count, seed):
+    """count complex directions with sum_k |u_k| = 1, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        size = rng.uniform(0.05, 1.0, n)
+        phase = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+        out.append(Direction(tuple((size / size.sum() * phase).tolist())))
+    return out
+
+
+@pytest.mark.parametrize("func", [Functional(DERIV, lam=1.0), Functional(SQ_DERIV, lam=2.0)],
+                         ids=["deriv", "sq_deriv"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_rotated_family_attains_the_closed_form_along_every_direction(func, n, m):
+    # the paper's sharpness holds for every unit-l1 direction u, not only the
+    # uniform one: rotating the family toward u gives the same value
+    a, rho, top = 0.6, 0.2, 16
+    assert (a * rho) ** top < 1e-12
+    closed = extremal_functional(func, a, rho)
+    params = ExtremalParams(a, n, m)
+    for u in seeded_directions(n, 6, seed=100 * n + m):
+        value, _ = rotated_route(func, params, rho, top, u)
+        assert abs(value - closed) <= 1e-10 * closed, u.components
+
+
+def test_unrotated_family_has_no_derivative_along_a_difference_direction():
+    # f_a depends on z_1 + z_2 only, so its derivative along (1/2, -1/2)
+    # vanishes (up to rounding), while the rotated family keeps the full term
+    func, a, rho, top = Functional(DERIV, lam=1.0), 0.6, 0.2, 16
+    params, u = ExtremalParams(a, 2, 1), Direction((0.5, -0.5))
+    _, plain = rotated_route(func, params, rho, top, u, rotate=False)
+    value, rotated = rotated_route(func, params, rho, top, u)
+    assert plain <= 1e-13
+    assert rotated == pytest.approx((1 - a * a) * rho / (1 + a * rho) ** 2, rel=1e-10)
+    assert value == pytest.approx(extremal_functional(func, a, rho), rel=1e-10)
 
 
 # -- univariate shifted family -----------------------------------------------------

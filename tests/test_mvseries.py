@@ -1,9 +1,14 @@
 """Series engine tests: exact algebra, Mobius oracles, calculus properties."""
 
 import cmath
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +44,35 @@ def random_series(rng, n, max_degree, scale=1.0):
     return TruncatedSeries(n, max_degree, coeffs)
 
 
+def compositions(n, k):
+    """The n-tuples of total k in lexicographic order, by plain recursion.
+
+    The package's own enumeration before its key tables were cached, kept
+    as the reference for their order.
+    """
+    if n == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in compositions(n - 1, k - first):
+            yield (first,) + rest
+
+
+def family_bits(a, n, top):
+    """(alpha, repr(coefficient)) of f_a up to degree top, from the formula."""
+    out = [((0,) * n, repr(complex(a)))]
+    for k in range(1, top + 1):
+        for alpha in compositions(n, k):
+            mult = math.factorial(k) // MultiIndex(alpha).factorial
+            out.append((alpha, repr(complex(-(1 - a * a) * a ** (k - 1) * mult))))
+    return out
+
+
+def series_bits(s):
+    assert all(type(c) is complex for c in s.coeffs.values())
+    return [(tuple(alpha), repr(c)) for alpha, c in s.coeffs.items()]
+
+
 # -- MultiIndex ----------------------------------------------------------------
 
 def test_multi_index_degree_and_factorial():
@@ -70,6 +104,78 @@ def test_multi_indices_enumeration_and_multinomial_sum():
             assert len(idxs) == math.comb(k + n - 1, n - 1)
             total = sum(math.factorial(k) // a.factorial for a in idxs)
             assert total == n ** k  # multinomial theorem at z = (1, ..., 1)
+
+
+def test_multi_indices_match_the_sorted_product_oracle():
+    # an enumeration that shares nothing with the package: every n-tuple over
+    # 0..k, filtered to total k, in lexicographic order
+    for n in (1, 2, 3, 4):
+        for k in range(9):
+            oracle = sorted(t for t in itertools.product(range(k + 1), repeat=n)
+                            if sum(t) == k)
+            assert list(multi_indices(n, k)) == oracle, (n, k)
+            assert list(compositions(n, k)) == oracle, (n, k)
+
+
+def test_multi_indices_are_not_bounded_by_the_recursion_limit():
+    # a recursive enumeration needs one frame per variable or more
+    n = 3 * sys.getrecursionlimit()
+    assert list(multi_indices(n, 0)) == [(0,) * n]
+
+
+def test_multi_indices_returns_a_fresh_iterator_each_call():
+    # the keys are kept for the process; exhausting one call's iterator must
+    # not shorten the next call's
+    first = multi_indices(3, 4)
+    assert len(list(first)) == 15
+    assert list(first) == []
+    assert len(list(multi_indices(3, 4))) == 15
+
+
+def test_multi_indices_of_numpy_counts_are_plain_ints():
+    for n, k in ((np.int64(1), np.int64(5)), (np.int64(3), np.int64(4)), (2, np.int32(3))):
+        keys = list(multi_indices(n, k))
+        assert keys == list(multi_indices(int(n), int(k)))
+        assert all(type(key) is MultiIndex for key in keys)
+        assert all(type(e) is int for key in keys for e in key)
+
+
+def test_extremal_series_has_the_formula_bits_on_a_cold_cache():
+    # a fresh interpreter whose key and multinomial tables are emptied before
+    # each case, so every extremal_series call here builds them itself
+    tests = Path(__file__).resolve().parent
+    script = (
+        "from polybohr import ExtremalParams, extremal, extremal_series, mvseries\n"
+        "from test_mvseries import family_bits, series_bits\n"
+        "tables = (mvseries._indices, extremal._multinomials)\n"
+        "assert [t.cache_info().currsize for t in tables] == [0, 0]\n"
+        "for n in (1, 2, 3):\n"
+        "    for top in (24, 40):\n"
+        "        for t in tables:\n"
+        "            t.cache_clear()\n"
+        "        got = series_bits(extremal_series(ExtremalParams(0.37, n, 1), top))\n"
+        "        assert got == family_bits(0.37, n, top), (n, top)\n"
+        "print('ok')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_extremal_series_has_the_formula_bits_on_repeated_calls():
+    for n in (1, 2, 3):
+        for top in (24, 40):
+            for a in (0.37, 0.91):
+                expected = family_bits(a, n, top)
+                params = ExtremalParams(a, n, 1)
+                first = extremal_series(params, top)
+                again = extremal_series(params, top)
+                assert series_bits(first) == expected, (n, top, a)
+                assert series_bits(again) == expected, (n, top, a)
+                # each call still returns its own coefficient dict
+                assert first.coeffs is not again.coeffs
 
 
 # -- construction --------------------------------------------------------------
