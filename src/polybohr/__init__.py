@@ -18,10 +18,8 @@ from .extremal import (ExtremalParams, Verification, Witness,
                        sharpness_witness, verify_radius)
 from .mvseries import (Direction, MultiIndex, SchwarzPowerMap,
                        TruncatedSeries, multi_indices)
-from .radii import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Functional,
-                    FunctionalKind, RadiusProblem, RadiusResult, RhoPolynomial,
-                    convex_rho_closed_form, convex_rho_polynomial,
-                    deriv_rho_polynomial, radius_for, sq_deriv_rho_polynomial)
+from .radii import (Functional, FunctionalKind, RadiusProblem, RadiusResult,
+                    RhoPolynomial, radius_for)
 
 __version__ = "0.1.0"
 
@@ -31,21 +29,16 @@ __all__ = [
     "ExtremalParams",
     "Functional",
     "FunctionalKind",
-    "GOLDEN_CONJUGATE",
     "MultiIndex",
     "RadiusProblem",
     "RadiusResult",
     "RhoPolynomial",
-    "SQRT2_MINUS_1",
     "SchwarzPowerMap",
     "TruncatedSeries",
     "Verification",
     "Witness",
     "WitnessNotFoundError",
     "coefficient_bound_check",
-    "convex_rho_closed_form",
-    "convex_rho_polynomial",
-    "deriv_rho_polynomial",
     "derivative_bound",
     "empirical_radius",
     "extremal_functional",
@@ -59,7 +52,6 @@ __all__ = [
     "rogosinski_value",
     "schwarz_pick_bound",
     "sharpness_witness",
-    "sq_deriv_rho_polynomial",
     "verify_radius",
     "zero_multiplicity_bound_check",
 ]

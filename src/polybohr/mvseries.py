@@ -22,12 +22,13 @@ with tuple.__new__, and each result goes through TruncatedSeries._trusted,
 which only drops exact zeros.
 
 The keys of each (n, k), every multi-index with n entries and total degree
-k, are built once in lexicographic order and kept for the process as one
-tuple (_indices); multi_indices iterates over it, and extremal_series pairs
-it with the witness family's multinomials, kept the same way.  For n <= 3
-and degree <= 40 the two tables hold about 1.6 MiB.  A call gives the same
-keys, in the same order, with the same coefficient bits, whether it builds
-a table or finds it built.
+k, are built in lexicographic order by one builder, _indices.
+extremal_series keeps each table it uses for the process as one tuple,
+paired with the witness family's multinomials, kept the same way; for n <= 3
+and degree <= 40 the two tables hold about 1.6 MiB.  It gives the same keys,
+in the same order, with the same coefficient bits, whether it builds a table
+or finds it built.  multi_indices calls the builder uncached, so a walk keeps
+no table once its iterator is dropped.
 
 Evaluation has fixed bits.  f(z) is the sum, in key order, of one term per
 key: the term starts at a_alpha and is multiplied by z_j^e_j for j = 1..n in
@@ -103,7 +104,7 @@ class MultiIndex(tuple):
 @functools.cache
 def _indices(n: int, k: int) -> tuple:
     """Every MultiIndex with n entries and total degree k, in lexicographic
-    order, as one tuple kept for the process.
+    order, as one tuple, which the cache keeps for extremal_series.
 
     A nondecreasing c_1 <= ... <= c_(n-1) in 0..k gives the entries
     c_1, c_2 - c_1, ..., k - c_(n-1), and combinations_with_replacement
@@ -120,16 +121,14 @@ def _indices(n: int, k: int) -> tuple:
 def multi_indices(n_vars: int, degree: int) -> Iterator[MultiIndex]:
     """All multi-indices with n_vars entries and total degree exactly `degree`.
 
-    They come in lexicographic order, as MultiIndex keys of plain ints.  The
-    keys of each (n_vars, degree) are built once and kept for the process
-    (about 1.6 MiB, multinomials included, for every n_vars <= 3 and degree
-    <= 40); each call returns a fresh iterator over them, and the keys and
-    their order are the same whether the call builds them or finds them.
+    They come in lexicographic order, as MultiIndex keys of plain ints.  Each
+    call builds them afresh with the builder behind extremal_series' tables,
+    bypassing its cache, so a walk of a large degree keeps nothing after it.
     """
     _check_count("n_vars", n_vars, 1)
     _check_count("degree", degree, 0)
     # int(): a numpy degree would leak into each key's last entry
-    return iter(_indices(int(n_vars), int(degree)))
+    return iter(_indices.__wrapped__(int(n_vars), int(degree)))
 
 
 @dataclass(frozen=True)
@@ -237,6 +236,8 @@ class TruncatedSeries:
     def coefficient(self, alpha) -> complex:
         """a_alpha, or 0 if the monomial is absent."""
         idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
+        if idx.n_vars != self.n_vars:
+            raise ValueError(f"index {tuple(idx)} has {idx.n_vars} entries, expected {self.n_vars}")
         return self.coeffs.get(idx, 0j)
 
     def degree_slice(self, k: int) -> dict:

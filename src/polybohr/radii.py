@@ -50,8 +50,9 @@ self-map.
 
 The paper states the weight-free quartics rho^4 + rho^3 + 3 rho - 1 (DERIV,
 L <= 1/2) and rho^4 + rho^3 + rho^2 + 2 rho - 1 (SQ_DERIV, L <= 1).  They
-are deriv_rho_polynomial(0.5) and sq_deriv_rho_polynomial(1.0); below those
-weights their roots (0.31905..., 0.38579...) are safe but not sharp.
+are FunctionalKind.DERIV.polynomial(0.5) and
+FunctionalKind.SQ_DERIV.polynomial(1.0); below those weights their roots
+(0.31905..., 0.38579...) are safe but not sharp.
 
 Roots are solved in floating point: bisection down to a bracket of width
 1e-14, a short clamped Newton polish, and a residual check at 1e-12.  The
@@ -68,9 +69,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .mvseries import _check_count
-
-SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0
-GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
 BRACKET_WIDTH = 1e-14
 RESIDUAL_TOL = 1e-12
@@ -116,7 +114,7 @@ def _check_lam(lam):
         raise ValueError(f"lam must be positive and finite, got {lam!r}")
 
 
-def convex_rho_polynomial(t: float) -> RhoPolynomial:
+def _convex_rho_polynomial(t: float) -> RhoPolynomial:
     """(4t-3) rho^2 - 2 rho + 1; value 1 at rho = 0.
 
     Its smallest positive root is the normalized CONVEX radius.  At t = 3/4
@@ -127,7 +125,7 @@ def convex_rho_polynomial(t: float) -> RhoPolynomial:
     return RhoPolynomial((1.0, -2.0, 4.0 * t - 3.0), "convex-rho-quadratic")
 
 
-def deriv_rho_polynomial(lam: float) -> RhoPolynomial:
+def _deriv_rho_polynomial(lam: float) -> RhoPolynomial:
     """2L rho^4 + (4L-1) rho^3 + (2L-1) rho^2 + 3 rho - 1, L = lam.
 
     Governs the DERIV radius for every lam > 0 (see the module docstring for
@@ -142,7 +140,7 @@ def deriv_rho_polynomial(lam: float) -> RhoPolynomial:
                          "deriv-rho-quartic")
 
 
-def sq_deriv_rho_polynomial(lam: float) -> RhoPolynomial:
+def _sq_deriv_rho_polynomial(lam: float) -> RhoPolynomial:
     """L rho^4 + (2L-1) rho^3 + L rho^2 + 2 rho - 1, L = lam.
 
     Governs the SQ_DERIV radius for every lam > 0 (see the module docstring
@@ -156,7 +154,7 @@ def sq_deriv_rho_polynomial(lam: float) -> RhoPolynomial:
                          "sq-deriv-rho-quartic")
 
 
-def convex_rho_closed_form(t: float) -> float:
+def _convex_rho_closed_form(t: float) -> float:
     """Normalized CONVEX radius rho = 1 / (1 + 2 sqrt(1 - t)).
 
     Algebraically equal to (1 - 2 sqrt(1-t)) / (4t - 3) with the removable
@@ -174,7 +172,10 @@ class FunctionalKind(Enum):
     check, its radius polynomial, the cap of the rho interval on which the
     majorant holds, the closed form of the rho root where there is one, and
     search_cap, the largest rho the crossing searches and the verify sweep
-    use.  A public attribute, once set, can be neither overwritten nor deleted.
+    use.  The polynomial and the closed form are private functions of this
+    module, reached only through the members; their docstrings hold what each
+    polynomial is and where it is sharp.  A public attribute, once set, can be
+    neither overwritten nor deleted.
     """
 
     def __new__(cls, value, weight, check, polynomial, rho_cap, closed_form=None):
@@ -197,9 +198,10 @@ class FunctionalKind(Enum):
     def __delattr__(self, name):
         raise AttributeError(f"{self!r}.{name} is read-only")
 
-    CONVEX = ("convex", "t", _check_t, convex_rho_polynomial, 1.0, convex_rho_closed_form)
-    DERIV = ("deriv", "lam", _check_lam, deriv_rho_polynomial, SQRT2_MINUS_1)
-    SQ_DERIV = ("sq_deriv", "lam", _check_lam, sq_deriv_rho_polynomial, GOLDEN_CONJUGATE)
+    CONVEX = ("convex", "t", _check_t, _convex_rho_polynomial, 1.0, _convex_rho_closed_form)
+    DERIV = ("deriv", "lam", _check_lam, _deriv_rho_polynomial, math.sqrt(2.0) - 1.0)
+    SQ_DERIV = ("sq_deriv", "lam", _check_lam, _sq_deriv_rho_polynomial,
+                (math.sqrt(5.0) - 1.0) / 2.0)
 
 
 # -- functional, problem and result types -----------------------------------

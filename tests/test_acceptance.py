@@ -23,12 +23,11 @@ import pytest
 from polybohr import (DEFAULT_SEED, Direction, ExtremalParams, Functional,
                       FunctionalKind, MultiIndex, RadiusProblem, RhoPolynomial,
                       TruncatedSeries, WitnessNotFoundError, coefficient_bound_check,
-                      convex_rho_closed_form, deriv_rho_polynomial,
                       empirical_radius, extremal_functional,
                       extremal_functional_from_series, extremal_series,
                       multi_indices, phi_psi_monotone, radius_for,
                       rogosinski_threshold, sharpness_witness,
-                      sq_deriv_rho_polynomial, zero_multiplicity_bound_check)
+                      zero_multiplicity_bound_check)
 
 CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
                            FunctionalKind.SQ_DERIV)
@@ -130,7 +129,7 @@ def test_criterion_04_factorization_cross_check(capsys):
     # (2 rho^2 + 3 rho - 1)(rho^2 + 1), whose positive root the quadratic
     # formula gives in closed form
     oracle = (math.sqrt(17.0) - 3.0) / 4.0
-    worst = max(abs(deriv_rho_polynomial(1.0)(float(p))
+    worst = max(abs(DERIV.polynomial(1.0)(float(p))
                     - (2 * p * p + 3 * p - 1) * (p * p + 1))
                 for p in np.linspace(0.0, 0.45, 91))
     assert worst < 1e-15
@@ -239,8 +238,8 @@ def test_criterion_07c_branch_continuity(capsys):
     assert worst <= 1e-12
     # at those weights the weighted quartics are the paper's, coefficient
     # for coefficient
-    assert deriv_rho_polynomial(0.5).coefficients == PAPER_DERIV_QUARTIC.coefficients
-    assert sq_deriv_rho_polynomial(1.0).coefficients == \
+    assert DERIV.polynomial(0.5).coefficients == PAPER_DERIV_QUARTIC.coefficients
+    assert SQ_DERIV.polynomial(1.0).coefficients == \
         PAPER_SQ_DERIV_QUARTIC.coefficients
     announce(capsys, f"[criterion 7c] PASS branch continuity at lam = 1/2 and "
                      f"lam = 1 (max jump {worst:.2e})")

@@ -1,5 +1,7 @@
-"""Each demo runs to completion: exit 0 and nothing on stderr."""
+"""Each demo runs to completion: exit 0, nothing on stderr, and the stdout
+recorded in demo_golden.json, byte for byte."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import pytest
 import polybohr
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+GOLDEN = json.loads(Path(__file__).with_name("demo_golden.json").read_text())
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -20,3 +23,4 @@ def test_demo_runs_clean(demo):
                          text=True, env=env)
     assert run.returncode == 0, run.stdout
     assert run.stderr == ""
+    assert run.stdout == GOLDEN[demo.stem]

@@ -1,15 +1,23 @@
-"""The package's export list names exactly what it exports."""
+"""The package's export list names exactly what it exports, and README's
+quickstart runs against it."""
+
+import re
+from pathlib import Path
 
 import polybohr
 
 DELETED_LABELS = ("DERIV_RHO_SMALL", "SQ_DERIV_RHO_SMALL", "CONVEX_A0_CUBIC",
                   "WITNESS_QUARTIC")
+# each is reached as a FunctionalKind member's rho_cap, polynomial or closed_form
+DELETED_KIND_ALIASES = ("SQRT2_MINUS_1", "GOLDEN_CONJUGATE", "convex_rho_polynomial",
+                        "deriv_rho_polynomial", "sq_deriv_rho_polynomial",
+                        "convex_rho_closed_form")
 DELETED = ("deriv_rho_polynomial_small", "sq_deriv_rho_polynomial_small",
            "GrowthBound", "DEFAULT_MAX_DEGREE", "convex_bound_cubic",
            "deriv_witness_quartic", "solve_unique_positive_root", "PolyLabel",
            "radius_convex", "radius_deriv", "radius_sq_deriv",
-           "PhiPsiMode", "PhiPsiParams") + DELETED_LABELS
-DELETED_FROM_RADII = ("KINDS", "KindSpec", "check_weight")
+           "PhiPsiMode", "PhiPsiParams") + DELETED_LABELS + DELETED_KIND_ALIASES
+DELETED_FROM_RADII = ("KINDS", "KindSpec", "check_weight") + DELETED_KIND_ALIASES
 
 
 def test_all_names_resolve_once_and_deleted_aliases_stay_gone():
@@ -18,6 +26,7 @@ def test_all_names_resolve_once_and_deleted_aliases_stay_gone():
         getattr(polybohr, name)
     assert len(names) == len(set(names))
     assert not set(DELETED) & set(names)
+    assert not any(hasattr(polybohr, name) for name in DELETED_KIND_ALIASES)
     assert not hasattr(polybohr, "PolyLabel")
     assert not any(hasattr(polybohr.Functional, name)
                    for name in ("convex", "deriv", "sq_deriv", "from_problem"))
@@ -27,4 +36,12 @@ def test_all_names_resolve_once_and_deleted_aliases_stay_gone():
 
 def test_export_list_is_pinned():
     # re-adding an alias must be a deliberate edit here
-    assert len(polybohr.__all__) == 36
+    assert len(polybohr.__all__) == 30
+
+
+def test_readme_quickstart_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

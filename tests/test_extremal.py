@@ -12,17 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, Direction,
-                      ExtremalParams, Functional, FunctionalKind, MultiIndex,
-                      RadiusProblem, SchwarzPowerMap,
+from polybohr import (Direction, ExtremalParams, Functional, FunctionalKind,
+                      MultiIndex, RadiusProblem, SchwarzPowerMap,
                       TruncatedSeries, Witness, WitnessNotFoundError,
-                      convex_rho_polynomial, deriv_rho_polynomial,
                       empirical_radius, extremal_functional,
                       extremal_functional_from_series, extremal_series,
                       majorant_functional, phi_psi_monotone, radius_for,
                       rogosinski_threshold, rogosinski_value,
-                      sharpness_witness, sq_deriv_rho_polynomial,
-                      verify_radius, zero_multiplicity_bound_check)
+                      sharpness_witness, verify_radius,
+                      zero_multiplicity_bound_check)
 from polybohr import extremal
 
 CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
@@ -197,9 +195,9 @@ def test_majorant_exactly_one_at_unit_constant():
         for rho in np.linspace(0.0, 0.99, 34):
             assert majorant_functional(f, 1.0, float(rho)) == 1.0
     for lam in (0.25, 0.5, 1.0, 3.0):
-        for rho in np.linspace(0.0, SQRT2_MINUS_1, 20):
+        for rho in np.linspace(0.0, DERIV.rho_cap, 20):
             assert majorant_functional(Functional(DERIV, lam=lam), 1.0, float(rho)) == 1.0
-        for rho in np.linspace(0.0, GOLDEN_CONJUGATE, 20):
+        for rho in np.linspace(0.0, SQ_DERIV.rho_cap, 20):
             assert majorant_functional(Functional(SQ_DERIV, lam=lam), 1.0, float(rho)) == 1.0
 
 
@@ -207,8 +205,8 @@ def test_majorant_dominates_extremal():
     # upper-bound chain evaluated at a0 = a must dominate the exact family value
     grids = {
         FunctionalKind.CONVEX: ([0.0, 0.3, 0.75, 1.0], np.linspace(0.0, 0.99, 20)),
-        FunctionalKind.DERIV: ([0.25, 0.5, 1.0, 2.0], np.linspace(0.0, SQRT2_MINUS_1, 20)),
-        FunctionalKind.SQ_DERIV: ([0.25, 1.0, 2.0], np.linspace(0.0, GOLDEN_CONJUGATE, 20)),
+        FunctionalKind.DERIV: ([0.25, 0.5, 1.0, 2.0], np.linspace(0.0, DERIV.rho_cap, 20)),
+        FunctionalKind.SQ_DERIV: ([0.25, 1.0, 2.0], np.linspace(0.0, SQ_DERIV.rho_cap, 20)),
     }
     for kind, (weights, rhos) in grids.items():
         for w in weights:
@@ -262,7 +260,7 @@ def test_convex_sign_identity():
     for t in (0.0, 0.3, 0.75, 0.9):
         for rho in (0.1, 0.4, 0.6):
             g1 = -t * (1 - rho) * (1 - rho) + (1 - t) * (2 * rho + rho - 1) * (1 + rho)
-            assert abs(g1 + convex_rho_polynomial(t)(rho)) < 1e-13
+            assert abs(g1 + CONVEX.polynomial(t)(rho)) < 1e-13
 
 
 def test_deriv_sign_identity():
@@ -281,7 +279,7 @@ def test_deriv_sign_identity():
     # and at a = 1 the quartic in a is the weighted radius quartic in rho
     for lam in (0.05, 0.5, 3.0):
         for rho in (0.1, 0.3, 0.4):
-            assert abs(quartic(lam, rho, 1.0) - deriv_rho_polynomial(lam)(rho)) < 1e-13
+            assert abs(quartic(lam, rho, 1.0) - DERIV.polynomial(lam)(rho)) < 1e-13
 
 
 def test_sq_deriv_sign_identity():
@@ -298,7 +296,7 @@ def test_sq_deriv_sign_identity():
     for lam in (1.0, 2.0, 5.0):
         for rho in (0.1, 0.3, 0.5):
             rhs1 = (rho * rho + rho - 1.0) * (1.0 - rho) + lam * rho * rho * (1.0 + rho) ** 2
-            assert abs(rhs1 - sq_deriv_rho_polynomial(lam)(rho)) < 1e-13
+            assert abs(rhs1 - SQ_DERIV.polynomial(lam)(rho)) < 1e-13
 
 
 # -- witness search -------------------------------------------------------------
@@ -332,11 +330,11 @@ def test_small_weight_witness_family_crosses_at_stated_radius():
             (RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=0.25),
              reference_bisect(
                  lambda p: 2 * 0.25 * p ** 4 + (4 * 0.25 - 1) * p ** 3
-                 + (2 * 0.25 - 1) * p * p + 3 * p - 1, 0.0, SQRT2_MINUS_1)),
+                 + (2 * 0.25 - 1) * p * p + 3 * p - 1, 0.0, DERIV.rho_cap)),
             (RadiusProblem(FunctionalKind.SQ_DERIV, 1, 1, lam=0.5),
              reference_bisect(
                  lambda p: 0.5 * p ** 4 + 0.0 * p ** 3 + 0.5 * p * p + 2 * p - 1,
-                 0.0, GOLDEN_CONJUGATE))):
+                 0.0, SQ_DERIV.rho_cap))):
         assert sharpness_witness(problem).value > 1.0
         # n = m = 1 makes the returned radius equal to rho itself
         emp = empirical_radius(problem)
@@ -722,7 +720,7 @@ def test_rogosinski_thresholds():
 # -- consistency between witness rho cap and radius brackets ------------------------
 
 def test_radius_roots_inside_search_caps():
-    assert radius_for(RadiusProblem(DERIV, 1, 1, lam=10.0)).rho_root < SQRT2_MINUS_1
-    assert radius_for(RadiusProblem(SQ_DERIV, 1, 1, lam=10.0)).rho_root < GOLDEN_CONJUGATE
+    assert radius_for(RadiusProblem(DERIV, 1, 1, lam=10.0)).rho_root < DERIV.rho_cap
+    assert radius_for(RadiusProblem(SQ_DERIV, 1, 1, lam=10.0)).rho_root < SQ_DERIV.rho_cap
     root = radius_for(RadiusProblem(DERIV, 1, 1, lam=0.5)).rho_root
-    assert 0 < root < SQRT2_MINUS_1
+    assert 0 < root < DERIV.rho_cap

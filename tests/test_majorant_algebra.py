@@ -14,9 +14,8 @@ The library is never called with symbols: its weight checks reject them.
 import pytest
 import sympy as sp
 
-from polybohr import (Functional, FunctionalKind, convex_rho_polynomial,
-                      deriv_rho_polynomial, extremal_functional,
-                      majorant_functional, sq_deriv_rho_polynomial)
+from polybohr import (Functional, FunctionalKind, extremal_functional,
+                      majorant_functional)
 
 a, a0, rho, t, lam = sp.symbols("a a0 rho t lam")
 
@@ -108,7 +107,7 @@ def test_convex_majorant_factors_through_the_quadratic():
     assert sp.expand(sp.diff(k, a0) + 2 * (1 - t) * rho**2 * (1 + a0)) == 0
     for v in (0.0, 0.75, 0.9):  # at 3/4 the leading coefficient is 0
         coeffs = [CONVEX_QUADRATIC.subs(t, v).coeff(rho, i) for i in range(3)]
-        assert convex_rho_polynomial(v).coefficients == \
+        assert FunctionalKind.CONVEX.polynomial(v).coefficients == \
             pytest.approx([float(c) for c in coeffs], rel=1e-15)
 
 
@@ -126,7 +125,7 @@ def test_deriv_majorant_factors_through_the_weighted_quartic():
     assert sp.expand(sp.diff(g, a0) - G_SLOPE) == 0
     for v in (0.02, 0.5, 3.0):
         coeffs = sp.Poly(DERIV_QUARTIC.subs(lam, v), rho).all_coeffs()[::-1]
-        assert deriv_rho_polynomial(v).coefficients == \
+        assert FunctionalKind.DERIV.polynomial(v).coefficients == \
             pytest.approx([float(c) for c in coeffs], rel=1e-15)
 
 
@@ -136,7 +135,7 @@ def test_sq_deriv_majorant_factors_through_the_weighted_quartic():
     assert sp.expand(H_FACTOR.subs(a0, 1) - SQ_DERIV_QUARTIC) == 0
     for v in (0.02, 0.5, 3.0):
         coeffs = sp.Poly(SQ_DERIV_QUARTIC.subs(lam, v), rho).all_coeffs()[::-1]
-        assert sq_deriv_rho_polynomial(v).coefficients == \
+        assert FunctionalKind.SQ_DERIV.polynomial(v).coefficients == \
             pytest.approx([float(c) for c in coeffs], rel=1e-15)
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -124,8 +125,7 @@ def test_multi_indices_are_not_bounded_by_the_recursion_limit():
 
 
 def test_multi_indices_returns_a_fresh_iterator_each_call():
-    # the keys are kept for the process; exhausting one call's iterator must
-    # not shorten the next call's
+    # exhausting one call's iterator must not shorten the next call's
     first = multi_indices(3, 4)
     assert len(list(first)) == 15
     assert list(first) == []
@@ -138,6 +138,21 @@ def test_multi_indices_of_numpy_counts_are_plain_ints():
         assert keys == list(multi_indices(int(n), int(k)))
         assert all(type(key) is MultiIndex for key in keys)
         assert all(type(e) is int for key in keys for e in key)
+
+
+def test_multi_indices_keeps_no_table_after_a_walk():
+    # a walk of 40920 keys of 30 entries must not pin them (about 12 MiB) for
+    # the process; only extremal_series keeps its tables
+    cached = mvseries._indices.cache_info().currsize
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert sum(1 for _ in multi_indices(30, 4)) == math.comb(33, 4)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert mvseries._indices.cache_info().currsize == cached
+    assert retained < 1 << 20
 
 
 def test_extremal_series_has_the_formula_bits_on_a_cold_cache():
@@ -196,6 +211,12 @@ def test_series_rejects_bad_indices():
         TruncatedSeries(0, 3, {})
     with pytest.raises(ValueError):
         TruncatedSeries(2, -1, {})
+    # coefficient() checks the length as the constructor does
+    s = TruncatedSeries(2, 2, {(1, 1): 1})
+    with pytest.raises(ValueError, match=r"^index \(1,\) has 1 entries, expected 2$"):
+        s.coefficient((1,))
+    with pytest.raises(ValueError, match=r"^index \(1, 0, 0\) has 3 entries, expected 2$"):
+        s.coefficient((1, 0, 0))
 
 
 def test_degree_slice():

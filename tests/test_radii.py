@@ -7,11 +7,8 @@ import pickle
 import numpy as np
 import pytest
 
-from polybohr import (GOLDEN_CONJUGATE, SQRT2_MINUS_1, FunctionalKind,
-                      RadiusProblem, RhoPolynomial, convex_rho_closed_form,
-                      convex_rho_polynomial, deriv_rho_polynomial, radius_for,
-                      sq_deriv_rho_polynomial)
-from polybohr.radii import _bisect_newton
+from polybohr import FunctionalKind, RadiusProblem, RhoPolynomial, radius_for
+from polybohr.radii import _bisect_newton, _convex_rho_closed_form
 
 CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
                            FunctionalKind.SQ_DERIV)
@@ -51,20 +48,20 @@ def test_closed_form_matches_branch_form():
         t = float(t)
         if abs(t - 0.75) < 1e-9:
             continue
-        assert abs(convex_rho_closed_form(t) - branch_form(t)) < 1e-12
+        assert abs(CONVEX.closed_form(t) - branch_form(t)) < 1e-12
 
 
 def test_closed_form_special_points():
-    assert convex_rho_closed_form(0.0) == pytest.approx(1 / 3, abs=1e-15)
-    assert convex_rho_closed_form(0.75) == 0.5  # exact in floating point
-    assert convex_rho_closed_form(1.0) == 1.0
+    assert CONVEX.closed_form(0.0) == pytest.approx(1 / 3, abs=1e-15)
+    assert CONVEX.closed_form(0.75) == 0.5  # exact in floating point
+    assert CONVEX.closed_form(1.0) == 1.0
 
 
 def test_closed_form_stable_near_degenerate_weight():
     # the rationalized form stays smooth through t = 3/4
     for dt in (1e-12, 1e-9, 1e-6):
-        lo = convex_rho_closed_form(0.75 - dt)
-        hi = convex_rho_closed_form(0.75 + dt)
+        lo = CONVEX.closed_form(0.75 - dt)
+        hi = CONVEX.closed_form(0.75 + dt)
         assert abs(lo - 0.5) < 4 * dt
         assert abs(hi - 0.5) < 4 * dt
 
@@ -87,7 +84,7 @@ def test_radius_convex_random_configs_match_closed_form():
         m = int(rng.integers(1, 7))
         t = float(rng.uniform(0.0, 1.0))
         res = radius_for(RadiusProblem(CONVEX, n, m, t=t))
-        rho = convex_rho_closed_form(t)
+        rho = CONVEX.closed_form(t)
         assert abs(res.rho_root - rho) <= 1e-10
         assert abs(res.radius - (rho / n) ** (1.0 / m)) <= 1e-10
         assert res.bracket[1] - res.bracket[0] <= 1e-14
@@ -113,27 +110,27 @@ def test_radius_convex_rejects_bad_weight():
 
 def test_radius_deriv_small_weight_root():
     res = radius_for(RadiusProblem(DERIV, 1, 1, lam=0.5))
-    oracle = reference_bisect(lambda p: p ** 4 + p ** 3 + 3 * p - 1, 0.0, SQRT2_MINUS_1)
+    oracle = reference_bisect(lambda p: p ** 4 + p ** 3 + 3 * p - 1, 0.0, DERIV.rho_cap)
     assert abs(res.rho_root - oracle) <= 1e-12
     assert res.branch == "deriv-rho-quartic"
-    assert deriv_rho_polynomial(0.5)(res.rho_root) == pytest.approx(0.0, abs=1e-12)
+    assert DERIV.polynomial(0.5)(res.rho_root) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_radius_deriv_weighted_roots_match_reference():
     for lam in (0.6, 0.75, 1.0, 2.0, 10.0):
         res = radius_for(RadiusProblem(DERIV, 1, 1, lam=lam))
         f = lambda p: 2 * lam * p ** 4 + (4 * lam - 1) * p ** 3 + (2 * lam - 1) * p ** 2 + 3 * p - 1
-        oracle = reference_bisect(f, 0.0, SQRT2_MINUS_1)
+        oracle = reference_bisect(f, 0.0, DERIV.rho_cap)
         assert abs(res.rho_root - oracle) <= 1e-12
         assert res.branch == "deriv-rho-quartic"
-        assert 0.0 < res.rho_root < SQRT2_MINUS_1
+        assert 0.0 < res.rho_root < DERIV.rho_cap
 
 
 def test_radius_deriv_weight_one_factorization():
     # 2L rho^4 + ... at L = 1 factors as (2 rho^2 + 3 rho - 1)(rho^2 + 1),
     # so the root is (sqrt(17) - 3)/4
     for p in np.linspace(0.0, 0.5, 26):
-        lhs = deriv_rho_polynomial(1.0)(float(p))
+        lhs = DERIV.polynomial(1.0)(float(p))
         rhs = (2 * p * p + 3 * p - 1) * (p * p + 1)
         assert abs(lhs - rhs) < 1e-15
     root = radius_for(RadiusProblem(DERIV, 1, 1, lam=1.0)).rho_root
@@ -143,7 +140,7 @@ def test_radius_deriv_weight_one_factorization():
 def test_radius_deriv_branch_continuity():
     # at 1/2 the weighted quartic is the paper's weight-free one, coefficient
     # by coefficient
-    assert deriv_rho_polynomial(0.5).coefficients == PAPER_DERIV_COEFFS
+    assert DERIV.polynomial(0.5).coefficients == PAPER_DERIV_COEFFS
     below = radius_for(RadiusProblem(DERIV, 2, 2, lam=0.5)).radius
     above = radius_for(RadiusProblem(DERIV, 2, 2, lam=0.5 + 1e-13)).radius
     assert abs(below - above) <= 1e-12
@@ -159,7 +156,7 @@ def test_radius_deriv_small_weight_root_depends_on_weight():
 
 def test_radius_deriv_endpoint_value():
     # weight-free quartic (lam = 1/2) at sqrt(2)-1 is exactly 6 - 4 sqrt(2)
-    val = deriv_rho_polynomial(0.5)(SQRT2_MINUS_1)
+    val = DERIV.polynomial(0.5)(DERIV.rho_cap)
     assert abs(val - (6.0 - 4.0 * math.sqrt(2.0))) < 1e-14
     assert val > 0
 
@@ -169,7 +166,7 @@ def test_radius_deriv_endpoint_value():
 def test_radius_sq_deriv_small_weight_root():
     res = radius_for(RadiusProblem(SQ_DERIV, 1, 1, lam=1.0))
     oracle = reference_bisect(lambda p: p ** 4 + p ** 3 + p * p + 2 * p - 1,
-                              0.0, GOLDEN_CONJUGATE)
+                              0.0, SQ_DERIV.rho_cap)
     assert abs(res.rho_root - oracle) <= 1e-12
     assert abs(res.rho_root - 0.3856) < 5e-4
     assert res.branch == "sq-deriv-rho-quartic"
@@ -179,13 +176,13 @@ def test_radius_sq_deriv_weighted_roots_match_reference():
     for lam in (1.5, 2.0, 10.0):
         res = radius_for(RadiusProblem(SQ_DERIV, 1, 1, lam=lam))
         f = lambda p: lam * p ** 4 + (2 * lam - 1) * p ** 3 + lam * p * p + 2 * p - 1
-        oracle = reference_bisect(f, 0.0, GOLDEN_CONJUGATE)
+        oracle = reference_bisect(f, 0.0, SQ_DERIV.rho_cap)
         assert abs(res.rho_root - oracle) <= 1e-12
-        assert 0.0 < res.rho_root < GOLDEN_CONJUGATE
+        assert 0.0 < res.rho_root < SQ_DERIV.rho_cap
 
 
 def test_radius_sq_deriv_branch_continuity():
-    assert sq_deriv_rho_polynomial(1.0).coefficients == PAPER_SQ_DERIV_COEFFS
+    assert SQ_DERIV.polynomial(1.0).coefficients == PAPER_SQ_DERIV_COEFFS
     below = radius_for(RadiusProblem(SQ_DERIV, 3, 2, lam=1.0)).radius
     above = radius_for(RadiusProblem(SQ_DERIV, 3, 2, lam=1.0 + 1e-13)).radius
     assert abs(below - above) <= 1e-12
@@ -194,10 +191,10 @@ def test_radius_sq_deriv_branch_continuity():
 def test_sq_deriv_endpoint_identities():
     # weighted quartic at (sqrt(5)-1)/2 equals the weight; the weight-free
     # one (lam = 1) equals 1
-    g = GOLDEN_CONJUGATE
+    g = SQ_DERIV.rho_cap
     for lam in (0.25, 1.0, 2.0, 7.5):
-        assert abs(sq_deriv_rho_polynomial(lam)(g) - lam) < 1e-13
-    assert abs(sq_deriv_rho_polynomial(1.0)(g) - 1.0) < 1e-14
+        assert abs(SQ_DERIV.polynomial(lam)(g) - lam) < 1e-13
+    assert abs(SQ_DERIV.polynomial(1.0)(g) - 1.0) < 1e-14
 
 
 # -- monotonicity -----------------------------------------------------------------------
@@ -222,7 +219,7 @@ def test_radius_monotone_in_m():
 # -- solver ------------------------------------------------------------------------------
 
 def test_solver_requires_sign_change():
-    poly = convex_rho_polynomial(0.0)
+    poly = CONVEX.polynomial(0.0)
     with pytest.raises(ValueError):
         _bisect_newton(poly, 0.0, 0.1)  # both ends positive
     with pytest.raises(ValueError):
@@ -230,7 +227,7 @@ def test_solver_requires_sign_change():
 
 
 def test_solver_hits_interior_root():
-    poly = convex_rho_polynomial(0.0)
+    poly = CONVEX.polynomial(0.0)
     root, (lo, hi), residual = _bisect_newton(poly, 0.0, 1.0)
     assert abs(root - 1 / 3) <= 1e-12
     assert lo <= root <= hi and hi - lo <= 1e-14
@@ -239,7 +236,7 @@ def test_solver_hits_interior_root():
 
 def test_solver_endpoint_roots():
     # weight 1 quadratic vanishes at rho = 1 (its double root)
-    poly = convex_rho_polynomial(1.0)
+    poly = CONVEX.polynomial(1.0)
     assert _bisect_newton(poly, 0.0, 1.0) == (1.0, (1.0, 1.0), 0.0)
     # degenerate linear case: root exactly 1/2
     res = radius_for(RadiusProblem(CONVEX, 3, 1, t=0.75))
@@ -280,11 +277,12 @@ def test_radius_problem_rejects_non_finite_lam(kind, lam):
 
 
 @pytest.mark.parametrize("kind, value, weight, cap, search_cap, closed_form, label", [
-    (CONVEX, "convex", "t", 1.0, 1.0 - 1e-9, convex_rho_closed_form,
+    (CONVEX, "convex", "t", 1.0, 1.0 - 1e-9, _convex_rho_closed_form,
      "convex-rho-quadratic"),
-    (DERIV, "deriv", "lam", SQRT2_MINUS_1, SQRT2_MINUS_1, None, "deriv-rho-quartic"),
-    (SQ_DERIV, "sq_deriv", "lam", GOLDEN_CONJUGATE, GOLDEN_CONJUGATE, None,
-     "sq-deriv-rho-quartic"),
+    (DERIV, "deriv", "lam", math.sqrt(2.0) - 1.0, math.sqrt(2.0) - 1.0, None,
+     "deriv-rho-quartic"),
+    (SQ_DERIV, "sq_deriv", "lam", (math.sqrt(5.0) - 1.0) / 2.0,
+     (math.sqrt(5.0) - 1.0) / 2.0, None, "sq-deriv-rho-quartic"),
 ], ids=["convex", "deriv", "sq_deriv"])
 def test_each_kind_carries_its_spec(kind, value, weight, cap, search_cap,
                                     closed_form, label):
@@ -311,10 +309,10 @@ def test_each_kind_carries_its_spec(kind, value, weight, cap, search_cap,
 
 def test_radius_for_dispatch():
     # each kind solves its own polynomial, rescaled as r = (rho / n)^(1/m)
-    for problem, poly in ((RadiusProblem(CONVEX, 2, 2, t=0.3), convex_rho_polynomial(0.3)),
-                          (RadiusProblem(DERIV, 2, 2, lam=1.0), deriv_rho_polynomial(1.0)),
+    for problem, poly in ((RadiusProblem(CONVEX, 2, 2, t=0.3), CONVEX.polynomial(0.3)),
+                          (RadiusProblem(DERIV, 2, 2, lam=1.0), DERIV.polynomial(1.0)),
                           (RadiusProblem(SQ_DERIV, 2, 2, lam=2.0),
-                           sq_deriv_rho_polynomial(2.0))):
+                           SQ_DERIV.polynomial(2.0))):
         res = radius_for(problem)
         assert res.branch == poly.label
         assert abs(poly(res.rho_root)) <= 1e-12
