@@ -16,6 +16,9 @@ from polybohr import (DEFAULT_SEED, ExtremalParams, Functional, FunctionalKind,
                       MultiIndex, extremal_functional,
                       extremal_functional_from_series, extremal_series)
 
+# the range each weight name is drawn from: t in [0, 1], lam in [0.1, 3]
+WEIGHT_RANGE = {"t": (0.0, 1.0), "lam": (0.1, 3.0)}
+
 
 def coefficient_anatomy():
     print("-" * 72)
@@ -41,32 +44,24 @@ def route_comparison():
     print("-" * 72)
     rng = np.random.default_rng(DEFAULT_SEED)
     cases = []
-    for kind in ("convex", "deriv", "sq_deriv"):
+    for kind in FunctionalKind:
         for _ in range(4):
             a = float(rng.uniform(0.1, 0.9))
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 4))
             rho = float(rng.uniform(0.05, 0.3))
-            if kind == "convex":
-                func = Functional(FunctionalKind.CONVEX, t=float(rng.uniform(0.0, 1.0)))
-                weight = func.t
-            elif kind == "deriv":
-                func = Functional(FunctionalKind.DERIV, lam=float(rng.uniform(0.1, 3.0)))
-                weight = func.lam
-            else:
-                func = Functional(FunctionalKind.SQ_DERIV, lam=float(rng.uniform(0.1, 3.0)))
-                weight = func.lam
-            cases.append((func, weight, a, n, m, rho))
+            weight = float(rng.uniform(*WEIGHT_RANGE[kind.weight]))
+            cases.append((Functional(kind, **{kind.weight: weight}), a, n, m, rho))
     print(f"{'kind':<9} {'weight':>7} {'a':>5} {'n':>2} {'m':>2} {'rho':>6} "
           f"{'closed form':>16} {'series route':>16} {'diff':>9}")
     worst = 0.0
-    for func, weight, a, n, m, rho in cases:
+    for func, a, n, m, rho in cases:
         closed = extremal_functional(func, a, rho)
         series = extremal_functional_from_series(
             func, ExtremalParams(a, n, m), rho, max_degree=40)
         diff = abs(series - closed)
         worst = max(worst, diff)
-        print(f"{func.kind.value:<9} {weight:>7.3f} {a:>5.2f} {n:>2} {m:>2} "
+        print(f"{func.kind.value:<9} {func.weight:>7.3f} {a:>5.2f} {n:>2} {m:>2} "
               f"{rho:>6.3f} {closed:>16.12f} {series:>16.12f} {diff:>9.1e}")
     print()
     print(f"worst disagreement: {worst:.2e}")

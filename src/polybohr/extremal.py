@@ -151,18 +151,22 @@ def extremal_series(params: ExtremalParams, max_degree: int) -> TruncatedSeries:
     one_minus = 1.0 - a * a
     for k in range(1, max_degree + 1):
         base = -one_minus * a ** (k - 1)
-        coeffs.update(zip(_indices(n, k), [complex(base * c) for c in _multinomials(n, k)]))
+        keys, multinomials = _table(n, k)
+        coeffs.update(zip(keys, [complex(base * c) for c in multinomials]))
     return TruncatedSeries._trusted(n, max_degree, coeffs)
 
 
 @functools.cache
-def _multinomials(n: int, k: int) -> tuple:
-    """k!/alpha! for each alpha of mvseries._indices(n, k), in its order.
+def _table(n: int, k: int) -> tuple:
+    """(keys, multinomials): every alpha of degree k in n variables, in
+    lexicographic order, and k!/alpha! for each as an exact Python int.
 
-    Exact Python ints, built once per (n, k) and kept for the process.
+    Built once per (n, k) and kept for the process, the package's only table
+    cache; for n <= 3 and k <= 40 the tables hold about 1.6 MiB.
     """
+    keys = tuple(_indices(n, k))
     kfac = math.factorial(k)
-    return tuple(kfac // alpha.factorial for alpha in _indices(n, k))
+    return keys, tuple(kfac // alpha.factorial for alpha in keys)
 
 
 # -- closed-form functional values --------------------------------------------

@@ -21,14 +21,8 @@ checked, so they trust them: each key is a MultiIndex of plain ints made
 with tuple.__new__, and each result goes through TruncatedSeries._trusted,
 which only drops exact zeros.
 
-The keys of each (n, k), every multi-index with n entries and total degree
-k, are built in lexicographic order by one builder, _indices.
-extremal_series keeps each table it uses for the process as one tuple,
-paired with the witness family's multinomials, kept the same way; for n <= 3
-and degree <= 40 the two tables hold about 1.6 MiB.  It gives the same keys,
-in the same order, with the same coefficient bits, whether it builds a table
-or finds it built.  multi_indices calls the builder uncached, so a walk keeps
-no table once its iterator is dropped.
+The keys of each (n, k) come in lexicographic order from one uncached
+generator, _indices; this module keeps no tables.
 
 Evaluation has fixed bits.  f(z) is the sum, in key order, of one term per
 key: the term starts at a_alpha and is multiplied by z_j^e_j for j = 1..n in
@@ -40,12 +34,12 @@ once on float64 arrays: each complex product is CPython's
 (ar*br - ai*bi, ar*bi + ai*br) as separate real ufuncs, and the sum is
 np.add.accumulate over [0.0, terms...].  numpy's own complex multiply and
 np.sum (pairwise) would differ in the last bit; these do not.  eval(z) is
-eval_many([z])[0], and numpy is imported only when a series is evaluated.
+eval_many([z])[0].  Within this module only eval_many imports numpy, though
+importing the package loads it anyway (bounds and extremal need it).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -101,10 +95,9 @@ class MultiIndex(tuple):
         return out
 
 
-@functools.cache
-def _indices(n: int, k: int) -> tuple:
+def _indices(n: int, k: int) -> Iterator[MultiIndex]:
     """Every MultiIndex with n entries and total degree k, in lexicographic
-    order, as one tuple, which the cache keeps for extremal_series.
+    order, one at a time.
 
     A nondecreasing c_1 <= ... <= c_(n-1) in 0..k gives the entries
     c_1, c_2 - c_1, ..., k - c_(n-1), and combinations_with_replacement
@@ -114,21 +107,20 @@ def _indices(n: int, k: int) -> tuple:
     """
     # from a list, not the map: a tuple grown from an iterator keeps its first,
     # larger block (1.28 against 1.11 MiB for the keys of n <= 3, k <= 40)
-    return tuple(tuple.__new__(MultiIndex, [*map(sub, (*c, k), (0, *c))])
-                 for c in combinations_with_replacement(range(k + 1), n - 1))
+    return (tuple.__new__(MultiIndex, [*map(sub, (*c, k), (0, *c))])
+            for c in combinations_with_replacement(range(k + 1), n - 1))
 
 
 def multi_indices(n_vars: int, degree: int) -> Iterator[MultiIndex]:
     """All multi-indices with n_vars entries and total degree exactly `degree`.
 
-    They come in lexicographic order, as MultiIndex keys of plain ints.  Each
-    call builds them afresh with the builder behind extremal_series' tables,
-    bypassing its cache, so a walk of a large degree keeps nothing after it.
+    They come in lexicographic order, as MultiIndex keys of plain ints, one
+    at a time: a walk holds no table.
     """
     _check_count("n_vars", n_vars, 1)
     _check_count("degree", degree, 0)
     # int(): a numpy degree would leak into each key's last entry
-    return iter(_indices.__wrapped__(int(n_vars), int(degree)))
+    return _indices(int(n_vars), int(degree))
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,19 @@ def test_verify_negative_control_exits_two(capsys):
     assert 0.0 <= a < 1.0
 
 
+def test_verify_dominance_failure_exits_two(capsys, monkeypatch):
+    # a majorant of 0 fails to dominate at nearly every grid point; the JSON
+    # lists the first 20 such points
+    monkeypatch.setattr(extremal, "majorant_functional", lambda func, a, rho: 0.0)
+    code, out, _ = run_cli(["verify", "--theorem", "convex", "--t", "0.3"], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["violations_below_radius"] == []
+    assert 0 < len(payload["violations_dominance"]) <= 20
+    assert all(margin < -1e-12 for _, _, margin in payload["violations_dominance"])
+
+
 def test_verify_rejects_tiny_grids(capsys):
     code, _, err = run_cli(
         ["verify", "--theorem", "convex", "--t", "0.3", "--a-grid", "5"], capsys)

@@ -553,6 +553,18 @@ def test_verify_radius_passes_at_the_radius_and_fails_the_control(problem):
     assert all(value > 1.0 + 1e-12 for _, _, value in control.below_violations)
 
 
+def test_verify_radius_records_a_majorant_that_fails_to_dominate(monkeypatch):
+    # a majorant of 0 lies below the family wherever the family is positive
+    monkeypatch.setattr(extremal, "majorant_functional", lambda func, a, rho: 0.0)
+    check = verify_radius(VERIFY_PROBLEMS[0], 23, 11, 0.0)
+    assert not check.ok
+    assert not check.below_violations
+    assert check.dominance_violations
+    for a, rho, margin in check.dominance_violations:
+        assert margin < -1e-12
+        assert margin == -extremal_functional(VERIFY_PROBLEMS[0], a, rho)
+
+
 def test_witness_validation():
     f = Functional(CONVEX, t=0.5)
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from polybohr import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
-                      multi_indices, mvseries)
+                      extremal, multi_indices, mvseries)
 from polybohr.extremal import ExtremalParams, extremal_series
 
 
@@ -48,8 +48,8 @@ def random_series(rng, n, max_degree, scale=1.0):
 def compositions(n, k):
     """The n-tuples of total k in lexicographic order, by plain recursion.
 
-    The package's own enumeration before its key tables were cached, kept
-    as the reference for their order.
+    An earlier enumeration of the package's, kept as the reference for the
+    order of multi_indices.
     """
     if n == 1:
         yield (k,)
@@ -141,18 +141,20 @@ def test_multi_indices_of_numpy_counts_are_plain_ints():
 
 
 def test_multi_indices_keeps_no_table_after_a_walk():
-    # a walk of 40920 keys of 30 entries must not pin them (about 12 MiB) for
-    # the process; only extremal_series keeps its tables
-    cached = mvseries._indices.cache_info().currsize
+    # a walk of 40920 keys of 30 entries (about 12 MiB as one table) must hold
+    # one key at a time and pin nothing; only extremal._table caches tables
+    assert not hasattr(mvseries._indices, "cache_info")
+    cached = extremal._table.cache_info().currsize
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         assert sum(1 for _ in multi_indices(30, 4)) == math.comb(33, 4)
-        retained = tracemalloc.get_traced_memory()[0] - start
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert mvseries._indices.cache_info().currsize == cached
-    assert retained < 1 << 20
+    assert extremal._table.cache_info().currsize == cached
+    assert retained - start < 1 << 20
+    assert peak - start < 1 << 20
 
 
 def test_extremal_series_has_the_formula_bits_on_a_cold_cache():
@@ -160,14 +162,12 @@ def test_extremal_series_has_the_formula_bits_on_a_cold_cache():
     # each case, so every extremal_series call here builds them itself
     tests = Path(__file__).resolve().parent
     script = (
-        "from polybohr import ExtremalParams, extremal, extremal_series, mvseries\n"
+        "from polybohr import ExtremalParams, extremal, extremal_series\n"
         "from test_mvseries import family_bits, series_bits\n"
-        "tables = (mvseries._indices, extremal._multinomials)\n"
-        "assert [t.cache_info().currsize for t in tables] == [0, 0]\n"
+        "assert extremal._table.cache_info().currsize == 0\n"
         "for n in (1, 2, 3):\n"
         "    for top in (24, 40):\n"
-        "        for t in tables:\n"
-        "            t.cache_clear()\n"
+        "        extremal._table.cache_clear()\n"
         "        got = series_bits(extremal_series(ExtremalParams(0.37, n, 1), top))\n"
         "        assert got == family_bits(0.37, n, top), (n, top)\n"
         "print('ok')\n")
@@ -410,6 +410,21 @@ def test_multiply_degree_adds():
 def test_multiply_dimension_mismatch():
     with pytest.raises(ValueError):
         TruncatedSeries(1, 1, {(1,): 1}).multiply(TruncatedSeries(2, 1, {(1, 0): 1}))
+
+
+def test_star_of_two_series_is_their_cauchy_product():
+    rng = np.random.default_rng(11)
+    f, g = random_series(rng, 2, 3), random_series(rng, 2, 2)
+    prod = f * g
+    assert prod.max_degree == 5
+    assert prod.coeffs == f.multiply(g).coeffs
+
+
+@pytest.mark.parametrize("op", [lambda s: s + 1, lambda s: s - 1], ids=["add", "sub"])
+def test_adding_or_subtracting_a_number_raises_type_error(op):
+    # + and - take series only; a constant goes through TruncatedSeries.constant
+    with pytest.raises(TypeError):
+        op(TruncatedSeries(1, 1, {(1,): 1}))
 
 
 # -- directional derivative ------------------------------------------------------
