@@ -97,9 +97,9 @@ def zero_multiplicity_bound_check(series: TruncatedSeries, k: int,
     total degree below k).  For an actual self-map into the closed unit disc
     the ratio never exceeds 1.
     """
-    _check_count("k", k, 1)
-    _check_count("samples", samples, 1)
-    _check_count("seed", seed, 0)
+    k = _check_count("k", k, 1)
+    samples = _check_count("samples", samples, 1)
+    seed = _check_count("seed", seed, 0)
     low = [alpha for alpha in series.coeffs if alpha.degree < k]
     if low:
         raise ValueError(f"series does not vanish to order {k}: found {tuple(low[0])}")

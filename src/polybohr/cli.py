@@ -265,6 +265,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a bare MemoryError's str is empty
+        print(f"error: out of memory: {str(exc) or 'the request is too large'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

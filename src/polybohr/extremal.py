@@ -43,8 +43,8 @@ import numpy as np
 
 from .mvseries import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
                        _check_count, _indices)
-from .radii import (Functional, FunctionalKind, RadiusProblem, _check_nm,
-                    _geometric_radius, radius_for)
+from .radii import (Functional, FunctionalKind, RadiusProblem, _geometric_radius,
+                    radius_for)
 
 # sup-over-grid crossing guard: a radius is "crossed" only when the grid sup
 # exceeds 1 by more than this
@@ -81,7 +81,8 @@ class ExtremalParams:
 
     def __post_init__(self):
         _check_a(self.a)
-        _check_nm(self.n, self.m)
+        object.__setattr__(self, "n", _check_count("n", self.n, 1))
+        object.__setattr__(self, "m", _check_count("m", self.m, 1))
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def extremal_series(params: ExtremalParams, max_degree: int) -> TruncatedSeries:
     -(1 - a^2) a^(k-1) k!/alpha!, so each homogeneous slice sums in modulus
     to (1 - a^2) a^(k-1) n^k.
     """
-    _check_count("max_degree", max_degree, 0)
+    max_degree = _check_count("max_degree", max_degree, 0)
     a, n = params.a, params.n
     coeffs: dict = {tuple.__new__(MultiIndex, (0,) * n): complex(a)}
     one_minus = 1.0 - a * a
@@ -309,7 +310,10 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
     if not 0.0 <= inflate < math.inf:
         raise ValueError(f"inflate must be finite and >= 0, got {inflate!r}")
     radius = radius_for(problem).radius
-    rho_max = problem.n * (radius * (1.0 + inflate)) ** problem.m
+    try:
+        rho_max = problem.n * (radius * (1.0 + inflate)) ** problem.m
+    except OverflowError:
+        raise ValueError(f"inflate = {inflate!r} overflows rho_max; lower inflate") from None
     avals = np.linspace(0.0, 1.0, a_grid, endpoint=False)
     rhos = np.linspace(0.0, rho_max, rho_grid)
     a_list = avals.tolist()

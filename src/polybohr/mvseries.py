@@ -19,10 +19,11 @@ MultiIndex(...), at TruncatedSeries(...) built from a caller's dict, and at
 coefficient().  The operations here build their keys from keys already
 checked, so they trust them: each key is a MultiIndex of plain ints made
 with tuple.__new__, and each result goes through TruncatedSeries._trusted,
-which only drops exact zeros.
+which only drops exact zeros.  A count is checked by _check_count, which
+returns it as a plain int for the caller to keep: no numpy integer reaches a
+key or a result.
 
-The keys of each (n, k) come in lexicographic order from one uncached
-generator, _indices; this module keeps no tables.
+_indices yields each (n, k)'s keys in lexicographic order; no tables are kept.
 
 Evaluation has fixed bits.  f(z) is the sum, in key order, of one term per
 key: the term starts at a_alpha and is multiplied by z_j^e_j for j = 1..n in
@@ -48,12 +49,14 @@ from operator import sub
 from typing import Iterable, Iterator, Mapping
 
 
-def _check_count(name: str, value, least: int) -> None:
-    # numbers.Integral admits numpy integers, and bool, which is refused;
-    # testing int first skips its slow ABC lookup
-    if type(value) is not int and (not isinstance(value, numbers.Integral)
-                                   or isinstance(value, bool)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name: str, value, least: int) -> int:
+    # a plain int is returned as is, skipping numbers.Integral's slow ABC lookup
+    if type(value) is int:
+        if value >= least:
+            return value
+    elif isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # eval_many evaluates its points in blocks, so that no temporary array holds
@@ -103,7 +106,6 @@ def _indices(n: int, k: int) -> Iterator[MultiIndex]:
     c_1, c_2 - c_1, ..., k - c_(n-1), and combinations_with_replacement
     yields the c in the order that puts the entries in lexicographic order.
     No recursion, so n is not bounded by the interpreter's recursion limit.
-    k must be a plain int, or a numpy k would leak into the keys.
     """
     # from a list, not the map: a tuple grown from an iterator keeps its first,
     # larger block (1.28 against 1.11 MiB for the keys of n <= 3, k <= 40)
@@ -117,10 +119,7 @@ def multi_indices(n_vars: int, degree: int) -> Iterator[MultiIndex]:
     They come in lexicographic order, as MultiIndex keys of plain ints, one
     at a time: a walk holds no table.
     """
-    _check_count("n_vars", n_vars, 1)
-    _check_count("degree", degree, 0)
-    # int(): a numpy degree would leak into each key's last entry
-    return _indices(int(n_vars), int(degree))
+    return _indices(_check_count("n_vars", n_vars, 1), _check_count("degree", degree, 0))
 
 
 @dataclass(frozen=True)
@@ -165,11 +164,8 @@ class SchwarzPowerMap:
     power: int
 
     def __post_init__(self):
-        _check_count("n_vars", self.n_vars, 1)
-        _check_count("power", self.power, 1)
-        # numpy integers would leak into apply's values and compose_power_map's keys
-        object.__setattr__(self, "n_vars", int(self.n_vars))
-        object.__setattr__(self, "power", int(self.power))
+        object.__setattr__(self, "n_vars", _check_count("n_vars", self.n_vars, 1))
+        object.__setattr__(self, "power", _check_count("power", self.power, 1))
 
     def apply(self, z) -> tuple:
         """omega(z) as a tuple of complex numbers."""
@@ -185,8 +181,8 @@ class TruncatedSeries:
     __slots__ = ("n_vars", "max_degree", "coeffs")
 
     def __init__(self, n_vars: int, max_degree: int, coeffs: Mapping):
-        _check_count("n_vars", n_vars, 1)
-        _check_count("max_degree", max_degree, 0)
+        n_vars = _check_count("n_vars", n_vars, 1)
+        max_degree = _check_count("max_degree", max_degree, 0)
         clean = {}
         for alpha, c in coeffs.items():
             idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)

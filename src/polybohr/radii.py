@@ -236,7 +236,10 @@ class RadiusProblem(Functional):
     m: int
 
     def __post_init__(self):
-        _check_nm(self.n, self.m)
+        n, m = _check_count("n", self.n, 1), _check_count("m", self.m, 1)
+        if n is not self.n or m is not self.m:  # no stores for plain ints: one problem per CSV row
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "m", m)
         super().__post_init__()
 
 
@@ -337,10 +340,3 @@ def radius_for(problem: RadiusProblem) -> RadiusResult:
     root, bracket, residual = _bisect_newton(poly, lo, hi)
     return RadiusResult(_geometric_radius(root, problem.n, problem.m), root,
                         residual, bracket, poly.label)
-
-
-# -- validation ---------------------------------------------------------------
-
-def _check_nm(n, m):
-    _check_count("n", n, 1)
-    _check_count("m", m, 1)

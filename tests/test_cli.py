@@ -13,28 +13,13 @@ import pytest
 
 import polybohr
 from polybohr import WitnessNotFoundError, cli, extremal
+from _reference import reference_bisect
 
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def reference_bisect(f, lo, hi, iters=200):
-    """Plain bisection, independent of the package's solver."""
-    flo, fhi = f(lo), f(hi)
-    assert flo * fhi < 0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 # -- radius -----------------------------------------------------------------
@@ -283,6 +268,16 @@ def test_verify_on_the_family_pole_exits_one(capsys):
     assert json.loads(out)["ok"] is False
 
 
+def test_verify_inflate_that_overflows_rho_max_exits_one(capsys):
+    # (r (1 + inflate))^m overflows a float before the grid is built
+    code, out, err = run_cli(
+        ["verify", "--theorem", "deriv", "--lambda", "1", "--m", "4",
+         "--inflate-radius", "1e100"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: inflate = 1e+100 overflows rho_max; lower inflate\n"
+
+
 def test_option_inventory_is_pinned(capsys):
     # a new flag has to be added here on purpose
     common = ["--theorem", "--n", "--m", "--t", "--lambda", "--out"]
@@ -487,6 +482,16 @@ def test_sweep_errors(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_too_large_for_memory_exits_one(capsys):
+    # the 10^18 values of m are one list, which CPython refuses at once
+    code, out, err = run_cli(
+        ["sweep", "--theorem", "convex", "--param", "m", "--from", "1",
+         "--to", "1e18", "--t", "0.5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory: the request is too large\n"
 
 
 # -- table ---------------------------------------------------------------------------

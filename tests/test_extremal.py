@@ -17,29 +17,15 @@ from polybohr import (Direction, ExtremalParams, Functional, FunctionalKind,
                       TruncatedSeries, Witness, WitnessNotFoundError,
                       empirical_radius, extremal_functional,
                       extremal_functional_from_series, extremal_series,
-                      majorant_functional, phi_psi_monotone, radius_for,
-                      rogosinski_threshold, rogosinski_value,
+                      majorant_functional, multi_indices, phi_psi_monotone,
+                      radius_for, rogosinski_threshold, rogosinski_value,
                       sharpness_witness, verify_radius,
                       zero_multiplicity_bound_check)
 from polybohr import extremal
+from _reference import reference_bisect
 
 CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
                            FunctionalKind.SQ_DERIV)
-
-
-def reference_bisect(f, lo, hi, iters=200):
-    flo, fhi = f(lo), f(hi)
-    assert flo * fhi < 0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 # -- series form of the family ------------------------------------------------
@@ -736,3 +722,31 @@ def test_radius_roots_inside_search_caps():
     assert radius_for(RadiusProblem(SQ_DERIV, 1, 1, lam=10.0)).rho_root < SQ_DERIV.rho_cap
     root = radius_for(RadiusProblem(DERIV, 1, 1, lam=0.5)).rho_root
     assert 0 < root < DERIV.rho_cap
+
+
+# -- numpy counts ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16])
+def test_numpy_counts_give_plain_results(dtype):
+    # every entry point keeps the plain int _check_count returns, so a numpy
+    # count reaches no stored count and no result
+    n, m, k, top = dtype(2), dtype(3), dtype(1), dtype(6)
+    problem = RadiusProblem(CONVEX, n, m, t=0.5)
+    params = ExtremalParams(0.5, n, m)
+    linear = TruncatedSeries(n, top, {(1, 0): 0.5, (0, 1): 0.5})
+    omega = SchwarzPowerMap(n, m)
+    floats = [radius_for(problem).radius,
+              verify_radius(problem, dtype(10), dtype(10), 0.0).rho_max,
+              empirical_radius(problem),
+              sharpness_witness(problem).radius,
+              extremal_functional_from_series(problem, params, 0.2, top),
+              zero_multiplicity_bound_check(linear, k, samples=dtype(50))]
+    ints = [problem.n, problem.m, params.n, params.m, linear.n_vars, linear.max_degree,
+            extremal_series(params, top).max_degree, omega.n_vars, omega.power,
+            *next(multi_indices(n, top))]
+    assert [type(x) for x in floats] == [float] * len(floats)
+    assert [type(x) for x in ints] == [int] * len(ints)
+    plain = RadiusProblem(CONVEX, 2, 3, t=0.5)
+    assert floats[0] == radius_for(plain).radius
+    assert floats[4] == extremal_functional_from_series(
+        plain, ExtremalParams(0.5, 2, 3), 0.2, 6)

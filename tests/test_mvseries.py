@@ -132,6 +132,21 @@ def test_multi_indices_returns_a_fresh_iterator_each_call():
     assert len(list(multi_indices(3, 4))) == 15
 
 
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, -1],
+                         ids=["bool", "numpy-bool", "float", "negative"])
+def test_check_count_refuses_what_is_not_a_count(value):
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 0, got "):
+        mvseries._check_count("n", value, 0)
+
+
+def test_check_count_returns_a_plain_int():
+    big = 10 ** 30
+    assert mvseries._check_count("n", big, 0) is big
+    for value in (np.int8(3), np.int64(3), np.uint16(3)):
+        out = mvseries._check_count("n", value, 0)
+        assert type(out) is int and out == 3
+
+
 def test_multi_indices_of_numpy_counts_are_plain_ints():
     for n, k in ((np.int64(1), np.int64(5)), (np.int64(3), np.int64(4)), (2, np.int32(3))):
         keys = list(multi_indices(n, k))

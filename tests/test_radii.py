@@ -9,6 +9,7 @@ import pytest
 
 from polybohr import FunctionalKind, RadiusProblem, RhoPolynomial, radius_for
 from polybohr.radii import _bisect_newton, _convex_rho_closed_form
+from _reference import reference_bisect
 
 CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
                            FunctionalKind.SQ_DERIV)
@@ -16,22 +17,6 @@ CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
 # the paper's weight-free quartics, ascending coefficients
 PAPER_DERIV_COEFFS = (-1.0, 3.0, 0.0, 1.0, 1.0)  # rho^4 + rho^3 + 3 rho - 1
 PAPER_SQ_DERIV_COEFFS = (-1.0, 2.0, 1.0, 1.0, 1.0)  # rho^4 + rho^3 + rho^2 + 2 rho - 1
-
-
-def reference_bisect(f, lo, hi, iters=200):
-    """Plain bisection, independent of the package's solver."""
-    flo, fhi = f(lo), f(hi)
-    assert flo * fhi < 0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def branch_form(t):
