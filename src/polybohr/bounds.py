@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mvseries import MultiIndex, TruncatedSeries, _check_count
+from .mvseries import MultiIndex, TruncatedSeries, _check_below_one, _check_count, _check_unit
 
 DEFAULT_SEED = 1234
 
@@ -39,15 +39,9 @@ def schwarz_pick_bound(a0: float, s: float) -> float:
     Mobius maps of one aligned variable, which is what makes it useful as a
     test oracle.
     """
-    if not 0.0 <= a0 <= 1.0:
-        raise ValueError(f"a0 must lie in [0, 1], got {a0!r}")
-    _check_s(s)
+    _check_unit("a0", a0)
+    _check_below_one("s", s)
     return (a0 + s) / (1.0 + a0 * s)
-
-
-def _check_s(s):
-    if not 0.0 <= s < 1.0:
-        raise ValueError(f"s must lie in [0, 1), got {s!r}")
 
 
 def derivative_bound(a_fz: float, s: float, alpha) -> float:
@@ -63,9 +57,8 @@ def derivative_bound(a_fz: float, s: float, alpha) -> float:
     idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
     if idx.degree < 1:
         raise ValueError("alpha must have total degree >= 1")
-    if not 0.0 <= a_fz <= 1.0:
-        raise ValueError(f"a_fz must lie in [0, 1], got {a_fz!r}")
-    _check_s(s)
+    _check_unit("a_fz", a_fz)
+    _check_below_one("s", s)
     d = idx.degree
     nonzero = sum(1 for e in idx if e)
     return idx.factorial * (1.0 - a_fz * a_fz) * (1.0 + s) ** (d - nonzero) / (1.0 - s * s) ** d

@@ -15,13 +15,14 @@ directions, substitution of the componentwise power map z_j -> z_j^m, and the
 majorant sum  sum_{|alpha| >= k_min} |a_alpha| r^alpha  for radius vectors r.
 
 A multi-index is validated once, where it enters from outside: at
-MultiIndex(...), at TruncatedSeries(...) built from a caller's dict, and at
-coefficient().  The operations here build their keys from keys already
-checked, so they trust them: each key is a MultiIndex of plain ints made
-with tuple.__new__, and each result goes through TruncatedSeries._trusted,
-which only drops exact zeros.  A count is checked by _check_count, which
-returns it as a plain int for the caller to keep: no numpy integer reaches a
-key or a result.
+MultiIndex(...), and by _check_index at TruncatedSeries(...) from a caller's
+dict and at coefficient().  The operations here build their keys from checked
+keys and trust them: each is a MultiIndex of plain ints made with
+tuple.__new__, and each result goes through TruncatedSeries._trusted, which
+only drops exact zeros.  Each scalar input is checked by one helper here:
+_check_count returns a count as a plain int (no numpy integer reaches a key
+or a result), and _check_unit, _check_below_one and _check_positive refuse
+values outside [0, 1], [0, 1) and (0, inf).
 
 _indices yields each (n, k)'s keys in lexicographic order; no tables are kept.
 
@@ -57,6 +58,28 @@ def _check_count(name: str, value, least: int) -> int:
     elif isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
         return int(value)
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_unit(name: str, x) -> None:
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
+
+
+def _check_below_one(name: str, x) -> None:
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1), got {x!r}")
+
+
+def _check_positive(name: str, x) -> None:
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
+def _check_index(alpha, n_vars: int) -> "MultiIndex":
+    idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
+    if len(idx) != n_vars:
+        raise ValueError(f"index {tuple(idx)} has {len(idx)} entries, expected {n_vars}")
+    return idx
 
 
 # eval_many evaluates its points in blocks, so that no temporary array holds
@@ -148,7 +171,7 @@ class Direction:
     @classmethod
     def uniform(cls, n_vars: int) -> "Direction":
         """The direction (1/n, ..., 1/n)."""
-        _check_count("n_vars", n_vars, 1)
+        n_vars = _check_count("n_vars", n_vars, 1)
         return cls((1.0 / n_vars,) * n_vars)
 
 
@@ -185,9 +208,7 @@ class TruncatedSeries:
         max_degree = _check_count("max_degree", max_degree, 0)
         clean = {}
         for alpha, c in coeffs.items():
-            idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-            if idx.n_vars != n_vars:
-                raise ValueError(f"index {tuple(idx)} has {idx.n_vars} entries, expected {n_vars}")
+            idx = _check_index(alpha, n_vars)
             if idx.degree > max_degree:
                 raise ValueError(f"index {tuple(idx)} exceeds max_degree {max_degree}")
             cv = complex(c)
@@ -223,10 +244,7 @@ class TruncatedSeries:
 
     def coefficient(self, alpha) -> complex:
         """a_alpha, or 0 if the monomial is absent."""
-        idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-        if idx.n_vars != self.n_vars:
-            raise ValueError(f"index {tuple(idx)} has {idx.n_vars} entries, expected {self.n_vars}")
-        return self.coeffs.get(idx, 0j)
+        return self.coeffs.get(_check_index(alpha, self.n_vars), 0j)
 
     def degree_slice(self, k: int) -> dict:
         """The homogeneous degree-k part as a dict."""

@@ -68,7 +68,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .mvseries import _check_count
+from .mvseries import _check_count, _check_positive, _check_unit
 
 BRACKET_WIDTH = 1e-14
 RESIDUAL_TOL = 1e-12
@@ -102,17 +102,7 @@ class RhoPolynomial:
         return (((0.0 * x + 4 * c4) * x + 3 * c3) * x + 2 * c2) * x + c1
 
 
-# -- weights and polynomial factories ------------------------------------------
-
-def _check_t(t):
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-
-
-def _check_lam(lam):
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
-
+# -- polynomial factories -----------------------------------------------------
 
 def _convex_rho_polynomial(t: float) -> RhoPolynomial:
     """(4t-3) rho^2 - 2 rho + 1; value 1 at rho = 0.
@@ -121,7 +111,7 @@ def _convex_rho_polynomial(t: float) -> RhoPolynomial:
     the leading coefficient vanishes and the polynomial is linear with root
     exactly 1/2; at t = 1 the root sits at rho = 1.
     """
-    _check_t(t)
+    _check_unit("t", t)
     return RhoPolynomial((1.0, -2.0, 4.0 * t - 3.0), "convex-rho-quadratic")
 
 
@@ -135,7 +125,7 @@ def _deriv_rho_polynomial(lam: float) -> RhoPolynomial:
     every lam <= 1/2; below 1/2 its root (approximately 0.31905) is safe but
     not sharp.
     """
-    _check_lam(lam)
+    _check_positive("lam", lam)
     return RhoPolynomial((-1.0, 3.0, 2.0 * lam - 1.0, 4.0 * lam - 1.0, 2.0 * lam),
                          "deriv-rho-quartic")
 
@@ -149,7 +139,7 @@ def _sq_deriv_rho_polynomial(lam: float) -> RhoPolynomial:
     rho^4 + rho^3 + rho^2 + 2 rho - 1, stated for every lam <= 1; below 1
     its root (approximately 0.38579) is safe but not sharp.
     """
-    _check_lam(lam)
+    _check_positive("lam", lam)
     return RhoPolynomial((-1.0, 2.0, lam, 2.0 * lam - 1.0, lam),
                          "sq-deriv-rho-quartic")
 
@@ -161,18 +151,18 @@ def _convex_rho_closed_form(t: float) -> float:
     0/0 at t = 3/4 eliminated; this form is exact in floating point at
     t = 3/4 (giving 1/2) and at t = 1 (giving 1) and is stable in between.
     """
-    _check_t(t)
+    _check_unit("t", t)
     return 1.0 / (1.0 + 2.0 * math.sqrt(1.0 - t))
 
 
 class FunctionalKind(Enum):
     """The three Bohr-type functionals, also used to tag radius problems.
 
-    Each member carries its own spec: the name of its weight and the weight's
-    check, its radius polynomial, the cap of the rho interval on which the
-    majorant holds, the closed form of the rho root where there is one, and
-    search_cap, the largest rho the crossing searches and the verify sweep
-    use.  The polynomial and the closed form are private functions of this
+    Each member carries its own spec: the name of its weight, the weight's
+    check, called as check(name, value), its radius polynomial, the cap of
+    the rho interval on which the majorant holds, the closed form of the rho
+    root where there is one, and search_cap, the largest rho the crossing
+    searches and the verify sweep use.  The polynomial and the closed form are private functions of this
     module, reached only through the members; their docstrings hold what each
     polynomial is and where it is sharp.  A public attribute, once set, can be
     neither overwritten nor deleted.
@@ -198,9 +188,9 @@ class FunctionalKind(Enum):
     def __delattr__(self, name):
         raise AttributeError(f"{self!r}.{name} is read-only")
 
-    CONVEX = ("convex", "t", _check_t, _convex_rho_polynomial, 1.0, _convex_rho_closed_form)
-    DERIV = ("deriv", "lam", _check_lam, _deriv_rho_polynomial, math.sqrt(2.0) - 1.0)
-    SQ_DERIV = ("sq_deriv", "lam", _check_lam, _sq_deriv_rho_polynomial,
+    CONVEX = ("convex", "t", _check_unit, _convex_rho_polynomial, 1.0, _convex_rho_closed_form)
+    DERIV = ("deriv", "lam", _check_positive, _deriv_rho_polynomial, math.sqrt(2.0) - 1.0)
+    SQ_DERIV = ("sq_deriv", "lam", _check_positive, _sq_deriv_rho_polynomial,
                 (math.sqrt(5.0) - 1.0) / 2.0)
 
 
@@ -220,7 +210,7 @@ class Functional:
         own, other = (self.t, self.lam) if kind.weight == "t" else (self.lam, self.t)
         if own is None or other is not None:
             raise ValueError(f"{kind.value} takes {kind.weight} only")
-        kind.check(own)
+        kind.check(kind.weight, own)
 
     @property
     def weight(self) -> float:

@@ -278,6 +278,20 @@ def test_verify_inflate_that_overflows_rho_max_exits_one(capsys):
     assert err == "error: inflate = 1e+100 overflows rho_max; lower inflate\n"
 
 
+def test_verify_far_past_the_pole_writes_nothing_to_stderr():
+    # rho near 3e307 overflows the family row to inf and nan; a child process
+    # runs with Python's default warning filters, which would print numpy's
+    # RuntimeWarning on stderr
+    argv = ["verify", "--theorem", "deriv", "--lambda", "1", "--n", "8",
+            "--inflate-radius", "1e308"]
+    env = dict(os.environ, PYTHONPATH=str(Path(polybohr.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "polybohr"] + argv,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["ok"] is False
+
+
 def test_option_inventory_is_pinned(capsys):
     # a new flag has to be added here on purpose
     common = ["--theorem", "--n", "--m", "--t", "--lambda", "--out"]

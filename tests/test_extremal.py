@@ -520,6 +520,9 @@ def test_hot_path_names_no_enum_member_lookup():
     # per-point functions compare against the module's bound members
     for fn in (extremal._functional_value, extremal.majorant_functional):
         assert "FunctionalKind" not in fn.__code__.co_names
+    # and the majorant checks a0 inline, calling no shared _check_ helper
+    assert not [name for name in extremal.majorant_functional.__code__.co_names
+                if name.startswith("_check_")]
 
 
 @pytest.mark.parametrize("problem", VERIFY_PROBLEMS,
@@ -602,6 +605,17 @@ def test_verify_radius_margin_past_the_cap():
                             - extremal_functional(problem, a, rr)))
     assert check.min_margin == min(m for _, _, m in margins)
     assert check.dominance_violations == [list(v) for v in margins if v[2] < -1e-12]
+
+
+def test_verify_radius_past_the_pole_raises_no_numpy_warning():
+    # inflate 1e308 puts rho near 3e307, where the family row overflows to inf
+    # and nan; the suite's filterwarnings = error turns a numpy warning into
+    # an exception, so the run itself is the check
+    problem = RadiusProblem(FunctionalKind.DERIV, 8, 1, lam=1.0)
+    check = verify_radius(problem, 200, 50, 1e308)
+    assert check.rho_max == 2.8077640640441517e+307
+    assert check.max_value == 5.615528128088303e+307
+    assert check.below_violations and not check.ok
 
 
 # -- series route cross-check ----------------------------------------------------

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polybohr import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
-                      extremal, multi_indices, mvseries)
+from polybohr import (Direction, Functional, FunctionalKind, MultiIndex, RadiusProblem,
+                      SchwarzPowerMap, TruncatedSeries, derivative_bound, extremal,
+                      extremal_functional, multi_indices, mvseries, schwarz_pick_bound,
+                      sharpness_witness)
 from polybohr.extremal import ExtremalParams, extremal_series
 
 
@@ -145,6 +147,94 @@ def test_check_count_returns_a_plain_int():
     for value in (np.int8(3), np.int64(3), np.uint16(3)):
         out = mvseries._check_count("n", value, 0)
         assert type(out) is int and out == 3
+
+
+_CONVEX, _DERIV = FunctionalKind.CONVEX, FunctionalKind.DERIV
+_EMPTY = TruncatedSeries(2, 1, {})
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: RadiusProblem(_CONVEX, 1, 1, t=math.nan),
+                 "t must lie in [0, 1], got nan", id="problem-t-nan"),
+    pytest.param(lambda: RadiusProblem(_CONVEX, 1, 1, t=1.5),
+                 "t must lie in [0, 1], got 1.5", id="problem-t-above"),
+    pytest.param(lambda: _CONVEX.polynomial(-0.5),
+                 "t must lie in [0, 1], got -0.5", id="polynomial-t-below"),
+    pytest.param(lambda: _CONVEX.closed_form(math.nan),
+                 "t must lie in [0, 1], got nan", id="closed-form-t-nan"),
+    pytest.param(lambda: RadiusProblem(_DERIV, 1, 1, lam=math.nan),
+                 "lam must be positive and finite, got nan", id="problem-lam-nan"),
+    pytest.param(lambda: RadiusProblem(_DERIV, 1, 1, lam=0.0),
+                 "lam must be positive and finite, got 0.0", id="problem-lam-zero"),
+    pytest.param(lambda: FunctionalKind.SQ_DERIV.polynomial(math.inf),
+                 "lam must be positive and finite, got inf", id="polynomial-lam-inf"),
+    pytest.param(lambda: ExtremalParams(math.nan, 1, 1),
+                 "a must lie in [0, 1), got nan", id="params-a-nan"),
+    pytest.param(lambda: ExtremalParams(1.0, 1, 1),
+                 "a must lie in [0, 1), got 1.0", id="params-a-one"),
+    pytest.param(lambda: extremal_functional(Functional(_CONVEX, t=0.5), math.nan, 0.1),
+                 "a must lie in [0, 1), got nan", id="functional-a-nan"),
+    pytest.param(lambda: extremal_functional(Functional(_CONVEX, t=0.5), 1.0, 0.1),
+                 "a must lie in [0, 1), got 1.0", id="functional-a-one"),
+    pytest.param(lambda: schwarz_pick_bound(math.nan, 0.5),
+                 "a0 must lie in [0, 1], got nan", id="pick-a0-nan"),
+    pytest.param(lambda: schwarz_pick_bound(1.5, 0.5),
+                 "a0 must lie in [0, 1], got 1.5", id="pick-a0-above"),
+    pytest.param(lambda: schwarz_pick_bound(0.5, math.nan),
+                 "s must lie in [0, 1), got nan", id="pick-s-nan"),
+    pytest.param(lambda: schwarz_pick_bound(0.5, 1.0),
+                 "s must lie in [0, 1), got 1.0", id="pick-s-one"),
+    pytest.param(lambda: derivative_bound(math.nan, 0.5, (1,)),
+                 "a_fz must lie in [0, 1], got nan", id="derivative-a_fz-nan"),
+    pytest.param(lambda: derivative_bound(-0.5, 0.5, (1,)),
+                 "a_fz must lie in [0, 1], got -0.5", id="derivative-a_fz-below"),
+    pytest.param(lambda: derivative_bound(0.5, math.nan, (1,)),
+                 "s must lie in [0, 1), got nan", id="derivative-s-nan"),
+    pytest.param(lambda: derivative_bound(0.5, 1.0, (1,)),
+                 "s must lie in [0, 1), got 1.0", id="derivative-s-one"),
+    pytest.param(lambda: sharpness_witness(RadiusProblem(_CONVEX, 1, 1, t=0.5), math.nan),
+                 "delta must be positive and finite, got nan", id="witness-delta-nan"),
+    pytest.param(lambda: sharpness_witness(RadiusProblem(_CONVEX, 1, 1, t=0.5), 0.0),
+                 "delta must be positive and finite, got 0.0", id="witness-delta-zero"),
+    pytest.param(lambda: TruncatedSeries(2, 1, {(1,): 1.0}),
+                 "index (1,) has 1 entries, expected 2", id="series-index-short"),
+    pytest.param(lambda: TruncatedSeries(2, 1, {MultiIndex((0, 0, 1)): 1.0}),
+                 "index (0, 0, 1) has 3 entries, expected 2", id="series-index-long"),
+    pytest.param(lambda: _EMPTY.coefficient(MultiIndex((1,))),
+                 "index (1,) has 1 entries, expected 2", id="coefficient-index-short"),
+    pytest.param(lambda: _EMPTY.coefficient((0, 0, 1)),
+                 "index (0, 0, 1) has 3 entries, expected 2", id="coefficient-index-long"),
+])
+def test_range_and_index_messages_are_pinned(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_radii_and_mvseries_run_without_numpy():
+    # a stub package whose __init__ never runs, so that only radii and
+    # mvseries load; with numpy blocked only eval_many may need it
+    src = Path(mvseries.__file__).resolve().parent
+    script = (
+        "import sys, types\n"
+        "sys.modules['numpy'] = None\n"
+        "package = types.ModuleType('polybohr')\n"
+        f"package.__path__ = [{str(src)!r}]\n"
+        "sys.modules['polybohr'] = package\n"
+        "from polybohr import mvseries, radii\n"
+        "problem = radii.RadiusProblem(radii.FunctionalKind.DERIV, 2, 1, lam=1.0)\n"
+        "assert 0.0 < radii.radius_for(problem).radius < 1.0\n"
+        "s = mvseries.TruncatedSeries(2, 2, {(1, 1): 1.0, (0, 1): 2.0})\n"
+        "du = s.directional_derivative(mvseries.Direction.uniform(2))\n"
+        "assert du.coeffs == {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5}, du.coeffs\n"
+        "try:\n"
+        "    du.eval((0.1, 0.2))\n"
+        "except ImportError:\n"
+        "    print('ok')\n")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_multi_indices_of_numpy_counts_are_plain_ints():
