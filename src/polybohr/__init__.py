@@ -8,13 +8,11 @@ engine that checks every closed form independently.
 """
 
 from .bounds import (DEFAULT_SEED, coefficient_bound_check, derivative_bound,
-                     phi_psi_monotone, schwarz_pick_bound,
-                     zero_multiplicity_bound_check)
+                     schwarz_pick_bound, zero_multiplicity_bound_check)
 from .extremal import (ExtremalParams, Verification, Witness,
                        WitnessNotFoundError, empirical_radius,
                        extremal_functional, extremal_functional_from_series,
                        extremal_series, majorant_functional,
-                       rogosinski_threshold, rogosinski_value,
                        sharpness_witness, verify_radius)
 from .mvseries import (Direction, MultiIndex, SchwarzPowerMap,
                        TruncatedSeries, multi_indices)
@@ -46,10 +44,7 @@ __all__ = [
     "extremal_series",
     "majorant_functional",
     "multi_indices",
-    "phi_psi_monotone",
     "radius_for",
-    "rogosinski_threshold",
-    "rogosinski_value",
     "schwarz_pick_bound",
     "sharpness_witness",
     "verify_radius",

@@ -8,11 +8,10 @@ checkable evaluators:
                    where N is the number of nonzero entries of alpha
 - coefficients:    |a_alpha| <= 1 - |a_0|^2                   for |alpha| >= 1
 - zero order:      |f(z)| <= ||z||_inf^k  when f vanishes to order k at 0
-- weight transfer: phi(x) = x + A(1-x^2) is nondecreasing on [0,1] for A <= 1/2,
-                   psi(x) = x^2 + A(1-x^2) for A <= 1
 
 Each evaluator validates its hypotheses and refuses out-of-range inputs
-instead of extrapolating.
+instead of extrapolating.  The weight transfer (phi and psi nondecreasing,
+see radii) is a polynomial fact, proved in tests/test_majorant_algebra.py.
 """
 
 from __future__ import annotations
@@ -115,28 +114,3 @@ def zero_multiplicity_bound_check(series: TruncatedSeries, k: int,
             if ratio > worst:
                 worst = ratio
     return worst
-
-
-def phi_psi_monotone(A: float, x: float, x0: float, squared: bool = False) -> bool:
-    """Whether phi(x) <= phi(x0) (psi if squared) holds, for 0 <= x <= x0 <= 1.
-
-    phi(x) = x + A (1 - x^2) with 0 <= A <= 1/2, psi(x) = x^2 + A (1 - x^2)
-    with 0 <= A <= 1; outside those ranges monotonicity genuinely fails and
-    the call is refused.  The comparison carries a 1e-12 guard so that equal
-    endpoints do not flap on rounding.
-    """
-    if not A >= 0.0:
-        raise ValueError(f"A must be nonnegative, got {A!r}")
-    if not 0.0 <= x <= x0 <= 1.0:
-        raise ValueError(f"need 0 <= x <= x0 <= 1, got x={x!r}, x0={x0!r}")
-    if squared:
-        if A > 1.0:
-            raise ValueError(f"psi is only monotone for A <= 1, got A={A!r}")
-        lo = x * x + A * (1.0 - x * x)
-        hi = x0 * x0 + A * (1.0 - x0 * x0)
-    else:
-        if A > 0.5:
-            raise ValueError(f"phi is only monotone for A <= 1/2, got A={A!r}")
-        lo = x + A * (1.0 - x * x)
-        hi = x0 + A * (1.0 - x0 * x0)
-    return lo <= hi + _CHECK_TOL

@@ -344,7 +344,7 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
                         below_violations, dominance_violations)
 
 
-def _bisect_crossing(value, lo: float, hi: float, what: str = "") -> float:
+def _bisect_crossing(value, lo: float, hi: float, what: str) -> float:
     """The rho in (lo, hi) where the sup over a of value(a, rho) crosses 1.
 
     value works elementwise on the a-grid; "crosses" means exceeds 1 by more
@@ -390,29 +390,3 @@ def empirical_radius(problem: RadiusProblem) -> float:
         lambda a, rho: _functional_value(problem, a, rho),
         1e-9, kind.search_cap, f" for {kind.value} with weight {problem.weight!r}")
     return _geometric_radius(rho_star, problem.n, problem.m)
-
-
-# -- one-variable Bohr-Rogosinski thresholds -----------------------------------
-
-def rogosinski_value(a: float, rho: float, squared: bool = False) -> float:
-    """One-variable witness value |f_a| + full majorant tail at radius rho.
-
-    head + (1 - a^2) rho / (1 - a rho), where head is (rho+a)/(1+a rho) or
-    its square.  The sup over a crosses 1 at rho = sqrt(5) - 2 (linear head)
-    and rho = 1/3 (squared head).
-    """
-    _check_point(a, rho)
-    return float(_rogosinski_value(a, rho, squared))
-
-
-def _rogosinski_value(a, rho, squared: bool):
-    head = (rho + a) / (1.0 + a * rho)
-    if squared:
-        head = head * head
-    return head + (1.0 - a * a) * rho / (1.0 - a * rho)
-
-
-def rogosinski_threshold(squared: bool = False) -> float:
-    """Empirical crossing radius for the one-variable functional above."""
-    return _bisect_crossing(lambda a, rho: _rogosinski_value(a, rho, squared),
-                            1e-9, 0.8)

@@ -97,7 +97,7 @@ class MultiIndex(tuple):
         if not ex:
             raise ValueError("a multi-index needs at least one entry")
         for e in ex:
-            if e in (math.inf, -math.inf) or e != int(e):
+            if e != e or e in (math.inf, -math.inf) or e != int(e):  # NaN before int()
                 raise ValueError(f"non-integer exponent {e!r}")
             if e < 0:
                 raise ValueError(f"negative exponent {e!r}")

@@ -48,6 +48,13 @@ dominance margin M - F >= 0.  What rests on the paper's lemmas, which
 bounds evaluates in floats only, is that the majorant bounds every
 self-map.
 
+The quartic caps: the derivative term is A (1 - h^2), with h the growth
+bound and A = rho / (1 - rho^2), and bounding phi(h) = h + A (1 - h^2)
+(DERIV) or psi(h) = h^2 + A (1 - h^2) (SQ_DERIV) at a larger h needs phi or
+psi nondecreasing on [0, 1], that is A <= 1/2 or A <= 1.  A increases, and
+equals 1/2 at sqrt(2) - 1 and 1 at (sqrt(5) - 1)/2 (test_phi_psi_step and
+test_caps_are_where_phi_and_psi_stop_increasing prove each step).
+
 The paper states the weight-free quartics rho^4 + rho^3 + 3 rho - 1 (DERIV,
 L <= 1/2) and rho^4 + rho^3 + rho^2 + 2 rho - 1 (SQ_DERIV, L <= 1).  They
 are FunctionalKind.DERIV.polynomial(0.5) and
@@ -162,10 +169,10 @@ class FunctionalKind(Enum):
     check, called as check(name, value), its radius polynomial, the cap of
     the rho interval on which the majorant holds, the closed form of the rho
     root where there is one, and search_cap, the largest rho the crossing
-    searches and the verify sweep use.  The polynomial and the closed form are private functions of this
-    module, reached only through the members; their docstrings hold what each
-    polynomial is and where it is sharp.  A public attribute, once set, can be
-    neither overwritten nor deleted.
+    searches and the verify sweep use.  The polynomial and the closed form
+    are private functions of this module, reached only through the members;
+    their docstrings hold what each polynomial is and where it is sharp.  A
+    public attribute, once set, can be neither overwritten nor deleted.
     """
 
     def __new__(cls, value, weight, check, polynomial, rho_cap, closed_form=None):

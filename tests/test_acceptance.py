@@ -3,7 +3,9 @@
 Each criterion pins a deliverable of the package at its stated tolerance:
 exact constants, closed forms, root certificates, both directions of the
 radius statements (safety below, witness beyond), oracle equivalence of the
-empirical thresholds, the lemma evaluators, and the series-route cross-check.
+empirical thresholds, the lemmas (the univariate thresholds and phi / psi
+monotonicity proved exactly in sympy, the polydisc bounds by their
+evaluators), and the series-route cross-check.
 Criterion runtimes are asserted where a budget is stated.
 
 The witness-existence half of criterion 7 covers small weights too (lam < 1/2
@@ -19,15 +21,16 @@ import time
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from polybohr import (DEFAULT_SEED, Direction, ExtremalParams, Functional,
                       FunctionalKind, MultiIndex, RadiusProblem, RhoPolynomial,
                       TruncatedSeries, WitnessNotFoundError, coefficient_bound_check,
                       empirical_radius, extremal_functional,
                       extremal_functional_from_series, extremal_series,
-                      multi_indices, phi_psi_monotone, radius_for,
-                      rogosinski_threshold, sharpness_witness,
+                      multi_indices, radius_for, sharpness_witness,
                       zero_multiplicity_bound_check)
+from test_majorant_algebra import PHI, PSI, head_threshold, monotone_weight_bound
 
 CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
                            FunctionalKind.SQ_DERIV)
@@ -142,16 +145,15 @@ def test_criterion_04_factorization_cross_check(capsys):
 
 def test_criterion_05_univariate_shifted_thresholds(capsys):
     t0 = time.perf_counter()
-    plain = rogosinski_threshold()
-    squared = rogosinski_threshold(squared=True)
+    # the sympy lemmas of tests/test_majorant_algebra.py: sup over a of the
+    # one-variable value is <= 1 exactly up to each threshold
+    plain = head_threshold(squared=False)
+    squared = head_threshold(squared=True)
     dt = time.perf_counter() - t0
-    err1 = abs(plain - (math.sqrt(5.0) - 2.0))
-    err2 = abs(squared - 1.0 / 3.0)
-    assert err1 <= 5e-4
-    assert err2 <= 5e-4
-    announce(capsys, f"[criterion 5] PASS shifted-head thresholds {plain:.6f} vs "
-                     f"sqrt(5)-2 (err {err1:.1e}) and {squared:.6f} vs 1/3 "
-                     f"(err {err2:.1e}) ({dt:.2f} s)")
+    assert plain == sp.sqrt(5) - 2
+    assert squared == sp.Rational(1, 3)
+    announce(capsys, f"[criterion 5] PASS shifted-head thresholds {plain} and "
+                     f"{squared}, exact ({dt:.2f} s)")
 
 
 def test_criterion_06_convex_grid_both_directions(capsys):
@@ -274,17 +276,10 @@ def test_criterion_08_empirical_oracle_equivalence(capsys):
 
 def test_criterion_09_lemma_suite(capsys):
     t0 = time.perf_counter()
-    # phi/psi monotonicity, exhaustive 0.01-resolution grids over the
-    # admissible weight ranges
-    xs = np.round(np.linspace(0.0, 1.0, 101), 10)
-    failures = 0
-    for squared, a_top in ((False, 0.5), (True, 1.0)):
-        for A in np.round(np.arange(0.0, a_top + 1e-9, 0.01), 10):
-            for i, x in enumerate(xs):
-                for x0 in xs[i:]:
-                    if not phi_psi_monotone(float(A), float(x), float(x0), squared):
-                        failures += 1
-    assert failures == 0
+    # phi/psi monotonicity, exactly: nondecreasing on [0, 1] for weights up
+    # to 1/2 and 1, and decreasing near 1 past them (a sympy lemma)
+    assert monotone_weight_bound(PHI) == sp.Rational(1, 2)
+    assert monotone_weight_bound(PSI) == 1
 
     # coefficient bound on the univariate Moebius truncations
     for a in np.arange(0.0, 0.99, 0.02):
@@ -329,7 +324,7 @@ def test_criterion_09_lemma_suite(capsys):
         assert ratio <= 1.0 + 1e-9
     dt = time.perf_counter() - t0
     assert dt < 30.0
-    announce(capsys, f"[criterion 9] PASS lemma suite: phi/psi grid clean, "
+    announce(capsys, f"[criterion 9] PASS lemma suite: phi/psi exact to 1/2 and 1, "
                      f"Moebius coefficients clean, derivative FD err "
                      f"{fd_worst:.2e}, zero-multiplicity max ratio {zm_worst:.9f} "
                      f"({dt:.2f} s)")

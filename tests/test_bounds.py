@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polybohr import (TruncatedSeries, bounds, coefficient_bound_check,
-                      derivative_bound, phi_psi_monotone, schwarz_pick_bound,
+                      derivative_bound, schwarz_pick_bound,
                       zero_multiplicity_bound_check)
 from polybohr.mvseries import multi_indices
 
@@ -198,34 +198,6 @@ def test_zero_multiplicity_refuses_a_seed_that_is_not_a_count(seed):
     # -1 and 1.5 used to reach numpy, which raised its own ValueError / TypeError
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         zero_multiplicity_bound_check(TruncatedSeries(1, 1, {(1,): 1.0}), 1, samples=4, seed=seed)
-
-
-# -- phi/psi monotonicity ----------------------------------------------------------------
-
-def test_phi_psi_spot_values():
-    assert phi_psi_monotone(A=0.5, x=0.2, x0=0.9)
-    assert phi_psi_monotone(A=1.0, x=0.2, x0=0.9, squared=True)
-    # equal endpoints hold under the guard
-    assert phi_psi_monotone(A=0.3, x=0.5, x0=0.5)
-
-
-def test_phi_psi_range_errors():
-    with pytest.raises(ValueError):
-        phi_psi_monotone(A=0.6, x=0.1, x0=0.9)
-    with pytest.raises(ValueError):
-        phi_psi_monotone(A=1.1, x=0.1, x0=0.9, squared=True)
-    with pytest.raises(ValueError):
-        phi_psi_monotone(A=0.5, x=0.9, x0=0.1)
-    with pytest.raises(ValueError):
-        phi_psi_monotone(A=-0.1, x=0.1, x0=0.9)
-
-
-def test_phi_fails_beyond_half_by_construction():
-    # at A = 0.6 the map x + A(1 - x^2) genuinely decreases near x = 1,
-    # which is why the evaluator refuses A > 1/2
-    A = 0.6
-    phi = lambda x: x + A * (1 - x * x)
-    assert phi(0.95) > phi(1.0)
 
 
 def test_multi_indices_helper_available():

@@ -17,8 +17,7 @@ from polybohr import (Direction, ExtremalParams, Functional, FunctionalKind,
                       TruncatedSeries, Witness, WitnessNotFoundError,
                       empirical_radius, extremal_functional,
                       extremal_functional_from_series, extremal_series,
-                      majorant_functional, multi_indices, phi_psi_monotone,
-                      radius_for, rogosinski_threshold, rogosinski_value,
+                      majorant_functional, multi_indices, radius_for,
                       sharpness_witness, verify_radius,
                       zero_multiplicity_bound_check)
 from polybohr import extremal
@@ -422,12 +421,10 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
     lambda: extremal_functional(Functional(DERIV, lam=1.0), 0.5, NAN),
     lambda: majorant_functional(Functional(DERIV, lam=1.0), 0.5, NAN),
     lambda: majorant_functional(Functional(CONVEX, t=0.5), 0.5, NAN),
-    lambda: rogosinski_value(0.5, NAN),
     lambda: extremal_functional_from_series(
         Functional(DERIV, lam=1.0), ExtremalParams(0.5, 1, 1), NAN, max_degree=40),
     lambda: Direction((NAN, 0.5)),
     lambda: TruncatedSeries.constant(0.5, 1).bohr_majorant_sum(NAN),
-    lambda: phi_psi_monotone(NAN, 0.1, 0.2),
     lambda: ExtremalParams(0.5, 1.5, 1),
     lambda: extremal_series(ExtremalParams(0.5, 2.0, 1), max_degree=4),
     lambda: SchwarzPowerMap(2, 2.5),
@@ -454,8 +451,8 @@ Z_SQUARED = TruncatedSeries(1, 2, {(2,): 0.5})  # vanishes to order 2
     lambda: SchwarzPowerMap(2, 1).apply((0.1,)),
     lambda: TruncatedSeries.constant(1, 1) + TruncatedSeries.constant(1, 2),
 ], ids=["extremal-rho", "majorant-deriv-rho", "majorant-convex-rho",
-        "rogosinski-rho", "series-rho", "direction", "majorant-sum-radius",
-        "phi-psi-weight", "extremal-params-n", "series-float-n", "power-map-power",
+        "series-rho", "direction", "majorant-sum-radius", "extremal-params-n",
+        "series-float-n", "power-map-power",
         "series-max-degree", "problem-float-n", "uniform-direction-zero",
         "uniform-direction-float", "uniform-direction-negative",
         "verify-inflate-nan", "verify-float-grid", "zero-order-nan-k",
@@ -711,22 +708,6 @@ def test_unrotated_family_has_no_derivative_along_a_difference_direction():
     assert plain <= 1e-13
     assert rotated == pytest.approx((1 - a * a) * rho / (1 + a * rho) ** 2, rel=1e-10)
     assert value == pytest.approx(extremal_functional(func, a, rho), rel=1e-10)
-
-
-# -- univariate shifted family -----------------------------------------------------
-
-def test_rogosinski_value_forms():
-    a, rho = 0.3, 0.2
-    plain = (rho + a) / (1 + a * rho) + (1 - a * a) * rho / (1 - a * rho)
-    assert abs(rogosinski_value(a, rho) - plain) < 1e-15
-    squared = ((rho + a) / (1 + a * rho)) ** 2 + (1 - a * a) * rho / (1 - a * rho)
-    assert abs(rogosinski_value(a, rho, squared=True) - squared) < 1e-15
-
-
-def test_rogosinski_thresholds():
-    # plain head: sqrt(5) - 2; squared head: 1/3
-    assert abs(rogosinski_threshold() - (math.sqrt(5.0) - 2.0)) < 5e-4
-    assert abs(rogosinski_threshold(squared=True) - 1 / 3) < 5e-4
 
 
 # -- consistency between witness rho cap and radius brackets ------------------------

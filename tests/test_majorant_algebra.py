@@ -5,17 +5,24 @@ witness family F, and the majorant M as the upper-bound chain states it,
 which the library evaluates as F with tail ratio 1) and radii (the factors
 K, G and H, the radius polynomials); the sign polynomials W of F - 1 are
 derived alongside.  sympy proves each identity as rational functions and
-each sign claim from the assumptions of the domain; float spot checks tie
-the copied forms to the library.  sympy is imported, not skipped when
-missing: this file is the only place these factorizations are checked.
-The library is never called with symbols: its weight checks reject them.
+each sign claim from the assumptions of the domain.  The library's own
+closed form, extremal._functional_value, is evaluated on the symbols too and
+must equal the copies exactly; it is handed a stand-in functional, since
+Functional's weight checks reject symbols.  Float spot checks tie the copies
+to the public entry points.  The one-variable thresholds the paper
+generalizes, the phi / psi monotonicity and the caps it sets are proved here
+as well.  sympy is imported, not skipped when missing: this file is the
+only place these facts are checked.
 """
+
+from types import SimpleNamespace
 
 import pytest
 import sympy as sp
 
 from polybohr import (Functional, FunctionalKind, extremal_functional,
                       majorant_functional)
+from polybohr.extremal import _functional_value
 
 a, a0, rho, t, lam = sp.symbols("a a0 rho t lam")
 
@@ -67,6 +74,15 @@ def on_domain(expr):
 def test_majorant_is_the_family_with_tail_ratio_one(kind):
     # majorant_functional evaluates the family's closed form with ratio 1
     assert is_zero(family(kind, a0, ratio=1) - majorant(kind))
+
+
+@pytest.mark.parametrize("kind", ["convex", "deriv", "sq_deriv"])
+def test_library_closed_form_is_the_stated_family_and_majorant(kind):
+    # the code that runs, on symbols: nsimplify makes its float literals
+    # (all of them 1.0) exact, so a change in the code fails here
+    ns = SimpleNamespace(kind=FunctionalKind(kind), t=t, lam=lam)
+    assert is_zero(sp.nsimplify(_functional_value(ns, a, rho)) - family(kind))
+    assert is_zero(sp.nsimplify(_functional_value(ns, a0, rho, 1.0)) - majorant(kind))
 
 
 # the radius polynomials, from the radii docstrings
@@ -164,12 +180,119 @@ def test_family_factors_through_its_sign_polynomial(kind):
     assert sp.expand(w.subs(a, 1) - at_one) == 0
 
 
+PHI_PSI_WEIGHT = rho / (1 - rho**2)
+
+
 def test_phi_psi_step():
     # A (1 - first^2) = second with A = rho / (1 - rho^2): the derivative
     # term is the phi / psi weight times the growth bound's deficit
-    big_a = rho / (1 - rho**2)
     second = (1 - a**2) * rho / (1 + a * rho) ** 2
-    assert is_zero(big_a * (1 - _first(a) ** 2) - second)
+    assert is_zero(PHI_PSI_WEIGHT * (1 - _first(a) ** 2) - second)
+
+
+# -- phi / psi monotonicity and the caps it sets -----------------------------------
+x, w = sp.symbols("x w")
+PHI = x + w * (1 - x**2)
+PSI = x**2 + w * (1 - x**2)
+
+
+def monotone_weight_bound(g):
+    """The largest weight w >= 0 for which g is nondecreasing in x on [0, 1].
+
+    g's slope in x is linear in x, so its least value on [0, 1] is at an end.
+    At x = 0 it is >= 0 for every w; at x = 1 it decreases in w, so the bound
+    is its root there, and past it g decreases near x = 1.
+    """
+    slope = sp.diff(g, x)
+    assert sp.degree(slope, x) == 1
+    assert slope.subs(x, 0) >= 0
+    at_one = slope.subs(x, 1)
+    assert sp.diff(at_one, w) < 0
+    (root,) = sp.solve(at_one, w)
+    return root
+
+
+def test_phi_psi_nondecreasing_exactly_up_to_their_weights():
+    # phi' = 1 - 2 w x and psi' = 2 x (1 - w)
+    assert sp.expand(sp.diff(PHI, x) - (1 - 2 * w * x)) == 0
+    assert sp.expand(sp.diff(PSI, x) - 2 * x * (1 - w)) == 0
+    assert monotone_weight_bound(PHI) == sp.Rational(1, 2)
+    assert monotone_weight_bound(PSI) == 1
+
+
+def weight_cap(weight_bound):
+    """The rho in [0, 1) where the phi / psi weight A(rho) reaches weight_bound."""
+    (root,) = [r for r in sp.solve(PHI_PSI_WEIGHT - weight_bound, rho) if 0 <= r < 1]
+    return root
+
+
+def test_caps_are_where_phi_and_psi_stop_increasing():
+    # A' = (rho^2 + 1) / (1 - rho^2)^2 > 0, so A <= bound exactly up to the
+    # root; with test_phi_psi_step this derives each quartic kind's rho_cap
+    slope = sp.diff(PHI_PSI_WEIGHT, rho)
+    assert is_zero(slope - (rho**2 + 1) / (1 - rho**2) ** 2)
+    assert on_domain(slope).is_positive
+    assert PHI_PSI_WEIGHT.subs(rho, 0) == 0
+    assert weight_cap(monotone_weight_bound(PHI)) == QUARTIC_SLOPES["deriv"][1] \
+        == sp.sqrt(2) - 1
+    assert weight_cap(monotone_weight_bound(PSI)) == QUARTIC_SLOPES["sq_deriv"][1] \
+        == (sp.sqrt(5) - 1) / 2
+
+
+# -- the one-variable thresholds the paper generalizes ------------------------------
+# Without the derivative and weight terms and at n = m = 1, the witness value
+# is a head, (rho + a)/(1 + a rho) or its square, plus the full tail
+# (1 - a^2) rho / (1 - a rho).  Its F - 1 factors as (1 - a) W / D with D > 0.
+
+HEAD_SIGN_FACTORS = {  # squared: (W, D)
+    False: (a**2 * rho**2 + 2 * a * rho + 2 * rho - 1, (1 - a * rho) * (1 + a * rho)),
+    True: ((1 + a) * (a**2 * rho**3 - a * rho**3 + 2 * a * rho**2 + a * rho + rho**2
+                      + rho - 1),
+           (1 - a * rho) * (1 + a * rho) ** 2),
+}
+
+
+def head_threshold(squared):
+    """The exact rho up to which sup over a in [0, 1) of the head's value is
+    <= 1, and beyond which it exceeds 1."""
+    w_sign, d = HEAD_SIGN_FACTORS[squared]
+    head = _first(a) ** 2 if squared else _first(a)
+    assert is_zero(head + (1 - a**2) * rho / (1 - a * rho) - 1 - (1 - a) * w_sign / d)
+    assert on_domain(d).is_positive
+    if not squared:
+        # W increases in a, so its sup is W(1, rho), which increases in rho
+        assert sp.expand(sp.diff(w_sign, a) - 2 * rho * (a * rho + 1)) == 0
+        assert on_domain(sp.diff(w_sign, a)).is_nonnegative
+        end = sp.expand(w_sign.subs(a, 1))
+        assert end == rho**2 + 4 * rho - 1
+        assert on_domain(sp.diff(end, rho)).is_positive
+        (root,) = [r for r in sp.solve(end, rho) if r >= 0]
+        return root
+    # W = (1 + a) V, and W's a-slope is negative at a = 0 for small rho, so
+    # the linear head's argument does not carry over.  V is convex in a, so it
+    # is at most its larger end value on [0, 1]
+    v = sp.cancel(w_sign / (1 + a))
+    assert sp.diff(w_sign, a).subs({a: 0, rho: 0}) == -1
+    assert on_domain(sp.diff(v, a, 2)).is_nonnegative
+    # V(1) = (3 rho - 1)(rho + 1) has the sign of rho - root for rho >= 0
+    end = v.subs(a, 1)
+    assert sp.expand(end - (3 * rho - 1) * (rho + 1)) == 0
+    (root,) = [r for r in sp.solve(end, rho) if r >= 0]
+    # V(0) = rho^2 + rho - 1 increases in rho and is < 0 at the root, so on
+    # [0, root] both ends, and hence V, are <= 0; past it V(1) > 0
+    v_zero = v.subs(a, 0)
+    assert sp.expand(v_zero - (rho**2 + rho - 1)) == 0
+    assert on_domain(sp.diff(v_zero, rho)).is_positive
+    assert v_zero.subs(rho, root) < 0
+    return root
+
+
+def test_linear_head_threshold_is_sqrt5_minus_2():
+    assert head_threshold(squared=False) == sp.sqrt(5) - 2
+
+
+def test_squared_head_threshold_is_one_third():
+    assert head_threshold(squared=True) == sp.Rational(1, 3)
 
 
 # -- each radius polynomial has exactly one sign change on its interval ------------

@@ -204,6 +204,12 @@ _EMPTY = TruncatedSeries(2, 1, {})
                  "index (1,) has 1 entries, expected 2", id="coefficient-index-short"),
     pytest.param(lambda: _EMPTY.coefficient((0, 0, 1)),
                  "index (0, 0, 1) has 3 entries, expected 2", id="coefficient-index-long"),
+    pytest.param(lambda: TruncatedSeries(1, 1, {(math.nan,): 1}),
+                 "non-integer exponent nan", id="series-index-nan"),
+    pytest.param(lambda: TruncatedSeries(1, 1, {}).coefficient((math.nan,)),
+                 "non-integer exponent nan", id="coefficient-index-nan"),
+    pytest.param(lambda: derivative_bound(0.5, 0.5, (math.nan,)),
+                 "non-integer exponent nan", id="derivative-alpha-nan"),
 ])
 def test_range_and_index_messages_are_pinned(call, message):
     with pytest.raises(ValueError) as exc:
