@@ -200,6 +200,34 @@ def test_zero_multiplicity_refuses_a_seed_that_is_not_a_count(seed):
         zero_multiplicity_bound_check(TruncatedSeries(1, 1, {(1,): 1.0}), 1, samples=4, seed=seed)
 
 
+# -- phi/psi monotonicity ----------------------------------------------------------------
+# phi(x) = x + A (1 - x^2) and psi(x) = x^2 + A (1 - x^2); the exact statement
+# (nondecreasing on [0, 1] exactly for A <= 1/2 and A <= 1) is proved in
+# tests/test_majorant_algebra.py.  These are float spot checks of it.
+
+def _phi(A, x):
+    return x + A * (1 - x * x)
+
+
+def _psi(A, x):
+    return x * x + A * (1 - x * x)
+
+
+def test_phi_psi_spot_values():
+    assert _phi(0.5, 0.2) <= _phi(0.5, 0.9)
+    assert _psi(1.0, 0.2) <= _psi(1.0, 0.9)
+    # at the largest weights the maps still do not decrease up to x = 1
+    assert _phi(0.5, 0.95) <= _phi(0.5, 1.0)
+    assert _psi(1.0, 0.95) <= _psi(1.0, 1.0)
+
+
+def test_phi_fails_beyond_half_by_construction():
+    # at A = 0.6 the map x + A(1 - x^2) genuinely decreases near x = 1,
+    # which is why the phi weight is capped at 1/2
+    A = 0.6
+    assert _phi(A, 0.95) > _phi(A, 1.0)
+
+
 def test_multi_indices_helper_available():
     # the bounds tests reuse the generator; pin its contract here too
     assert len(list(multi_indices(3, 4))) == math.comb(6, 2)
