@@ -1,8 +1,8 @@
 """Sharp Bohr-type radii on the unit polydisc.
 
-Closed-form and root-solved radii (float bracket <= 1e-14 plus residual
-<= 1e-12; an exact certificate is ROADMAP item 4) for three families of
-Bohr-type functionals, the Mobius witness family attaining them, the
+Radii for three families of Bohr-type functionals, each from a correctly
+rounded root rho with an exact two-float certificate (r = (rho/n)^(1/m) is
+then a float power), the Mobius witness family attaining them, the
 elementary polydisc bounds the proofs rest on, and a truncated-series
 engine that checks every closed form independently.
 """

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-- radius     one radius as JSON, with its float bracket and residual
+- radius     one radius as JSON, with its exact two-float bracket and residual
 - verify     extremal.verify_radius's sweeps as JSON (exit 2 on any violation)
 - sharpness  explicit witness just beyond the stated radius
 - sweep      radius curve along one parameter, as CSV
@@ -72,16 +72,19 @@ def _csv(lead_header: str, rows) -> str:
     rows yields (leading columns, RadiusProblem) pairs one at a time, so
     validation and solving interleave in row order.  The problems share one
     kind, so the rho root depends on the weight alone: each distinct weight
-    is solved once and later rows only rescale it.
+    is solved once, its rho_root,residual text formatted once, and later rows
+    only rescale the root.
     """
     roots = {}
     lines = [lead_header + ",radius,rho_root,residual"]
     for lead, problem in rows:
-        res = roots.get(problem.weight)
-        if res is None:
-            res = roots[problem.weight] = radius_for(problem)
-        radius = _geometric_radius(res.rho_root, problem.n, problem.m)
-        lines.append(",".join([*lead, _fmt(radius), _fmt(res.rho_root), _fmt(res.residual)]))
+        w = problem.weight
+        solved = roots.get(w)
+        if solved is None:
+            res = radius_for(problem)
+            solved = roots[w] = (res.rho_root, f"{_fmt(res.rho_root)},{_fmt(res.residual)}")
+        radius = _geometric_radius(solved[0], problem.n, problem.m)
+        lines.append(",".join([*lead, _fmt(radius), solved[1]]))
     return "\n".join(lines) + "\n"
 
 
@@ -183,9 +186,9 @@ def cmd_table(args) -> tuple[str, int]:
     if getattr(args, f"{other}_list") is not None:
         raise ValueError(f"--theorem {args.theorem} takes --{flag}-list, "
                          f"not --{other}-list")
-    weights = _parse_list(getattr(args, f"{flag}_list"), float)
-    rows = (([str(n), str(m), _fmt(w)], RadiusProblem(kind, n, m, **{own: w}))
-            for n in ns for m in ms for w in weights)
+    weights = [(w, _fmt(w)) for w in _parse_list(getattr(args, f"{flag}_list"), float)]
+    rows = (([str(n), str(m), text], RadiusProblem(kind, n, m, **{own: w}))
+            for n in ns for m in ms for w, text in weights)
     return _csv("n,m,param", rows), 0
 
 

@@ -379,11 +379,10 @@ def empirical_radius(problem: RadiusProblem) -> float:
     quadratic or of the weighted DERIV / SQ_DERIV quartic, until the
     family's excess over 1 at the search cap falls below CROSSING_TOL, near
     float resolution.  Then it raises "threshold not bracketed", though
-    radius_for still solves the root (float bracket <= 1e-14 plus residual
-    <= 1e-12; an exact certificate is ROADMAP item 4): DERIV from
-    lam = 1e-6 down (excess 9.9e-13 there) and SQ_DERIV from lam = 1e-12
-    down (excess 2.4e-13).  A deeper a-grid tail does not help; an exact
-    sign test would.
+    radius_for still solves the root, correctly rounded with an exact
+    two-float bracket: DERIV from lam = 1e-6 down (excess 9.9e-13 there)
+    and SQ_DERIV from lam = 1e-12 down (excess 2.4e-13).  A deeper a-grid
+    tail does not help; an exact sign test would.
     """
     kind = problem.kind
     rho_star = _bisect_crossing(

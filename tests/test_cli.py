@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -136,24 +137,51 @@ def test_non_finite_weight_exits_one(argv, capsys):
     ["verify", "--theorem", "sq_deriv", "--lambda", "1e308"],
 ], ids=["radius-deriv", "radius-sq-deriv", "table-deriv", "verify-sq-deriv"])
 def test_overflowing_weight_exits_one(argv, capsys):
-    # a coefficient overflows to inf and the root comes out NaN, which the
-    # residual gate must refuse rather than print
+    # a coefficient overflows to inf, so the float stage has no finite value
+    # at the cap to start from, and the solver refuses rather than print
     code, out, err = run_cli(argv, capsys)
+    label = "deriv" if "deriv" in argv else "sq-deriv"
     assert code == 1
     assert out == ""
-    assert err.startswith("error: residual nan")
-    assert err.count("\n") == 1
+    cap = polybohr.FunctionalKind(argv[2]).rho_cap
+    assert err == (f"error: {label}-rho-quartic overflows a float: its values at 0.0 "
+                   f"and {cap!r} are nan and inf\n")
+
+
+@pytest.mark.parametrize("theorem, lam", [
+    ("deriv", "1e30"), ("deriv", "1e300"), ("sq_deriv", "1e30"),
+])
+def test_huge_weights_solve_with_a_proving_bracket(theorem, lam, capsys):
+    # the residual gate these once failed is gone: the exact certificate
+    # decides, and its bracket's exact end signs differ
+    code, out, err = run_cli(["radius", "--theorem", theorem, "--lambda", lam], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    lo, hi = payload["bracket"]
+    assert lo < hi == math.nextafter(lo, 1.0) and payload["rho_root"] in (lo, hi)
+    w = Fraction(float(lam))
+    if theorem == "deriv":
+        coeffs = (-1, 3, 2 * w - 1, 4 * w - 1, 2 * w)
+    else:
+        coeffs = (-1, 2, w, 2 * w - 1, w)
+
+    def exact(x):
+        return sum(c * Fraction(x) ** i for i, c in enumerate(coeffs))
+
+    assert exact(lo) < 0 < exact(hi)
 
 
 def test_residual_failure_exits_one_without_traceback(capsys, monkeypatch):
+    # an ArithmeticError from the solver, such as its OverflowError, is a
+    # usage failure with one error line
     def failing_solve(problem):
-        raise ArithmeticError("residual 1e-09 exceeds 1e-12 for deriv-rho-quartic")
+        raise ArithmeticError("no exact sign change between 0.5 and 0.6180339887498949")
     monkeypatch.setattr(cli, "radius_for", failing_solve)
     code, out, err = run_cli(
         ["radius", "--theorem", "deriv", "--lambda", "1.0"], capsys)
     assert code == 1
     assert out == ""
-    assert err == "error: residual 1e-09 exceeds 1e-12 for deriv-rho-quartic\n"
+    assert err == "error: no exact sign change between 0.5 and 0.6180339887498949\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -619,8 +647,9 @@ def test_table_rows_match_one_radius_for_per_row(theorem, flag, weights, capsys)
 
 
 @pytest.mark.parametrize("lists,message", [
-    (["--n-list", "1,0", "--lambda-list", "1,1e300"],
-     "residual 1.6918391710511735e+268 exceeds 1e-12 for deriv-rho-quartic"),
+    (["--n-list", "1,0", "--lambda-list", "1,1e308"],
+     "deriv-rho-quartic overflows a float: its values at 0.0 and 0.41421356237309515 "
+     "are nan and inf"),
     (["--n-list", "0,1", "--lambda-list", "1,1e300"],
      "n must be an integer >= 1, got 0"),
     (["--n-list", "1", "--lambda-list", "1,2,nan"],

@@ -11,8 +11,9 @@ must equal the copies exactly; it is handed a stand-in functional, since
 Functional's weight checks reject symbols.  Float spot checks tie the copies
 to the public entry points.  The one-variable thresholds the paper
 generalizes, the phi / psi monotonicity and the caps it sets are proved here
-as well.  sympy is imported, not skipped when missing: this file is the
-only place these facts are checked.
+as well, and so is the integer polynomial the root certificate signs.
+sympy is imported, not skipped when missing: this file is the only place
+these facts are checked.
 """
 
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ import sympy as sp
 from polybohr import (Functional, FunctionalKind, extremal_functional,
                       majorant_functional)
 from polybohr.extremal import _functional_value
+from polybohr.radii import _integer_coefficients
 
 a, a0, rho, t, lam = sp.symbols("a a0 rho t lam")
 
@@ -296,9 +298,10 @@ def test_squared_head_threshold_is_one_third():
 
 
 # -- each radius polynomial has exactly one sign change on its interval ------------
-# _bisect_newton bisects on float signs, which presumes a single crossing: P is
-# strictly monotone on [0, cap] for every admissible weight, and its end values
-# have opposite signs (P(0) = 1 for CONVEX, -1 for the quartics).
+# radii._certify walks to the sign change nearest its start, which is the root
+# only if there is a single crossing: P is strictly monotone on [0, cap] for
+# every admissible weight, and its end values have opposite signs (P(0) = 1
+# for CONVEX, -1 for the quartics).
 
 QUARTIC_SLOPES = {  # kind: (quartic, cap, lam part of P' / lam, free part, free root)
     "deriv": (DERIV_QUARTIC, sp.sqrt(2) - 1, 8 * rho**3 + 12 * rho**2 + 4 * rho,
@@ -340,6 +343,25 @@ def test_convex_quadratic_decreases_on_the_unit_interval():
     assert sp.expand((2 * rho - 2) - slope - 8 * (1 - t) * rho) == 0
     assert CONVEX_QUADRATIC.subs(rho, 0) == 1
     assert sp.expand(CONVEX_QUADRATIC.subs(rho, 1) - 4 * (t - 1)) == 0  # <= 0
+
+
+# -- the certificate's integer polynomial is the kind's polynomial -----------------
+
+@pytest.mark.parametrize("kind, weight, poly", [
+    (FunctionalKind.CONVEX, t, CONVEX_QUADRATIC),
+    (FunctionalKind.DERIV, lam, DERIV_QUARTIC),
+    (FunctionalKind.SQ_DERIV, lam, SQ_DERIV_QUARTIC),
+], ids=["convex", "deriv", "sq_deriv"])
+def test_integer_coefficients_are_d_times_the_polynomial(kind, weight, poly):
+    # radii._certify signs sum(c_i rho^i) for the integers c_i that the
+    # builder returns at the weight's exact ratio N / D; on symbols the same
+    # builder must give D P(rho) at weight N / D, with D > 0, so the signs it
+    # certifies are those of the stated polynomial
+    n, d = sp.symbols("N D", positive=True)
+    coeffs = _integer_coefficients(kind, n, d)
+    built = sum(c * rho**i for i, c in enumerate(coeffs))
+    assert sp.expand(built - d * poly.subs(weight, n / d)) == 0
+    assert len(coeffs) == sp.degree(poly, rho) + 1
 
 
 # -- the majorant's factors move the right way in a0 --------------------------------

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from polybohr import FunctionalKind, RadiusProblem, RhoPolynomial, radius_for
-from polybohr.radii import _bisect_newton, _convex_rho_closed_form
+from polybohr.radii import (_certify, _convex_rho_closed_form, _integer_coefficients,
+                            _newton)
 from _reference import reference_bisect
 
 CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
@@ -206,27 +207,67 @@ def test_radius_monotone_in_m():
 def test_solver_requires_sign_change():
     poly = CONVEX.polynomial(0.0)
     with pytest.raises(ValueError):
-        _bisect_newton(poly, 0.0, 0.1)  # both ends positive
+        _newton(poly, 0.0, 0.1, 0.05)  # both ends positive
     with pytest.raises(ValueError):
-        _bisect_newton(poly, 0.5, 0.5)  # empty bracket
+        _newton(poly, 0.5, 0.5, 0.5)  # empty bracket
 
 
 def test_solver_hits_interior_root():
     poly = CONVEX.polynomial(0.0)
-    root, (lo, hi), residual = _bisect_newton(poly, 0.0, 1.0)
-    assert abs(root - 1 / 3) <= 1e-12
-    assert lo <= root <= hi and hi - lo <= 1e-14
-    assert residual <= 1e-12
+    x = _newton(poly, 0.0, 1.0, 0.9)
+    assert abs(x - 1 / 3) <= 1e-15
+    root, (lo, hi) = _certify(_integer_coefficients(CONVEX, 0, 1), x, 1.0)
+    assert root == 1 / 3  # 0.3333333333333333 is the float nearest 1/3
+    assert (lo, hi) == (root, math.nextafter(root, 1.0))
+    assert poly(root) == 0.0  # a zero float value; the exact stage did not trust it
 
 
 def test_solver_endpoint_roots():
     # weight 1 quadratic vanishes at rho = 1 (its double root)
     poly = CONVEX.polynomial(1.0)
-    assert _bisect_newton(poly, 0.0, 1.0) == (1.0, (1.0, 1.0), 0.0)
+    assert _newton(poly, 0.0, 1.0, 0.5) == 1.0
+    assert _certify(_integer_coefficients(CONVEX, 1, 1), 1.0, 1.0) == (1.0, (1.0, 1.0))
     # degenerate linear case: root exactly 1/2
     res = radius_for(RadiusProblem(CONVEX, 3, 1, t=0.75))
     assert res.rho_root == 0.5
+    assert res.bracket == (0.5, 0.5)
     assert res.residual == 0.0
+
+
+def test_newton_refuses_an_overflowed_polynomial():
+    poly = DERIV.polynomial(1e308)  # 2 lam and 4 lam - 1 overflow to inf
+    with pytest.raises(OverflowError, match="deriv-rho-quartic overflows a float"):
+        _newton(poly, 0.0, DERIV.rho_cap, 0.1)
+
+
+def test_certificate_walks_from_a_far_start_and_across_binades():
+    # from either end of the interval, the walk doubles its step in ULPs and
+    # the bisection on bit patterns crosses every binade in between
+    for kind, w in ((DERIV, 1.0), (SQ_DERIV, 2.0), (CONVEX, 0.3)):
+        coeffs = _integer_coefficients(kind, *w.as_integer_ratio())
+        res = radius_for(RadiusProblem(kind, 1, 1, **{kind.weight: w}))
+        for start in (5e-324, 1e-200, 0.01, kind.rho_cap):
+            assert _certify(coeffs, start, kind.rho_cap) == (res.rho_root, res.bracket)
+
+
+def test_certificate_refuses_a_walk_with_no_sign_change():
+    # 1 + rho is positive up to the cap: the walk stops there instead of
+    # stepping past it
+    with pytest.raises(ArithmeticError, match="no exact sign change between 0.5 and 1.0"):
+        _certify((1, 1), 0.5, 1.0)
+
+
+def test_bracket_across_a_binade_edge():
+    # t just below 3/4 puts the root just below 1/2, where the float spacing
+    # halves: the bracket's ends lie in different binades, and the midpoint
+    # rule still picks the nearer float
+    below = math.nextafter(0.5, 0.0)
+    t = math.nextafter(0.75, 0.0)
+    res = radius_for(RadiusProblem(CONVEX, 1, 1, t=t))
+    assert res.bracket == (below, 0.5)
+    # 1 - t = 1/4 + 2^-53, so rho = 1 / (2 + 2^-52 - O(2^-105)) = 1/2 - 2^-54
+    # + O(2^-106), just above the float below 1/2 (which is 1/2 - 2^-54)
+    assert res.rho_root == below
 
 
 def test_rho_polynomial_validation_and_derivative():
