@@ -295,12 +295,12 @@ def _newton(poly: RhoPolynomial, lo: float, hi: float, x: float) -> float:
         else:
             lo = x
         d = slope(x)
-        step = x - f / d if d else x
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        elif abs(step - x) <= 1e-9 * x:
-            return step
-        x = step
+        cand = x - f / d if d else x
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
+        elif abs(cand - x) <= 1e-9 * x:
+            return cand
+        x = cand
     return x
 
 

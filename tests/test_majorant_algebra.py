@@ -353,10 +353,10 @@ def test_convex_quadratic_decreases_on_the_unit_interval():
     (FunctionalKind.SQ_DERIV, lam, SQ_DERIV_QUARTIC),
 ], ids=["convex", "deriv", "sq_deriv"])
 def test_integer_coefficients_are_d_times_the_polynomial(kind, weight, poly):
-    # radii._certify signs sum(c_i rho^i) for the integers c_i that the
-    # builder returns at the weight's exact ratio N / D; on symbols the same
-    # builder must give D P(rho) at weight N / D, with D > 0, so the signs it
-    # certifies are those of the stated polynomial
+    # radii._certify signs sum(c_i rho^i) for the integers c_i that
+    # _integer_coefficients returns at the weight's exact ratio N / D; on
+    # symbols the same function must give D P(rho) at weight N / D, with
+    # D > 0, so the signs it certifies are those of the stated polynomial
     n, d = sp.symbols("N D", positive=True)
     coeffs = _integer_coefficients(kind, n, d)
     built = sum(c * rho**i for i, c in enumerate(coeffs))
