@@ -351,7 +351,8 @@ def _certify(coefficients: tuple, x: float, cap: float):
     and hi whose exact signs differ: the bracket proves that a root lies
     between them.  The root is the nearer one, decided by the exact sign at
     their midpoint; a tie goes to the even bit pattern.  An exact zero y
-    returns (y, (y, y)).
+    returns (y, (y, y)).  Raises ArithmeticError if the walk reaches 0 or
+    cap with no sign change, which the signs there rule out.
     """
     quartic = coefficients + (0,) * (5 - len(coefficients))
     b = _bits(x)
