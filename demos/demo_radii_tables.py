@@ -78,10 +78,11 @@ def main() -> int:
     convex_table()
     deriv_table()
     sq_deriv_table()
-    print("All radii above carry a float bracket of width <= 1e-14 and a")
-    print("polynomial residual <= 1e-12, not yet an exact certificate (ROADMAP")
-    print("item 4); rho = n * r^m converts between the geometric radius r and")
-    print("the normalized variable the quartics live in.")
+    print("Each rho root above is correctly rounded, with an exact two-float")
+    print("bracket: the polynomial's exact signs differ at the two adjacent")
+    print("floats around the root, and the residual is for information only;")
+    print("rho = n * r^m converts between the geometric radius r and the")
+    print("normalized variable the quartics live in.")
     return 0
 
 

@@ -9,11 +9,11 @@ Subcommands:
 - table      radius table over (n, m, weight) lists, as CSV
 
 Each command returns its text and exit code; main writes the text once, to
-stdout or to --out, after the whole result exists.  `sweep` and `table` solve
-each distinct weight once per invocation: the rho root depends only on the
-kind and the weight, and every other (n, m) row reuses it through
-r = (rho / n)^(1/m), the rescaling radius_for applies, so the bytes are those
-of one radius_for call per row.
+stdout or to --out, after the whole result exists.  `sweep` and `table` check
+each n and m once per value, and build and solve one RadiusProblem per
+distinct weight: the rho root depends only on the kind and the weight, and
+every other (n, m) row rescales it by r = (rho / n)^(1/m), as radius_for
+does, so the bytes and the first error are those of one problem per row.
 
 Exit codes: 0 success, 1 usage or invalid parameters, 2 verification failure.
 CSV is written with 12 significant digits, '.' decimals, LF line endings;
@@ -39,6 +39,7 @@ import sys
 import numpy as np
 
 from .extremal import WitnessNotFoundError, sharpness_witness, verify_radius
+from .mvseries import _check_count
 from .radii import FunctionalKind, RadiusProblem, _geometric_radius, radius_for
 
 _THEOREMS = [kind.value for kind in FunctionalKind]
@@ -66,26 +67,34 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _csv(lead_header: str, rows) -> str:
+def _csv(lead_header: str, rows, problem) -> str:
     """CSV text: each row's leading columns, then radius,rho_root,residual.
 
-    rows yields (leading columns, RadiusProblem) pairs one at a time, so
-    validation and solving interleave in row order.  The problems share one
-    kind, so the rho root depends on the weight alone: each distinct weight
-    is solved once, its rho_root,residual text formatted once, and later rows
-    only rescale the root.
+    rows yields (leading columns, n, m, weight), n and m checked, one at a
+    time, so validation and solving interleave in row order.  The root
+    depends on the weight alone: the first row of each distinct weight checks
+    it by building problem(n, m, weight), which is solved and its
+    rho_root,residual text formatted once; later rows only rescale the root.
     """
     roots = {}
     lines = [lead_header + ",radius,rho_root,residual"]
-    for lead, problem in rows:
-        w = problem.weight
+    for lead, n, m, w in rows:
         solved = roots.get(w)
         if solved is None:
-            res = radius_for(problem)
+            res = radius_for(problem(n, m, w))
             solved = roots[w] = (res.rho_root, f"{_fmt(res.rho_root)},{_fmt(res.residual)}")
-        radius = _geometric_radius(solved[0], problem.n, problem.m)
-        lines.append(",".join([*lead, _fmt(radius), solved[1]]))
+        lines.append(",".join([*lead, _fmt(_geometric_radius(solved[0], n, m)), solved[1]]))
     return "\n".join(lines) + "\n"
+
+
+def _grid(ns, ms, weights):
+    """(n, m, weight) over ns x ms x weights; each n and m checked once, before its first row."""
+    for n in ns if ms and weights else ():
+        n = _check_count("n", n, 1)
+        for m in ms:
+            m = _check_count("m", m, 1)
+            for w in weights:
+                yield n, m, w
 
 
 def _problem_from_args(args) -> RadiusProblem:
@@ -167,10 +176,13 @@ def _sweep_values(args):
 def cmd_sweep(args) -> tuple[str, int]:
     kind = FunctionalKind(args.theorem)
     values = _sweep_values(args)
-    fixed = {"n": args.n, "m": args.m, "t": args.t, "lam": args.lam}
+    weights = {"t": args.t, "lam": args.lam}
     swept = "lam" if args.param == "lambda" else args.param
-    rows = (([_fmt(v)], RadiusProblem(kind, **{**fixed, swept: v})) for v in values)
-    return _csv("param", rows), 0
+    axes = {"n": [args.n], "m": [args.m], "w": [None]}  # None: --t and --lambda as given
+    axes[swept if swept in axes else "w"] = values
+    rows = (([_fmt(v)], *row) for v, row in zip(values, _grid(*axes.values())))
+    return _csv("param", rows, lambda n, m, w: RadiusProblem(
+        kind, n, m, **(weights if w is None else {**weights, swept: w}))), 0
 
 
 def _parse_list(text, cast):
@@ -181,15 +193,13 @@ def cmd_table(args) -> tuple[str, int]:
     kind = FunctionalKind(args.theorem)
     own = kind.weight
     flag, other = ("t", "lambda") if own == "t" else ("lambda", "t")
-    ns = _parse_list(args.n_list, int)
-    ms = _parse_list(args.m_list, int)
+    ns, ms = _parse_list(args.n_list, int), _parse_list(args.m_list, int)
     if getattr(args, f"{other}_list") is not None:
         raise ValueError(f"--theorem {args.theorem} takes --{flag}-list, "
                          f"not --{other}-list")
     weights = [(w, _fmt(w)) for w in _parse_list(getattr(args, f"{flag}_list"), float)]
-    rows = (([str(n), str(m), text], RadiusProblem(kind, n, m, **{own: w}))
-            for n in ns for m in ms for w, text in weights)
-    return _csv("n,m,param", rows), 0
+    rows = (([str(n), str(m), text], n, m, w) for n, m, (w, text) in _grid(ns, ms, weights))
+    return _csv("n,m,param", rows, lambda n, m, w: RadiusProblem(kind, n, m, **{own: w})), 0
 
 
 # -- parser ----------------------------------------------------------------------

@@ -83,6 +83,8 @@ from enum import Enum
 
 from .mvseries import _check_count, _check_positive, _check_unit
 
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")  # for _bits and _float
+
 @dataclass(frozen=True)
 class RhoPolynomial:
     """Polynomial with real coefficients in ascending order, degree <= 4,
@@ -94,7 +96,7 @@ class RhoPolynomial:
     def __post_init__(self):
         if not 1 <= len(self.coefficients) <= 5:
             raise ValueError(f"need 1 to 5 coefficients, got {len(self.coefficients)}")
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = tuple(map(float, self.coefficients))
         object.__setattr__(self, "coefficients", coeffs)
         # padding is exact: from acc = 0.0 a padded step gives +0.0 (NaN if x is inf/NaN)
         object.__setattr__(self, "_padded", coeffs + (0.0,) * (5 - len(coeffs)))
@@ -234,10 +236,8 @@ class RadiusProblem(Functional):
     m: int
 
     def __post_init__(self):
-        n, m = _check_count("n", self.n, 1), _check_count("m", self.m, 1)
-        if n is not self.n or m is not self.m:  # no stores for plain ints: one problem per CSV row
-            object.__setattr__(self, "n", n)
-            object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", _check_count("n", self.n, 1))
+        object.__setattr__(self, "m", _check_count("m", self.m, 1))
         super().__post_init__()
 
 
@@ -316,11 +316,11 @@ def _integer_coefficients(kind: FunctionalKind, n, d) -> tuple:
 
 
 def _bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
+    return _INT64.unpack(_DOUBLE.pack(x))[0]
 
 
 def _float(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+    return _DOUBLE.unpack(_INT64.pack(bits))[0]
 
 
 def _exact_sign(coefficients: tuple, bits: int, half: int = 0) -> int:

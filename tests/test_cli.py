@@ -662,6 +662,62 @@ def test_table_reports_the_first_failing_row(lists, message, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
+    ("table --theorem deriv --n-list 1 --m-list 1,0 --lambda-list 1,2",
+     "m must be an integer >= 1, got 0"),
+    ("sweep --theorem convex --param n --from 0 --to 3 --t 0.5",
+     "n must be an integer >= 1, got 0"),
+    ("sweep --theorem convex --param n --from 1 --to 3 --t 0.5 --lambda 1",
+     "convex takes t only"),
+    ("sweep --theorem deriv --param m --from 1 --to 3 --n 0 --lambda nan",
+     "n must be an integer >= 1, got 0"),
+    ("sweep --theorem deriv --param t --from 0.1 --to 0.2 --steps 3",
+     "deriv takes lam only"),
+], ids=["table-m-list", "sweep-n-from", "sweep-n-pairing", "sweep-m-fixed-n",
+        "sweep-t-pairing"])
+def test_sweeps_and_m_lists_report_the_first_failing_row(argv, message, capsys):
+    # each row is checked n, then m, then the weight and its pairing, in row order
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lists", [
+    ["--n-list", "0", "--m-list", "1"],
+    ["--n-list", "0", "--m-list=", "--lambda-list", "1"],
+    ["--n-list", "1", "--m-list", "0"],
+], ids=["no-weights", "no-m", "bad-m-no-weights"])
+def test_table_with_no_rows_checks_no_value(lists, capsys):
+    # n and m are checked as rows reach them, so an empty list leaves no row to fail
+    code, out, err = run_cli(["table", "--theorem", "deriv"] + lists, capsys)
+    assert (code, out, err) == (0, "n,m,param,radius,rho_root,residual\n", "")
+
+
+def test_table_and_sweep_build_one_problem_per_distinct_weight(capsys, monkeypatch):
+    built = 0
+    real = cli.RadiusProblem
+
+    def counted(*args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, "RadiusProblem", counted)
+    cases = [
+        (["table", "--theorem", "deriv", "--n-list", "1,2,3,4,5,6,7,8",
+          "--m-list", "1,2,3,4", "--lambda-list", "0.5,1,2"], 3),
+        (["sweep", "--theorem", "convex", "--param", "n", "--from", "1",
+          "--to", "8", "--t", "0.5"], 1),
+        (["sweep", "--theorem", "deriv", "--param", "m", "--from", "1",
+          "--to", "4", "--n", "3", "--lambda", "2"], 1),
+        (["sweep", "--theorem", "sq_deriv", "--param", "lambda", "--from", "0.5",
+          "--to", "2.5", "--steps", "7", "--n", "2"], 7),
+    ]
+    for argv, problems in cases:
+        built = 0
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert built == problems
+
+
+@pytest.mark.parametrize("argv,message", [
     (["table", "--theorem", "convex", "--n-list", "-1,2", "--m-list", "1",
       "--t-list", "0.5"], "n must be an integer >= 1, got -1"),
     (["table", "--theorem", "deriv", "--n-list", "1", "--m-list", "1",
