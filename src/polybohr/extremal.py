@@ -344,31 +344,6 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
                         below_violations, dominance_violations)
 
 
-def _bisect_crossing(value, lo: float, hi: float, what: str) -> float:
-    """The rho in (lo, hi) where the sup over a of value(a, rho) crosses 1.
-
-    value works elementwise on the a-grid; "crosses" means exceeds 1 by more
-    than CROSSING_TOL.  Bisects until the bracket is narrower than _RHO_TOL
-    and returns its midpoint; `what` names the functional in the error raised
-    when (lo, hi) holds no crossing.
-    """
-    def crosses(rho: float) -> bool:
-        return float(np.max(value(_A_GRID, rho))) > 1.0 + CROSSING_TOL
-
-    if crosses(lo):
-        raise ValueError(f"threshold not bracketed: crossing already at rho = {lo!r}")
-    if not crosses(hi):
-        raise ValueError(
-            f"threshold not bracketed: no crossing up to rho = {hi!r}{what}")
-    while hi - lo > _RHO_TOL:
-        mid = 0.5 * (lo + hi)
-        if crosses(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def empirical_radius(problem: RadiusProblem) -> float:
     """Radius recovered by bisecting the sup-over-a crossing of 1.
 
@@ -384,8 +359,20 @@ def empirical_radius(problem: RadiusProblem) -> float:
     and SQ_DERIV from lam = 1e-12 down (excess 2.4e-13).  A deeper a-grid
     tail does not help; an exact sign test would.
     """
+    def crosses(rho: float) -> bool:
+        return float(np.max(_functional_value(problem, _A_GRID, rho))) > 1.0 + CROSSING_TOL
+
     kind = problem.kind
-    rho_star = _bisect_crossing(
-        lambda a, rho: _functional_value(problem, a, rho),
-        1e-9, kind.search_cap, f" for {kind.value} with weight {problem.weight!r}")
-    return _geometric_radius(rho_star, problem.n, problem.m)
+    lo, hi = 1e-9, kind.search_cap
+    if crosses(lo):
+        raise ValueError(f"threshold not bracketed: crossing already at rho = {lo!r}")
+    if not crosses(hi):
+        raise ValueError(f"threshold not bracketed: no crossing up to rho = {hi!r} "
+                         f"for {kind.value} with weight {problem.weight!r}")
+    while hi - lo > _RHO_TOL:
+        mid = 0.5 * (lo + hi)
+        if crosses(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _geometric_radius(0.5 * (lo + hi), problem.n, problem.m)

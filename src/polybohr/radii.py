@@ -13,7 +13,8 @@ is a Functional at (n, m):
 - SQ_DERIV:  |f|^2 + |d_u f| n r^m + lambda * tail                (weight lambda > 0)
 
 For each kind the exact radius is the unique root of one low-degree
-polynomial in rho on a known interval, for every admissible weight:
+polynomial in rho on a known interval, for every admissible weight, written
+once as its FunctionalKind member's coefficients:
 
 - CONVEX:    (4t-3) rho^2 - 2 rho + 1        on (0, 1],
              in closed form rho = 1 / (1 + 2 sqrt(1-t)),
@@ -63,9 +64,10 @@ FunctionalKind.SQ_DERIV.polynomial(1.0); below those weights their roots
 
 Each root is solved in two stages.  A float stage brings a float within a
 few ULP of it: for the quartics a safeguarded Newton on (0, cap) of about
-eight float evaluations, for CONVEX the closed form.  An exact stage then
-certifies it.  With the weight's exact value N / D (every float is one),
-the integer polynomial D P(rho) is signed exactly at floats and at their
+eight evaluations of the float coefficients, coefficients(w, 1.0), for
+CONVEX the closed form.  An exact stage then certifies it.  With the
+weight's exact value N / D (every float is one), the integer polynomial
+D P(rho), coefficients(N, D), is signed exactly at floats and at their
 midpoints, by Horner in Python ints; a walk of about three exact signs ends
 at two adjacent floats whose exact signs differ, and the exact sign at their
 midpoint picks the nearer one.  So rho_root is the correctly rounded root
@@ -112,47 +114,7 @@ class RhoPolynomial:
         return (((0.0 * x + 4 * c4) * x + 3 * c3) * x + 2 * c2) * x + c1
 
 
-# -- polynomial factories -----------------------------------------------------
-
-def _convex_rho_polynomial(t: float) -> RhoPolynomial:
-    """(4t-3) rho^2 - 2 rho + 1; value 1 at rho = 0.
-
-    Its smallest positive root is the normalized CONVEX radius.  At t = 3/4
-    the leading coefficient vanishes and the polynomial is linear with root
-    exactly 1/2; at t = 1 the root sits at rho = 1.
-    """
-    _check_unit("t", t)
-    return RhoPolynomial((1.0, -2.0, 4.0 * t - 3.0), "convex-rho-quadratic")
-
-
-def _deriv_rho_polynomial(lam: float) -> RhoPolynomial:
-    """2L rho^4 + (4L-1) rho^3 + (2L-1) rho^2 + 3 rho - 1, L = lam.
-
-    Governs the DERIV radius for every lam > 0 (see the module docstring for
-    the proof of sharpness).  Its value at sqrt(2)-1 is 2L rho^2 (1+rho)^2.
-    At lam = 1/2 it is the paper's weight-free quartic
-    rho^4 + rho^3 + 3 rho - 1 (value 6 - 4 sqrt(2) at sqrt(2)-1), stated for
-    every lam <= 1/2; below 1/2 its root (approximately 0.31905) is safe but
-    not sharp.
-    """
-    _check_positive("lam", lam)
-    return RhoPolynomial((-1.0, 3.0, 2.0 * lam - 1.0, 4.0 * lam - 1.0, 2.0 * lam),
-                         "deriv-rho-quartic")
-
-
-def _sq_deriv_rho_polynomial(lam: float) -> RhoPolynomial:
-    """L rho^4 + (2L-1) rho^3 + L rho^2 + 2 rho - 1, L = lam.
-
-    Governs the SQ_DERIV radius for every lam > 0 (see the module docstring
-    for the proof of sharpness).  Its value at (sqrt(5)-1)/2 is exactly lam.
-    At lam = 1 it is the paper's weight-free quartic
-    rho^4 + rho^3 + rho^2 + 2 rho - 1, stated for every lam <= 1; below 1
-    its root (approximately 0.38579) is safe but not sharp.
-    """
-    _check_positive("lam", lam)
-    return RhoPolynomial((-1.0, 2.0, lam, 2.0 * lam - 1.0, lam),
-                         "sq-deriv-rho-quartic")
-
+# -- kinds ---------------------------------------------------------------------
 
 def _convex_rho_closed_form(t: float) -> float:
     """Normalized CONVEX radius rho = 1 / (1 + 2 sqrt(1 - t)).
@@ -169,21 +131,25 @@ class FunctionalKind(Enum):
     """The three Bohr-type functionals, also used to tag radius problems.
 
     Each member carries its own spec: the name of its weight, the weight's
-    check, called as check(name, value), its radius polynomial, the cap of
-    the rho interval on which the majorant holds, the closed form of the rho
-    root where there is one, and search_cap, the largest rho the crossing
-    searches and the verify sweep use.  The polynomial and the closed form
-    are private functions of this module, reached only through the members;
-    their docstrings hold what each polynomial is and where it is sharp.  A
-    public attribute, once set, can be neither overwritten nor deleted.
+    check, called as check(name, value), the coefficients of its radius
+    polynomial and the polynomial's label, the cap of the rho interval on
+    which the majorant holds, the closed form of the rho root where there is
+    one, and search_cap, the largest rho the crossing searches and the verify
+    sweep use.  coefficients(w, one) gives one * P(w / one), ascending in rho,
+    for the polynomial P the module docstring states: the float coefficients
+    at (w, 1.0), the integers the certificate signs at the weight's exact
+    ratio (N, D), and the expressions tests/test_majorant_algebra.py proves
+    on symbols.  A public attribute, once set, can be neither overwritten
+    nor deleted.
     """
 
-    def __new__(cls, value, weight, check, polynomial, rho_cap, closed_form=None):
+    def __new__(cls, value, weight, check, coefficients, label, rho_cap, closed_form=None):
         member = object.__new__(cls)
         member._value_ = value
         member.weight = weight
         member.check = check
-        member.polynomial = polynomial
+        member.coefficients = coefficients
+        member.label = label
         member.rho_cap = rho_cap
         member.closed_form = closed_form
         member.search_cap = min(rho_cap, 1.0 - 1e-9)
@@ -198,10 +164,19 @@ class FunctionalKind(Enum):
     def __delattr__(self, name):
         raise AttributeError(f"{self!r}.{name} is read-only")
 
-    CONVEX = ("convex", "t", _check_unit, _convex_rho_polynomial, 1.0, _convex_rho_closed_form)
-    DERIV = ("deriv", "lam", _check_positive, _deriv_rho_polynomial, math.sqrt(2.0) - 1.0)
-    SQ_DERIV = ("sq_deriv", "lam", _check_positive, _sq_deriv_rho_polynomial,
-                (math.sqrt(5.0) - 1.0) / 2.0)
+    def polynomial(self, w) -> RhoPolynomial:
+        """The radius polynomial at weight w, after the weight's check."""
+        self.check(self.weight, w)
+        return RhoPolynomial(self.coefficients(w, 1.0), self.label)
+
+    CONVEX = ("convex", "t", _check_unit, lambda w, one: (one, -2 * one, 4 * w - 3 * one),
+              "convex-rho-quadratic", 1.0, _convex_rho_closed_form)
+    DERIV = ("deriv", "lam", _check_positive,
+             lambda w, one: (-one, 3 * one, 2 * w - one, 4 * w - one, 2 * w),
+             "deriv-rho-quartic", math.sqrt(2.0) - 1.0)
+    SQ_DERIV = ("sq_deriv", "lam", _check_positive,
+                lambda w, one: (-one, 2 * one, w, 2 * w - one, w),
+                "sq-deriv-rho-quartic", (math.sqrt(5.0) - 1.0) / 2.0)
 
 
 # -- functional, problem and result types -----------------------------------
@@ -304,17 +279,6 @@ def _newton(poly: RhoPolynomial, lo: float, hi: float, x: float) -> float:
     return x
 
 
-def _integer_coefficients(kind: FunctionalKind, n, d) -> tuple:
-    """d * P(n / d) for the kind's polynomial P at the weight n / d, in
-    ascending order: integers for an integer ratio, and the same expressions
-    for sympy symbols."""
-    if kind is FunctionalKind.CONVEX:
-        return (d, -2 * d, 4 * n - 3 * d)
-    if kind is FunctionalKind.DERIV:
-        return (-d, 3 * d, 2 * n - d, 4 * n - d, 2 * n)
-    return (-d, 2 * d, n, 2 * n - d, n)
-
-
 def _bits(x: float) -> int:
     return _INT64.unpack(_DOUBLE.pack(x))[0]
 
@@ -401,7 +365,7 @@ def radius_for(problem: RadiusProblem) -> RadiusResult:
     for every weight, and within 1% from lam = 1e4 up, where both roots tend
     to 0 alike.  _certify turns that float into the
     correctly rounded root and its two-float bracket, on exact signs of
-    _integer_coefficients at the weight's exact value.  For CONVEX the root
+    kind.coefficients at the weight's exact ratio.  For CONVEX the root
     is the only sign change on [0, 1]: the quadratic's other root lies below
     0 or above 1, and at t = 1 the root is the exact zero rho = 1.  The root
     depends on the kind and the weight only (the CLI's `table` and `sweep`
@@ -416,7 +380,6 @@ def radius_for(problem: RadiusProblem) -> RadiusResult:
         x = _newton(poly, 0.0, kind.rho_cap, start)
     else:
         x = kind.closed_form(w)
-    root, bracket = _certify(_integer_coefficients(kind, *w.as_integer_ratio()), x,
-                             kind.rho_cap)
+    root, bracket = _certify(kind.coefficients(*w.as_integer_ratio()), x, kind.rho_cap)
     return RadiusResult(_geometric_radius(root, problem.n, problem.m), root,
                         abs(poly(root)), bracket, poly.label)

@@ -8,7 +8,8 @@ import polybohr
 
 DELETED_LABELS = ("DERIV_RHO_SMALL", "SQ_DERIV_RHO_SMALL", "CONVEX_A0_CUBIC",
                   "WITNESS_QUARTIC")
-# each is reached as a FunctionalKind member's rho_cap, polynomial or closed_form
+# each is reached as a FunctionalKind member's rho_cap, polynomial (built from its
+# coefficients) or closed_form
 DELETED_KIND_ALIASES = ("SQRT2_MINUS_1", "GOLDEN_CONJUGATE", "convex_rho_polynomial",
                         "deriv_rho_polynomial", "sq_deriv_rho_polynomial",
                         "convex_rho_closed_form")

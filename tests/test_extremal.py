@@ -408,9 +408,17 @@ def test_empirical_radius_matches_certified_on_sharp_branches():
 
 
 def test_empirical_radius_validation():
-    # weight-1 convex never crosses below rho = 1, so no bracket exists
-    with pytest.raises(ValueError):
-        empirical_radius(RadiusProblem(FunctionalKind.CONVEX, 1, 1, t=1.0))
+    # a huge lam crosses 1 already at the bottom of the bracket, a tiny one's
+    # excess at the cap is below CROSSING_TOL, and weight-1 convex never
+    # crosses below rho = 1: no bracket exists in any of them
+    for kind, weight, message in (
+            (DERIV, 1e300, "crossing already at rho = 1e-09"),
+            (DERIV, 1e-6, "no crossing up to rho = 0.41421356237309515 for deriv "
+                          "with weight 1e-06"),
+            (CONVEX, 1.0, "no crossing up to rho = 0.999999999 for convex with weight 1.0")):
+        with pytest.raises(ValueError) as exc:
+            empirical_radius(RadiusProblem(kind, 1, 1, **{kind.weight: weight}))
+        assert str(exc.value) == f"threshold not bracketed: {message}"
 
 
 NAN = float("nan")

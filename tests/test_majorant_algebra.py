@@ -11,7 +11,8 @@ must equal the copies exactly; it is handed a stand-in functional, since
 Functional's weight checks reject symbols.  Float spot checks tie the copies
 to the public entry points.  The one-variable thresholds the paper
 generalizes, the phi / psi monotonicity and the caps it sets are proved here
-as well, and so is the integer polynomial the root certificate signs.
+as well, and so are the coefficients the root solver's float stage and its
+certificate evaluate.
 sympy is imported, not skipped when missing: this file is the only place
 these facts are checked.
 """
@@ -24,7 +25,6 @@ import sympy as sp
 from polybohr import (Functional, FunctionalKind, extremal_functional,
                       majorant_functional)
 from polybohr.extremal import _functional_value
-from polybohr.radii import _integer_coefficients
 
 a, a0, rho, t, lam = sp.symbols("a a0 rho t lam")
 
@@ -345,7 +345,7 @@ def test_convex_quadratic_decreases_on_the_unit_interval():
     assert sp.expand(CONVEX_QUADRATIC.subs(rho, 1) - 4 * (t - 1)) == 0  # <= 0
 
 
-# -- the certificate's integer polynomial is the kind's polynomial -----------------
+# -- the coefficients both stages evaluate are the kind's polynomial --------------
 
 @pytest.mark.parametrize("kind, weight, poly", [
     (FunctionalKind.CONVEX, t, CONVEX_QUADRATIC),
@@ -353,12 +353,14 @@ def test_convex_quadratic_decreases_on_the_unit_interval():
     (FunctionalKind.SQ_DERIV, lam, SQ_DERIV_QUARTIC),
 ], ids=["convex", "deriv", "sq_deriv"])
 def test_integer_coefficients_are_d_times_the_polynomial(kind, weight, poly):
-    # radii._certify signs sum(c_i rho^i) for the integers c_i that
-    # _integer_coefficients returns at the weight's exact ratio N / D; on
-    # symbols the same function must give D P(rho) at weight N / D, with
-    # D > 0, so the signs it certifies are those of the stated polynomial
+    # kind.coefficients is the one spelling of the polynomial that both stages
+    # evaluate: the float stage at (w, 1.0) and radii._certify, which signs
+    # sum(c_i rho^i), at the weight's exact ratio (N, D).  On symbols it must
+    # give D P(rho) at weight N / D, with D > 0, so the signs it certifies are
+    # those of the stated polynomial; at D = 1 it is P, which the float stage
+    # evaluates
     n, d = sp.symbols("N D", positive=True)
-    coeffs = _integer_coefficients(kind, n, d)
+    coeffs = kind.coefficients(n, d)
     built = sum(c * rho**i for i, c in enumerate(coeffs))
     assert sp.expand(built - d * poly.subs(weight, n / d)) == 0
     assert len(coeffs) == sp.degree(poly, rho) + 1

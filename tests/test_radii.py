@@ -3,13 +3,13 @@
 import copy
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
 
 from polybohr import FunctionalKind, RadiusProblem, RhoPolynomial, radius_for
-from polybohr.radii import (_certify, _convex_rho_closed_form, _integer_coefficients,
-                            _newton)
+from polybohr.radii import _certify, _convex_rho_closed_form, _newton
 from _reference import reference_bisect
 
 CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
@@ -216,7 +216,7 @@ def test_solver_hits_interior_root():
     poly = CONVEX.polynomial(0.0)
     x = _newton(poly, 0.0, 1.0, 0.9)
     assert abs(x - 1 / 3) <= 1e-15
-    root, (lo, hi) = _certify(_integer_coefficients(CONVEX, 0, 1), x, 1.0)
+    root, (lo, hi) = _certify(CONVEX.coefficients(0, 1), x, 1.0)
     assert root == 1 / 3  # 0.3333333333333333 is the float nearest 1/3
     assert (lo, hi) == (root, math.nextafter(root, 1.0))
     assert poly(root) == 0.0  # a zero float value; the exact stage did not trust it
@@ -226,7 +226,7 @@ def test_solver_endpoint_roots():
     # weight 1 quadratic vanishes at rho = 1 (its double root)
     poly = CONVEX.polynomial(1.0)
     assert _newton(poly, 0.0, 1.0, 0.5) == 1.0
-    assert _certify(_integer_coefficients(CONVEX, 1, 1), 1.0, 1.0) == (1.0, (1.0, 1.0))
+    assert _certify(CONVEX.coefficients(1, 1), 1.0, 1.0) == (1.0, (1.0, 1.0))
     # degenerate linear case: root exactly 1/2
     res = radius_for(RadiusProblem(CONVEX, 3, 1, t=0.75))
     assert res.rho_root == 0.5
@@ -244,7 +244,7 @@ def test_certificate_walks_from_a_far_start_and_across_binades():
     # from either end of the interval, the walk doubles its step in ULPs and
     # the bisection on bit patterns crosses every binade in between
     for kind, w in ((DERIV, 1.0), (SQ_DERIV, 2.0), (CONVEX, 0.3)):
-        coeffs = _integer_coefficients(kind, *w.as_integer_ratio())
+        coeffs = kind.coefficients(*w.as_integer_ratio())
         res = radius_for(RadiusProblem(kind, 1, 1, **{kind.weight: w}))
         for start in (5e-324, 1e-200, 0.01, kind.rho_cap):
             assert _certify(coeffs, start, kind.rho_cap) == (res.rho_root, res.bracket)
@@ -268,6 +268,35 @@ def test_bracket_across_a_binade_edge():
     # 1 - t = 1/4 + 2^-53, so rho = 1 / (2 + 2^-52 - O(2^-105)) = 1/2 - 2^-54
     # + O(2^-106), just above the float below 1/2 (which is 1/2 - 2^-54)
     assert res.rho_root == below
+
+
+# the float coefficients spelled out per kind: the reference kind.polynomial must
+# reproduce bit for bit, inf coefficients included
+FLOAT_COEFFICIENTS = {
+    CONVEX: lambda t: (1.0, -2.0, 4.0 * t - 3.0),
+    DERIV: lambda lam: (-1.0, 3.0, 2.0 * lam - 1.0, 4.0 * lam - 1.0, 2.0 * lam),
+    SQ_DERIV: lambda lam: (-1.0, 2.0, lam, 2.0 * lam - 1.0, lam),
+}
+# subnormal, tiny and huge weights; from about 4.5e307 up 4 lam - 1 is inf,
+# and from about 9e307 up 2 lam is inf as well
+LAM_EDGES = (5e-324, 1e-300, 1e-16, 0.5, 1.0, 4.5e307, 8.9e307, 1.797e308,
+             sys.float_info.max)
+T_EDGES = (0.0, 5e-324, 1e-300, 0.5, 0.75, math.nextafter(0.75, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("kind", [CONVEX, DERIV, SQ_DERIV], ids=["convex", "deriv", "sq_deriv"])
+def test_float_coefficients_are_pinned(kind):
+    rng = np.random.default_rng(2024)
+    if kind is CONVEX:
+        weights = [*rng.uniform(0.0, 1.0, 2000).tolist(),
+                   *(10.0 ** rng.uniform(-300.0, 0.0, 500)).tolist(), *T_EDGES]
+    else:
+        weights = [*(10.0 ** rng.uniform(-300.0, 308.0, 2000)).tolist(), *LAM_EDGES]
+        assert math.inf in kind.polynomial(sys.float_info.max).coefficients
+    for w in weights:
+        got = kind.polynomial(w).coefficients
+        want = FLOAT_COEFFICIENTS[kind](w)
+        assert [c.hex() for c in got] == [c.hex() for c in want], w
 
 
 def test_rho_polynomial_validation_and_derivative():
@@ -318,9 +347,11 @@ def test_each_kind_carries_its_spec(kind, value, weight, cap, search_cap,
     assert kind.rho_cap == cap
     assert kind.search_cap == search_cap
     assert kind.closed_form is closed_form
+    assert kind.label == label
     assert kind.polynomial(0.5).label == label
     # the spec is read-only: a reassigned cap would break every later solve
-    for attr in ("weight", "check", "polynomial", "rho_cap", "closed_form", "search_cap"):
+    for attr in ("weight", "check", "coefficients", "label", "polynomial", "rho_cap",
+                 "closed_form", "search_cap"):
         with pytest.raises(AttributeError, match="read-only"):
             setattr(kind, attr, 0.2)
         with pytest.raises(AttributeError, match="read-only"):
