@@ -26,6 +26,22 @@ values outside [0, 1], [0, 1) and (0, inf).
 
 _indices yields each (n, k)'s keys in lexicographic order; no tables are kept.
 
+The derivative and the product add up their terms on integer index codes.
+In base B = D + 1 for the largest entry D an index can have (the source's
+max_degree for the derivative, D1 + D2 for the product), alpha has the code
+sum_j alpha_j B^(n-j), so alpha - e_j is a code minus a place value and
+alpha + beta is the sum of two codes.  _encode gives the codes of a series'
+keys and _decode turns each code of a result back into a MultiIndex once,
+the derivative reusing the source's own key object where it has one.  The
+codes, and bohr_majorant_sum's tables of powers r_j^e, live for one call and
+are sized by the terms and exponents present, never by the degree.
+
+Derivative and product keep one order, and the bits of their results rest on
+it: the contributions to a key are added in source-term order (for the
+product, self's terms outer and other's inner), one at a time to a running
+value that starts at 0j, and the keys come in the order of their first
+contribution.  A term loop over the keys themselves gives the same bits.
+
 Evaluation has fixed bits.  f(z) is the sum, in key order, of one term per
 key: the term starts at a_alpha and is multiplied by z_j^e_j for j = 1..n in
 turn, where z_j^e is the e-th entry of the table 1+0j, (1+0j)*z_j, ... built
@@ -45,8 +61,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
-from operator import sub
+from itertools import chain, combinations_with_replacement, cycle, repeat
+from operator import floordiv, getitem, itemgetter, mod, mul, sub
 from typing import Iterable, Iterator, Mapping
 
 
@@ -134,6 +150,29 @@ def _indices(n: int, k: int) -> Iterator[MultiIndex]:
     # larger block (1.28 against 1.11 MiB for the keys of n <= 3, k <= 40)
     return (tuple.__new__(MultiIndex, [*map(sub, (*c, k), (0, *c))])
             for c in combinations_with_replacement(range(k + 1), n - 1))
+
+
+def _encode(keys: Iterable[MultiIndex], n: int, base: int) -> tuple:
+    """(places, codes): the place values base^(n-1), ..., base, 1, and the
+    code sum_j alpha_j base^(n-j) of each key in turn.
+
+    A code stands for one index only while every entry is below base.
+    """
+    places = [base ** (n - 1 - j) for j in range(n)]
+    scaled = map(mul, chain.from_iterable(keys), cycle(places))
+    return places, list(map(sum, zip(*[scaled] * n)))  # n products per key
+
+
+def _decode(acc: dict, places: list, base: int, known: dict) -> dict:
+    """acc with each code replaced by its MultiIndex, in acc's order.
+
+    A code in known gets known's key object; each other code gets a new
+    MultiIndex of its digits, which is added to known.
+    """
+    fresh = [code for code in acc if code not in known]
+    digits = [map(mod, map(floordiv, fresh, repeat(place)), repeat(base)) for place in places]
+    known.update(zip(fresh, map(tuple.__new__, repeat(MultiIndex), zip(*digits))))
+    return dict(zip(map(known.__getitem__, acc), acc.values()))
 
 
 def multi_indices(n_vars: int, degree: int) -> Iterator[MultiIndex]:
@@ -345,41 +384,67 @@ class TruncatedSeries:
         return out
 
     def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product, of degree D1 + D2."""
+        """Cauchy product, of degree D1 + D2.
+
+        The products a_alpha b_beta are added to the key alpha + beta in
+        source-term order (self's terms outer, other's inner), starting from
+        0j, and the keys come in the order of their first product.  The sums
+        run on index codes in base D1 + D2 + 1 (see the module docstring).
+        """
         if other.n_vars != self.n_vars:
             raise ValueError("variable count mismatch")
-        out: dict = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                key = tuple.__new__(MultiIndex, [x + y for x, y in zip(a, b)])
-                out[key] = out.get(key, 0j) + ca * cb
-        return TruncatedSeries._trusted(self.n_vars, self.max_degree + other.max_degree, out)
+        n, top = self.n_vars, self.max_degree + other.max_degree
+        places, codes = _encode(self.coeffs, n, top + 1)
+        other_terms = list(zip(_encode(other.coeffs, n, top + 1)[1], other.coeffs.values()))
+        acc: dict = {}
+        get = acc.get
+        for ka, ca in zip(codes, self.coeffs.values()):
+            for kb, cb in other_terms:
+                key = ka + kb
+                acc[key] = get(key, 0j) + ca * cb
+        return TruncatedSeries._trusted(n, top, _decode(acc, places, top + 1, {}))
 
     def directional_derivative(self, direction: Direction) -> "TruncatedSeries":
-        """d_u f = sum_j u_j df/dz_j for a unit-l1 direction u."""
+        """d_u f = sum_j u_j df/dz_j for a unit-l1 direction u.
+
+        The contributions a_alpha * alpha_j * u_j are added to the key
+        alpha - e_j in source-term order (alpha, then j = 1..n), starting from
+        0j, and the keys come in the order of their first contribution.  The
+        sums run on index codes in base D + 1 (see the module docstring), and
+        a key of the result that the source also has is the source's object.
+        """
         if direction.n_vars != self.n_vars:
             raise ValueError("direction dimension mismatch")
+        n, base = self.n_vars, self.max_degree + 1
+        places, codes = _encode(self.coeffs, n, base)
         comp = direction.components
-        out: dict = {}
-        for alpha, c in self.coeffs.items():
-            for j, e in enumerate(alpha):
+        acc: dict = {}
+        get = acc.get
+        for code, alpha, c in zip(codes, self.coeffs, self.coeffs.values()):
+            for e, place, u in zip(alpha, places, comp):
                 if e:
-                    down = list(alpha)
-                    down[j] = e - 1
-                    key = tuple.__new__(MultiIndex, down)
-                    out[key] = out.get(key, 0j) + c * e * comp[j]
-        return TruncatedSeries._trusted(self.n_vars, max(self.max_degree - 1, 0), out)
+                    key = code - place
+                    acc[key] = get(key, 0j) + c * e * u
+        out = _decode(acc, places, base, dict(zip(codes, self.coeffs)))
+        return TruncatedSeries._trusted(n, max(self.max_degree - 1, 0), out)
 
     def compose_power_map(self, omega: SchwarzPowerMap) -> "TruncatedSeries":
         """Substitute z_j -> z_j^m: the monomial z^alpha becomes z^(m alpha).
 
-        The result has degree m * D.
+        The result has degree m * D, the source's coefficients and the
+        source's key order.  For m = 1 its dict is a new one with the source's
+        own keys; otherwise each key m alpha is built once.
         """
         if omega.n_vars != self.n_vars:
             raise ValueError("power map dimension mismatch")
         m = omega.power
-        out = {tuple.__new__(MultiIndex, [m * e for e in alpha]): c
-               for alpha, c in self.coeffs.items()}
+        if m == 1:
+            out = dict(self.coeffs)
+        else:
+            entries = map(mul, chain.from_iterable(self.coeffs), repeat(m))
+            # n entries per key, as a plain tuple and then a MultiIndex
+            keys = map(tuple.__new__, repeat(MultiIndex), zip(*[entries] * self.n_vars))
+            out = dict(zip(keys, self.coeffs.values()))
         return TruncatedSeries._trusted(self.n_vars, m * self.max_degree, out)
 
     def bohr_majorant_sum(self, r, k_min: int = 0) -> float:
@@ -387,7 +452,10 @@ class TruncatedSeries:
 
         r may be a scalar (used for every variable) or a vector of length
         n_vars.  This is the quantity compared against 1 in Bohr-type
-        inequalities.
+        inequalities.  Each term is |a_alpha| times r_j ** alpha_j for
+        j = 1..n, left to right, and the terms are added in key order to 0.0.
+        The powers come from tables made for the call with the same float
+        power, with an entry only for each exponent that a summed term has.
         """
         _check_count("k_min", k_min, 0)
         try:
@@ -399,13 +467,14 @@ class TruncatedSeries:
         for x in rv:
             if not x >= 0:
                 raise ValueError("radii must be nonnegative")
+        # the summed keys first, so that a power that would overflow is taken
+        # only where a summed term needs it
+        coeffs = self.coeffs
+        keys = [alpha for alpha in coeffs if sum(alpha) >= k_min] if k_min else coeffs
+        powers = [{e: x ** e for e in set(map(itemgetter(j), keys))} for j, x in enumerate(rv)]
         total = 0.0
-        for alpha, c in self.coeffs.items():
-            if alpha.degree < k_min:
-                continue
-            term = abs(c)
-            for j, e in enumerate(alpha):
-                if e:
-                    term *= rv[j] ** e
-            total += term
+        for alpha in keys:
+            # math.prod multiplies floats in float64 as `term *= p` does, and a
+            # factor r_j ** 0 = 1.0 changes no bit
+            total += math.prod(map(getitem, powers, alpha), start=abs(coeffs[alpha]))
         return total

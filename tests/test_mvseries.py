@@ -19,6 +19,8 @@ from polybohr import (Direction, Functional, FunctionalKind, MultiIndex, RadiusP
                       extremal_functional, multi_indices, mvseries, schwarz_pick_bound,
                       sharpness_witness)
 from polybohr.extremal import ExtremalParams, extremal_series
+from _reference import (reference_bohr_majorant_sum, reference_compose_power_map,
+                        reference_directional_derivative, reference_multiply)
 
 
 def mobius_coeffs(a, n, max_degree):
@@ -678,6 +680,15 @@ def test_bohr_majorant_sum_vector_radius_and_errors():
         s.bohr_majorant_sum((0.1,))
 
 
+def test_bohr_majorant_sum_takes_no_power_of_a_skipped_term():
+    # 1e10 ** 300 overflows; the term that needs it is below k_min, so the sum
+    # skips it as a term loop does, and raises where a summed term needs it
+    s = TruncatedSeries(2, 301, {(300, 0): 1, (0, 301): 1})
+    assert s.bohr_majorant_sum((1e10, 0.5), k_min=301) == 0.5 ** 301
+    with pytest.raises(OverflowError):
+        s.bohr_majorant_sum((1e10, 0.5))
+
+
 @pytest.mark.parametrize("k_min", [-1, "2", 1.0, True], ids=["negative", "string", "float", "bool"])
 def test_bohr_majorant_sum_refuses_a_k_min_that_is_not_a_count(k_min):
     # -1 used to sum every term, as k_min = 0 does, and "2" raised TypeError
@@ -685,3 +696,115 @@ def test_bohr_majorant_sum_refuses_a_k_min_that_is_not_a_count(k_min):
     with pytest.raises(ValueError, match="k_min must be an integer >= 0"):
         s.bohr_majorant_sum(0.1, k_min=k_min)
     assert s.bohr_majorant_sum(0.1, k_min=np.int64(2)) == 0.0
+
+
+# -- the term loops' bits --------------------------------------------------------
+
+def sparse_coeffs(rng, n, max_degree):
+    """Up to 24 random keys of degree <= max_degree, inserted in shuffled order,
+    with each coefficient part +0.0, -0.0 or a random float."""
+    keys = set()
+    for _ in range(rng.randint(1, 24)):
+        k = rng.randint(0, max_degree)
+        cuts = sorted(rng.randint(0, k) for _ in range(n - 1))
+        keys.add(tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, k])))
+    keys = list(keys)
+    rng.shuffle(keys)
+
+    def part():
+        return rng.choice((0.0, -0.0, rng.uniform(-2.0, 2.0)))
+    return {alpha: complex(part(), part()) for alpha in keys}
+
+
+def unit_direction(rng, n):
+    """A complex direction with sum |u_j| = 1, each part +0.0, -0.0 or a
+    random float before the scaling."""
+    while True:
+        u = [complex(*(rng.choice((0.0, -0.0, rng.uniform(-1, 1))) for _ in "ri"))
+             for _ in range(n)]
+        total = sum(abs(x) for x in u)
+        if total > 0:
+            return Direction([x / total for x in u])
+
+
+def items_repr(coeffs):
+    return repr(list(coeffs.items()))
+
+
+def test_operations_have_the_bits_of_the_term_loops():
+    # the index-code operations against the plain loops in tests/_reference.py:
+    # the same keys in the same order, every coefficient to the bit, on keys
+    # inserted out of lexicographic order and signed-zero coefficient parts
+    rng = random.Random(20261020)
+    for _ in range(400):
+        n, degree = rng.randint(1, 4), rng.randint(0, 10)
+        coeffs = sparse_coeffs(rng, n, degree)
+        f = TruncatedSeries(n, degree, coeffs)
+        assert list(f.coeffs) == [alpha for alpha, c in coeffs.items() if c != 0]
+        other_degree = rng.randint(0, 10)
+        g = TruncatedSeries(n, other_degree, sparse_coeffs(rng, n, other_degree))
+        u = unit_direction(rng, n)
+        m = rng.randint(1, 3)
+        pairs = [
+            (f.directional_derivative(u),
+             reference_directional_derivative(f.coeffs, degree, u.components)),
+            (f.multiply(g), reference_multiply(f.coeffs, degree, g.coeffs, other_degree)),
+            (f.compose_power_map(SchwarzPowerMap(n, m)),
+             reference_compose_power_map(f.coeffs, degree, m)),
+        ]
+        for got, (want_degree, want) in pairs:
+            assert got.max_degree == want_degree
+            assert items_repr(got.coeffs) == items_repr(want)
+            assert all(type(key) is MultiIndex and all(type(e) is int for e in key)
+                       for key in got.coeffs)
+        for r in (rng.random(), [rng.random() for _ in range(n)]):
+            radii = r if isinstance(r, list) else [r] * n
+            for k_min in range(4):
+                assert (repr(f.bohr_majorant_sum(r, k_min))
+                        == repr(reference_bohr_majorant_sum(f.coeffs, radii, k_min)))
+
+
+def test_a_sparse_series_of_huge_degree_builds_no_degree_sized_table():
+    # one key of degree 10**6: a table sized by the degree would take MiBs
+    d = 10 ** 6
+    f = TruncatedSeries(2, d, {(d, 0): 1, (0, 3): 2})
+    u = Direction((0.25, 0.75j))
+    calls = {
+        "derivative": (lambda: f.directional_derivative(u),
+                       [((d - 1, 0), d * 0.25 + 0j), ((0, 2), 6 * 0.75j)]),
+        "square": (lambda: f.multiply(f),
+                   [((2 * d, 0), 1 + 0j), ((d, 3), 4 + 0j), ((0, 6), 4 + 0j)]),
+        "composition": (lambda: f.compose_power_map(SchwarzPowerMap(2, 3)),
+                        [((3 * d, 0), 1 + 0j), ((0, 9), 2 + 0j)]),
+        "majorant sum": (lambda: f.bohr_majorant_sum(0.5), 2 * 0.5 ** 3),
+    }
+    for name, (call, want) in calls.items():
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1 << 20, name
+        assert (got if name == "majorant sum" else list(got.coeffs.items())) == want, name
+
+
+def test_identity_composition_and_derivative_own_their_dicts():
+    f = random_series(np.random.default_rng(47), 3, 4)
+    before = dict(f.coeffs)
+    for g in (f.compose_power_map(SchwarzPowerMap(3, 1)),
+              f.directional_derivative(Direction.uniform(3))):
+        assert g.coeffs is not f.coeffs
+        for key in list(g.coeffs):
+            g.coeffs[key] = 7j
+        g.coeffs[MultiIndex((9, 9, 9))] = 1j
+        assert f.coeffs == before
+        assert items_repr(f.coeffs) == items_repr(before)
+        for s in (f, g):
+            assert all(type(key) is MultiIndex and all(type(e) is int for e in key)
+                       for key in s.coeffs)
+    # a key the derivative shares with its source is the source's own object
+    du = f.directional_derivative(Direction.uniform(3))
+    own = {key: key for key in f.coeffs}
+    assert du.coeffs and all(own[key] is key for key in du.coeffs)
