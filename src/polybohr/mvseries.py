@@ -26,15 +26,13 @@ values outside [0, 1], [0, 1) and (0, inf).
 
 _indices yields each (n, k)'s keys in lexicographic order; no tables are kept.
 
-The derivative and the product add up their terms on integer index codes.
-In base B = D + 1 for the largest entry D an index can have (the source's
-max_degree for the derivative, D1 + D2 for the product), alpha has the code
-sum_j alpha_j B^(n-j), so alpha - e_j is a code minus a place value and
-alpha + beta is the sum of two codes.  _encode gives the codes of a series'
-keys and _decode turns each code of a result back into a MultiIndex once,
-the derivative reusing the source's own key object where it has one.  The
-codes, and bohr_majorant_sum's tables of powers r_j^e, live for one call and
-are sized by the terms and exponents present, never by the degree.
+The derivative adds up its terms on integer index codes.  In base
+B = D + 1, D the source's max_degree, alpha has the code
+sum_j alpha_j B^(n-j), so alpha - e_j is a code minus a place value.
+_encode gives the codes of a series' keys and _decode turns each code of the
+result back into a MultiIndex once, reusing the source's own key object where
+it has one.  The codes live for one call and are sized by the terms present,
+never by the degree.
 
 Derivative and product keep one order, and the bits of their results rest on
 it: the contributions to a key are added in source-term order (for the
@@ -62,7 +60,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, cycle, repeat
-from operator import floordiv, getitem, itemgetter, mod, mul, sub
+from operator import floordiv, mod, mul, sub
 from typing import Iterable, Iterator, Mapping
 
 
@@ -388,21 +386,16 @@ class TruncatedSeries:
 
         The products a_alpha b_beta are added to the key alpha + beta in
         source-term order (self's terms outer, other's inner), starting from
-        0j, and the keys come in the order of their first product.  The sums
-        run on index codes in base D1 + D2 + 1 (see the module docstring).
+        0j, and the keys come in the order of their first product.
         """
         if other.n_vars != self.n_vars:
             raise ValueError("variable count mismatch")
-        n, top = self.n_vars, self.max_degree + other.max_degree
-        places, codes = _encode(self.coeffs, n, top + 1)
-        other_terms = list(zip(_encode(other.coeffs, n, top + 1)[1], other.coeffs.values()))
-        acc: dict = {}
-        get = acc.get
-        for ka, ca in zip(codes, self.coeffs.values()):
-            for kb, cb in other_terms:
-                key = ka + kb
-                acc[key] = get(key, 0j) + ca * cb
-        return TruncatedSeries._trusted(n, top, _decode(acc, places, top + 1, {}))
+        out: dict = {}
+        for a, ca in self.coeffs.items():
+            for b, cb in other.coeffs.items():
+                key = tuple.__new__(MultiIndex, [x + y for x, y in zip(a, b)])
+                out[key] = out.get(key, 0j) + ca * cb
+        return TruncatedSeries._trusted(self.n_vars, self.max_degree + other.max_degree, out)
 
     def directional_derivative(self, direction: Direction) -> "TruncatedSeries":
         """d_u f = sum_j u_j df/dz_j for a unit-l1 direction u.
@@ -452,10 +445,9 @@ class TruncatedSeries:
 
         r may be a scalar (used for every variable) or a vector of length
         n_vars.  This is the quantity compared against 1 in Bohr-type
-        inequalities.  Each term is |a_alpha| times r_j ** alpha_j for
-        j = 1..n, left to right, and the terms are added in key order to 0.0.
-        The powers come from tables made for the call with the same float
-        power, with an entry only for each exponent that a summed term has.
+        inequalities.  Each term is |a_alpha| times r_j ** alpha_j for the
+        j = 1..n with alpha_j > 0, left to right, and the terms are added in
+        key order to 0.0.
         """
         _check_count("k_min", k_min, 0)
         try:
@@ -467,14 +459,13 @@ class TruncatedSeries:
         for x in rv:
             if not x >= 0:
                 raise ValueError("radii must be nonnegative")
-        # the summed keys first, so that a power that would overflow is taken
-        # only where a summed term needs it
-        coeffs = self.coeffs
-        keys = [alpha for alpha in coeffs if sum(alpha) >= k_min] if k_min else coeffs
-        powers = [{e: x ** e for e in set(map(itemgetter(j), keys))} for j, x in enumerate(rv)]
         total = 0.0
-        for alpha in keys:
-            # math.prod multiplies floats in float64 as `term *= p` does, and a
-            # factor r_j ** 0 = 1.0 changes no bit
-            total += math.prod(map(getitem, powers, alpha), start=abs(coeffs[alpha]))
+        for alpha, c in self.coeffs.items():
+            if sum(alpha) < k_min:
+                continue
+            term = abs(c)
+            for j, e in enumerate(alpha):
+                if e:
+                    term *= rv[j] ** e
+            total += term
         return total

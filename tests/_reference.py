@@ -20,7 +20,10 @@ def reference_bisect(f, lo, hi, iters=200):
 # -- the series engine's term loops ---------------------------------------------
 #
 # Plain term loops over the keys themselves, the reference for the bits of
-# TruncatedSeries's operations, which run on index codes and power tables.
+# TruncatedSeries's operations: the derivative runs on index codes and the
+# composition builds its keys from one stream of entries, while the product
+# and the majorant sum are term loops too, kept here so that a faster version
+# of either must match them.
 # Each takes and returns (coeffs, max_degree) data, drops the exact zeros as
 # TruncatedSeries._trusted does, and keys its result by plain tuples, whose
 # repr is a MultiIndex's.

@@ -732,7 +732,7 @@ def items_repr(coeffs):
 
 
 def test_operations_have_the_bits_of_the_term_loops():
-    # the index-code operations against the plain loops in tests/_reference.py:
+    # the operations against the plain loops in tests/_reference.py:
     # the same keys in the same order, every coefficient to the bit, on keys
     # inserted out of lexicographic order and signed-zero coefficient parts
     rng = random.Random(20261020)
