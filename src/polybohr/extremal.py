@@ -148,21 +148,26 @@ def extremal_series(params: ExtremalParams, max_degree: int) -> TruncatedSeries:
     for k in range(1, max_degree + 1):
         base = -one_minus * a ** (k - 1)
         keys, multinomials = _table(n, k)
-        coeffs.update(zip(keys, [complex(base * c) for c in multinomials]))
+        # float64 products are the Python float products, each imag is +0.0
+        coeffs.update(zip(keys, (base * multinomials).astype(complex).tolist()))
     return TruncatedSeries._trusted(n, max_degree, coeffs)
 
 
 @functools.cache
 def _table(n: int, k: int) -> tuple:
     """(keys, multinomials): every alpha of degree k in n variables, in
-    lexicographic order, and k!/alpha! for each as an exact Python int.
+    lexicographic order, and k!/alpha! for each as a read-only float64 array.
 
-    Built once per (n, k) and kept for the process, the package's only table
-    cache; for n <= 3 and k <= 40 the tables hold about 1.6 MiB.
+    float(k!/alpha!) rounds the exact int as base * (k!/alpha!) in Python
+    would, so base * multinomials has the bits of the Python products.  Built
+    once per (n, k) and kept for the process, the package's only table cache;
+    for n <= 3 and k <= 40 the tables hold about 1.1 MiB.
     """
     keys = tuple(_indices(n, k))
     kfac = math.factorial(k)
-    return keys, tuple(kfac // alpha.factorial for alpha in keys)
+    multinomials = np.array([float(kfac // alpha.factorial) for alpha in keys])
+    multinomials.flags.writeable = False
+    return keys, multinomials
 
 
 # -- closed-form functional values --------------------------------------------

@@ -19,10 +19,11 @@ MultiIndex(...), and by _check_index at TruncatedSeries(...) from a caller's
 dict and at coefficient().  The operations here build their keys from checked
 keys and trust them: each is a MultiIndex of plain ints made with
 tuple.__new__, and each result goes through TruncatedSeries._trusted, which
-only drops exact zeros.  Each scalar input is checked by one helper here:
-_check_count returns a count as a plain int (no numpy integer reaches a key
-or a result), and _check_unit, _check_below_one and _check_positive refuse
-values outside [0, 1], [0, 1) and (0, inf).
+only deletes the exact zeros, in place from the fresh dict it takes over.
+Each scalar input is checked by one helper here: _check_count returns a
+count as a plain int (no numpy integer reaches a key or a result), and
+_check_unit, _check_below_one and _check_positive refuse values outside
+[0, 1], [0, 1) and (0, inf).
 
 _indices yields each (n, k)'s keys in lexicographic order; no tables are kept.
 
@@ -50,8 +51,20 @@ once on float64 arrays: each complex product is CPython's
 (ar*br - ai*bi, ar*bi + ai*br) as separate real ufuncs, and the sum is
 np.add.accumulate over [0.0, terms...].  numpy's own complex multiply and
 np.sum (pairwise) would differ in the last bit; these do not.  eval(z) is
-eval_many([z])[0].  Within this module only eval_many imports numpy, though
-importing the package loads it anyway (bounds and extremal need it).
+eval_many([z])[0].
+
+The majorant sum has fixed bits too: each term is abs(a_alpha), CPython's
+abs, times r_j ** alpha_j for j = 1..n in turn, and the terms are added in
+key order to 0.0.  bohr_majorant_sum does this on float64 arrays: the
+moduli come from map(abs, ...) (np.abs's hypot may round differently), each
+r_j ** e is a Python float power computed once per exponent present (so an
+overflow raises OverflowError, and the table is sized by the exponents
+present, never by the degree), a factor r_j ** 0 == 1.0 leaves a term's
+bits, and the sum is np.add.accumulate.  Both array passes hold the keys'
+entries in one (terms x n) intp array built by _exponents, so an entry of
+2**63 or more raises OverflowError there.  Within this module only eval_many
+and bohr_majorant_sum import numpy, though importing the package loads it
+anyway (bounds and extremal need it).
 """
 
 from __future__ import annotations
@@ -104,7 +117,12 @@ _EVAL_BLOCK = 1 << 14
 
 
 class MultiIndex(tuple):
-    """Exponent tuple of a monomial z^alpha; entries are nonnegative integers."""
+    """Exponent tuple of a monomial z^alpha; entries are nonnegative integers.
+
+    No __dict__: a key takes the memory of a plain tuple of its entries.
+    """
+
+    __slots__ = ()
 
     def __new__(cls, exponents: Iterable[int]) -> "MultiIndex":
         ex = tuple(exponents)
@@ -148,6 +166,15 @@ def _indices(n: int, k: int) -> Iterator[MultiIndex]:
     # larger block (1.28 against 1.11 MiB for the keys of n <= 3, k <= 40)
     return (tuple.__new__(MultiIndex, [*map(sub, (*c, k), (0, *c))])
             for c in combinations_with_replacement(range(k + 1), n - 1))
+
+
+def _exponents(keys, n: int):
+    """The (terms x n) intp array of the keys' entries, one row per key, in
+    order; an entry of 2**63 or more raises OverflowError."""
+    import numpy as np
+
+    count = len(keys)
+    return np.fromiter(chain.from_iterable(keys), np.intp, count * n).reshape(count, n)
 
 
 def _encode(keys: Iterable[MultiIndex], n: int, base: int) -> tuple:
@@ -261,10 +288,12 @@ class TruncatedSeries:
 
         coeffs is a fresh dict from MultiIndex keys of plain ints to complex
         values; the series takes it over.  Only the exact zeros are dropped,
-        and nothing is checked again.
+        deleted in place so that the other keys keep their order, and nothing
+        is checked again.
         """
         if 0 in coeffs.values():
-            coeffs = {a: c for a, c in coeffs.items() if c != 0}
+            for alpha in [alpha for alpha, c in coeffs.items() if c == 0]:
+                del coeffs[alpha]
         out = cls.__new__(cls)
         out.n_vars = n_vars
         out.max_degree = max_degree
@@ -334,8 +363,7 @@ class TruncatedSeries:
         import numpy as np
 
         n, top, count = self.n_vars, self.max_degree, len(self.coeffs)
-        exps = np.fromiter(chain.from_iterable(self.coeffs), np.intp, count * n)
-        exps = exps.reshape(count, n)
+        exps = _exponents(self.coeffs, n)
         moves = [exps[:, j] != 0 for j in range(n)]
         coeffs = np.fromiter(self.coeffs.values(), complex, count)
         points = list(points)
@@ -445,11 +473,15 @@ class TruncatedSeries:
 
         r may be a scalar (used for every variable) or a vector of length
         n_vars.  This is the quantity compared against 1 in Bohr-type
-        inequalities.  Each term is |a_alpha| times r_j ** alpha_j for the
-        j = 1..n with alpha_j > 0, left to right, and the terms are added in
-        key order to 0.0.
+        inequalities.  Each term is |a_alpha| times r_j ** alpha_j for
+        j = 1..n, left to right, and the terms are added in key order to 0.0:
+        the bits of the term loop set out in the module docstring.  A term
+        below k_min takes no power, and an entry of 2**63 or more raises
+        OverflowError, as in eval_many.
         """
-        _check_count("k_min", k_min, 0)
+        import numpy as np
+
+        k_min = _check_count("k_min", k_min, 0)
         try:
             rv = [float(x) for x in r]
         except TypeError:
@@ -459,13 +491,27 @@ class TruncatedSeries:
         for x in rv:
             if not x >= 0:
                 raise ValueError("radii must be nonnegative")
-        total = 0.0
-        for alpha, c in self.coeffs.items():
-            if sum(alpha) < k_min:
-                continue
-            term = abs(c)
-            for j, e in enumerate(alpha):
-                if e:
-                    term *= rv[j] ** e
-            total += term
-        return total
+        if k_min > self.max_degree:  # no key reaches it
+            return 0.0
+        count = len(self.coeffs)
+        exps = _exponents(self.coeffs, self.n_vars)
+        # the 0.0 the sum starts from, then each |a_alpha| by CPython's abs
+        row = np.fromiter(chain((0.0,), map(abs, self.coeffs.values())), float, count + 1)
+        if k_min:
+            # no key's degree exceeds max_degree, so below intp's limit the
+            # column sums cannot wrap
+            if self.max_degree <= np.iinfo(np.intp).max:
+                keep = sum(exps.T) >= k_min
+            else:
+                keep = np.fromiter((sum(alpha) >= k_min for alpha in self.coeffs), bool, count)
+            exps, row = exps[keep], row[np.concatenate(([True], keep))]
+        terms = row[1:]
+        with np.errstate(all="ignore"):  # 0 * inf is nan, as in Python
+            for x, col in zip(rv, exps.T):
+                # x ** e in Python floats, once per exponent present
+                present = np.sort(col)
+                present = present[np.diff(present, prepend=-1) != 0]
+                powers = np.array([x ** e for e in present.tolist()])
+                terms *= powers[np.searchsorted(present, col)]
+            # accumulate adds left to right, in key order
+            return np.add.accumulate(row)[-1].item()

@@ -90,6 +90,16 @@ def test_multi_index_degree_and_factorial():
     assert MultiIndex((20,)).factorial == math.factorial(20)
 
 
+def test_multi_index_has_a_plain_tuples_size():
+    # __slots__ = (): no __dict__, so a key takes the bytes of a plain tuple
+    for entries in ((3,), (3, 0, 2), (1, 2, 3, 4, 5)):
+        idx = MultiIndex(entries)
+        assert not hasattr(idx, "__dict__")
+        assert sys.getsizeof(idx) == sys.getsizeof(entries)
+    with pytest.raises(AttributeError):
+        MultiIndex((1, 2)).label = "x"
+
+
 def test_multi_index_rejects_bad_entries():
     with pytest.raises(ValueError):
         MultiIndex((1, -1))
@@ -221,7 +231,8 @@ def test_range_and_index_messages_are_pinned(call, message):
 
 def test_radii_and_mvseries_run_without_numpy():
     # a stub package whose __init__ never runs, so that only radii and
-    # mvseries load; with numpy blocked only eval_many may need it
+    # mvseries load; with numpy blocked only eval_many and bohr_majorant_sum
+    # may need it
     src = Path(mvseries.__file__).resolve().parent
     script = (
         "import sys, types\n"
@@ -306,6 +317,18 @@ def test_extremal_series_has_the_formula_bits_on_repeated_calls():
                 assert first.coeffs is not again.coeffs
 
 
+def test_the_multinomial_table_is_a_read_only_float_array():
+    # k!/alpha! as float(int), the rounding of a Python float * int; at
+    # n = 3, k = 40 some exceed 2**53, so the rounding is exercised
+    keys, multinomials = extremal._table(3, 40)
+    assert multinomials.dtype == np.float64 and not multinomials.flags.writeable
+    exact = [math.factorial(40) // alpha.factorial for alpha in keys]
+    assert max(exact) > 2 ** 53
+    assert multinomials.tolist() == [float(c) for c in exact]
+    with pytest.raises(ValueError):
+        multinomials[0] = 0.0
+
+
 # -- construction --------------------------------------------------------------
 
 def test_series_drops_zeros_and_reports_missing_as_zero():
@@ -348,6 +371,24 @@ def test_internal_results_drop_exact_zeros():
     one_minus = TruncatedSeries(1, 1, {(0,): 1, (1,): -1})
     prod = one_plus.multiply(one_minus)
     assert prod.coeffs == {(0,): 1, (2,): -1}  # no z term
+
+
+def test_a_sum_drops_its_zeros_in_place_and_keeps_the_order():
+    # the sum cancels the first, a middle and the last key of its dict: the
+    # others keep their order and bits, in the dict the result was built in
+    f = TruncatedSeries(1, 5, {(k,): complex(k + 1, -0.5 * k) for k in range(6)})
+    g = TruncatedSeries(1, 5, {(0,): -1, (2,): complex(-3, 1), (5,): complex(-6, 2.5),
+                               (1,): 0.25j})
+    h = f + g
+    want = [((1,), complex(2.0, -0.25)), ((3,), complex(4, -1.5)), ((4,), complex(5, -2.0))]
+    assert items_repr(h.coeffs) == repr(want)
+    assert all(type(key) is MultiIndex for key in h.coeffs)
+    assert (f - f).coeffs == {}
+    coeffs = {MultiIndex((0,)): 0j, MultiIndex((1,)): 2j, MultiIndex((2,)): -0j,
+              MultiIndex((3,)): 1 + 0j, MultiIndex((4,)): 0j}
+    built = TruncatedSeries._trusted(1, 4, coeffs)
+    assert built.coeffs is coeffs
+    assert items_repr(coeffs) == repr([((1,), 2j), ((3,), 1 + 0j)])
 
 
 def test_internal_keys_are_multi_indices_of_plain_ints():
@@ -762,6 +803,93 @@ def test_operations_have_the_bits_of_the_term_loops():
             for k_min in range(4):
                 assert (repr(f.bohr_majorant_sum(r, k_min))
                         == repr(reference_bohr_majorant_sum(f.coeffs, radii, k_min)))
+
+
+def test_bohr_majorant_sum_has_the_bits_of_the_term_loop_on_edge_values():
+    # coefficient parts +-0.0, +-inf and NaN; radii 0.0, inf and random floats,
+    # mixed within one vector; k_min up to two past the degree; the empty
+    # series.  0 * inf is NaN on both sides, and the suite's filterwarnings =
+    # error fails any numpy warning
+    rng = random.Random(20261021)
+    specials = (0.0, -0.0, math.inf, -math.inf, math.nan)
+    seen = set()
+    for case in range(300):
+        n, degree = rng.randint(1, 4), rng.randint(0, 10)
+        keys = list(sparse_coeffs(rng, n, degree)) if case % 10 else []
+        f = TruncatedSeries(n, degree, {
+            alpha: complex(*(rng.choice((*specials, rng.uniform(-2.0, 2.0))) for _ in "ri"))
+            for alpha in keys})
+        for _ in range(3):
+            radii = [rng.choice((0.0, math.inf, rng.random(), 2.0 * rng.random()))
+                     for _ in range(n)]
+            for r in (radii, radii[0]):
+                rv = radii if isinstance(r, list) else [r] * n
+                for k_min in range(degree + 3):
+                    got = f.bohr_majorant_sum(r, k_min)
+                    assert repr(got) == repr(reference_bohr_majorant_sum(f.coeffs, rv, k_min))
+                    seen.add("nan" if got != got else "inf" if got == math.inf
+                             else "zero" if got == 0.0 else "finite")
+    assert seen == {"nan", "inf", "zero", "finite"}
+
+
+def test_bohr_majorant_sum_overflows_where_the_term_loop_does():
+    # 1e200 ** 2 overflows a float: each call raises OverflowError exactly when
+    # the term loop does, and otherwise has its bits
+    def outcome(call):
+        try:
+            return repr(call())
+        except OverflowError:
+            return "OverflowError"
+
+    s = TruncatedSeries(2, 3, {(0, 1): 0.5, (2, 0): 1j, (1, 2): -1})
+    outcomes = []
+    for r in (1e200, (1e200, 0.5), (0.5, 1e200), (1e200, 0.0)):
+        rv = list(r) if isinstance(r, tuple) else [r] * 2
+        for k_min in (0, 1, 2, 3, 4):
+            got = outcome(lambda: s.bohr_majorant_sum(r, k_min))
+            assert got == outcome(lambda: reference_bohr_majorant_sum(s.coeffs, rv, k_min))
+            outcomes.append(got)
+    assert outcomes.count("OverflowError") == 14
+    assert repr(1e200 * 0.5 ** 2) in outcomes and outcomes[-1] == "0.0"
+
+
+def test_an_entry_past_intp_raises_in_the_array_passes():
+    # the majorant sum and eval_many hold the entries as intp: 2**63 raises
+    big = TruncatedSeries(2, 2 ** 63, {(2 ** 63, 0): 1, (0, 1): 1})
+    for call in (lambda: big.bohr_majorant_sum(0.5), lambda: big.eval((0.5, 0.5))):
+        with pytest.raises(OverflowError, match="too large to convert"):
+            call()
+    # entries below it, on a degree past it: the degrees are summed without
+    # wrapping, so k_min keeps the term loop's terms
+    wide = TruncatedSeries(2, 2 ** 63, {(2 ** 62, 2 ** 62): 1, (0, 1): 2})
+    for r in (1.0, 0.5):
+        for k_min in (0, 1, 2, 2 ** 63, 2 ** 63 + 1):
+            assert repr(wide.bohr_majorant_sum(r, k_min)) == repr(
+                reference_bohr_majorant_sum(wide.coeffs, [r, r], k_min))
+
+
+def test_the_series_path_does_not_import_numpy_ma():
+    # np.unique would import numpy.ma, about 1 MiB of RSS in a series worker
+    script = (
+        "import sys\n"
+        "from polybohr import (ExtremalParams, Functional, FunctionalKind, SchwarzPowerMap,\n"
+        "                      TruncatedSeries, extremal_functional_from_series,\n"
+        "                      extremal_series, zero_multiplicity_bound_check)\n"
+        "params = ExtremalParams(0.5, 2, 2)\n"
+        "func = Functional(FunctionalKind.DERIV, lam=1.0)\n"
+        "assert extremal_functional_from_series(func, params, 0.3, max_degree=12) > 0.0\n"
+        "g = extremal_series(params, 12).compose_power_map(SchwarzPowerMap(2, 2))\n"
+        "assert g.bohr_majorant_sum((0.25, 0.5), k_min=4) > 0.0\n"
+        "h = g - TruncatedSeries.constant(0.5, 2)\n"
+        "assert zero_multiplicity_bound_check(h, 2, samples=50, seed=3) > 0.0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "print('ok')\n")
+    src = str(Path(mvseries.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_a_sparse_series_of_huge_degree_builds_no_degree_sized_table():
