@@ -247,11 +247,14 @@ def extremal_functional_from_series(func: Functional, params: ExtremalParams,
     kind = func.kind
     if kind is _CONVEX:
         return func.t * first + (1.0 - func.t) * g.bohr_majorant_sum(r, k_min=0)
+    tail = g.bohr_majorant_sum(r, k_min=2 * m)
+    # g is not used past here; freed before the derivative is built, so that
+    # f, g and du are never alive together, it no longer sets the peak memory
+    del g
     du = f.directional_derivative(Direction.uniform(n))
     # the derivative term carries n * ||omega(z)||_inf = n r^m = rho; the
     # radii are exact under this polydisc normalization
     second = abs(du.eval(w)) * (n * abs(w[0]))
-    tail = g.bohr_majorant_sum(r, k_min=2 * m)
     head = first * first if kind is _SQ_DERIV else first
     return head + second + func.lam * tail
 
