@@ -27,14 +27,6 @@ _check_unit, _check_below_one and _check_positive refuse values outside
 
 _indices yields each (n, k)'s keys in lexicographic order; no tables are kept.
 
-The derivative adds up its terms on integer index codes.  In base
-B = D + 1, D the source's max_degree, alpha has the code
-sum_j alpha_j B^(n-j), so alpha - e_j is a code minus a place value.
-_encode gives the codes of a series' keys and _decode turns each code of the
-result back into a MultiIndex once, reusing the source's own key object where
-it has one.  The codes live for one call and are sized by the terms present,
-never by the degree.
-
 Derivative and product keep one order, and the bits of their results rest on
 it: the contributions to a key are added in source-term order (for the
 product, self's terms outer and other's inner), one at a time to a running
@@ -60,11 +52,21 @@ moduli come from map(abs, ...) (np.abs's hypot may round differently), each
 r_j ** e is a Python float power computed once per exponent present (so an
 overflow raises OverflowError, and the table is sized by the exponents
 present, never by the degree), a factor r_j ** 0 == 1.0 leaves a term's
-bits, and the sum is np.add.accumulate.  Both array passes hold the keys'
-entries in one (terms x n) intp array built by _exponents, so an entry of
-2**63 or more raises OverflowError there.  Within this module only eval_many
-and bohr_majorant_sum import numpy, though importing the package loads it
-anyway (bounds and extremal need it).
+bits, and the sum is np.add.accumulate.
+
+directional_derivative keeps the term loop's bits on float64 arrays too.  Its
+contributions are the exponent array's nonzero entries in (alpha, j) order,
+each CPython's (a_alpha * complex(alpha_j, 0.0)) * u_j as separate real
+ufuncs.  In base B = D + 1, D the source's max_degree, alpha has the code
+sum_j alpha_j B^(n-j) (int64 while B^n fits, else Python ints), so
+alpha - e_j is a code minus a place value.  A stable sort groups the
+contributions by code in source order, and np.add.at adds each group to 0.0.
+The codes are sized by the terms present, never by the degree.
+
+The three array passes hold the keys' entries in one (terms x n) intp array
+built by _exponents, so an entry of 2**63 or more raises OverflowError
+there.  Within this module only they import numpy, though importing the
+package loads it anyway (bounds and extremal need it).
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, cycle, repeat
-from operator import floordiv, mod, mul, sub
+from itertools import chain, combinations_with_replacement, repeat
+from operator import mul, sub
 from typing import Iterable, Iterator, Mapping
 
 
@@ -114,6 +116,9 @@ def _check_index(alpha, n_vars: int) -> "MultiIndex":
 # arrays are live at once: 1 << 14 keeps them near 1 MiB in all, while 1 << 16
 # raised the series workload's peak RSS by about 4 MiB and was no faster
 _EVAL_BLOCK = 1 << 14
+# directional_derivative sums its contributions in blocks of this many: 1 << 14
+# raised the series workload's peak RSS by about 2 MiB and was no faster
+_SUM_BLOCK = 1 << 12
 
 
 class MultiIndex(tuple):
@@ -175,29 +180,6 @@ def _exponents(keys, n: int):
 
     count = len(keys)
     return np.fromiter(chain.from_iterable(keys), np.intp, count * n).reshape(count, n)
-
-
-def _encode(keys: Iterable[MultiIndex], n: int, base: int) -> tuple:
-    """(places, codes): the place values base^(n-1), ..., base, 1, and the
-    code sum_j alpha_j base^(n-j) of each key in turn.
-
-    A code stands for one index only while every entry is below base.
-    """
-    places = [base ** (n - 1 - j) for j in range(n)]
-    scaled = map(mul, chain.from_iterable(keys), cycle(places))
-    return places, list(map(sum, zip(*[scaled] * n)))  # n products per key
-
-
-def _decode(acc: dict, places: list, base: int, known: dict) -> dict:
-    """acc with each code replaced by its MultiIndex, in acc's order.
-
-    A code in known gets known's key object; each other code gets a new
-    MultiIndex of its digits, which is added to known.
-    """
-    fresh = [code for code in acc if code not in known]
-    digits = [map(mod, map(floordiv, fresh, repeat(place)), repeat(base)) for place in places]
-    known.update(zip(fresh, map(tuple.__new__, repeat(MultiIndex), zip(*digits))))
-    return dict(zip(map(known.__getitem__, acc), acc.values()))
 
 
 def multi_indices(n_vars: int, degree: int) -> Iterator[MultiIndex]:
@@ -362,8 +344,9 @@ class TruncatedSeries:
         """
         import numpy as np
 
-        n, top, count = self.n_vars, self.max_degree, len(self.coeffs)
+        n, count = self.n_vars, len(self.coeffs)
         exps = _exponents(self.coeffs, n)
+        top = int(exps.max(initial=0))  # the largest exponent present
         moves = [exps[:, j] != 0 for j in range(n)]
         coeffs = np.fromiter(self.coeffs.values(), complex, count)
         points = list(points)
@@ -371,8 +354,8 @@ class TruncatedSeries:
         out = []
         with np.errstate(all="ignore"):
             for start in range(0, len(points), block):
-                # per-variable power tables z_j^0 .. z_j^D in Python complex
-                # arithmetic; no exponent exceeds D
+                # per-variable power tables z_j^0 .. z_j^top in Python complex
+                # arithmetic
                 chunk = points[start:start + block]
                 pows = []
                 for z in chunk:
@@ -430,23 +413,61 @@ class TruncatedSeries:
 
         The contributions a_alpha * alpha_j * u_j are added to the key
         alpha - e_j in source-term order (alpha, then j = 1..n), starting from
-        0j, and the keys come in the order of their first contribution.  The
-        sums run on index codes in base D + 1 (see the module docstring), and
-        a key of the result that the source also has is the source's object.
+        0j, and the keys come in the order of their first contribution: the
+        bits of the term loop set out in the module docstring.  A key of the
+        result that the source also has is the source's object, and an entry
+        of 2**63 or more raises OverflowError, as in eval_many.
         """
+        import numpy as np
+
         if direction.n_vars != self.n_vars:
             raise ValueError("direction dimension mismatch")
-        n, base = self.n_vars, self.max_degree + 1
-        places, codes = _encode(self.coeffs, n, base)
-        comp = direction.components
-        acc: dict = {}
-        get = acc.get
-        for code, alpha, c in zip(codes, self.coeffs, self.coeffs.values()):
-            for e, place, u in zip(alpha, places, comp):
-                if e:
-                    key = code - place
-                    acc[key] = get(key, 0j) + c * e * u
-        out = _decode(acc, places, base, dict(zip(codes, self.coeffs)))
+        n, base, count = self.n_vars, self.max_degree + 1, len(self.coeffs)
+        exps = _exponents(self.coeffs, n)
+        # codes in base D + 1, as int64 while every code fits, else Python ints
+        kind = np.int64 if base ** n <= np.iinfo(np.int64).max else object
+        places = np.array([base ** (n - 1 - j) for j in range(n)], kind)
+        codes = exps.astype(kind, copy=False) @ places
+        flat = np.flatnonzero(exps)  # the contributions, in (alpha, j) order
+        targets = np.subtract.outer(codes, places).ravel()[flat]
+        # a stable sort groups them by key, each group in source order
+        order = np.argsort(targets, kind="stable")
+        targets = targets[order]
+        head = np.ones(len(targets), bool)
+        head[1:] = targets[1:] != targets[:-1]
+        keys = targets[head]  # ascending
+        # each temporary goes once used: together they would set the peak RSS
+        del targets
+        flat, rank = flat[order], np.argsort(order[head])  # rank: by first contribution
+        del order
+        slot = np.cumsum(head)
+        slot -= 1  # each contribution's key
+        coeffs = np.fromiter(self.coeffs.values(), complex, count)
+        u = np.array(direction.components, complex)
+        sums = np.zeros(len(keys), complex)
+        with np.errstate(all="ignore"):  # inf * 0.0 is nan, as in Python
+            for start in range(0, len(flat), _SUM_BLOCK):
+                part = slice(start, start + _SUM_BLOCK)
+                rows, cols = np.divmod(flat[part], n)
+                c, w, e = coeffs[rows], u[cols], exps.ravel()[flat[part]].astype(float)
+                # CPython's (c * complex(e, 0.0)) * w, one float64 ufunc at a time
+                pr, pi = c.real * e - c.imag * 0.0, c.real * 0.0 + c.imag * e
+                # add.at adds in index order: each key's sum runs in source order
+                np.add.at(sums.real, slot[part], pr * w.real - pi * w.imag)
+                np.add.at(sums.imag, slot[part], pr * w.imag + pi * w.real)
+        del slot, coeffs
+        # the source's own key where it has one, else one built from alpha - e_j
+        known = np.argsort(codes)
+        pick = known[np.minimum(np.searchsorted(codes[known], keys), count - 1)]
+        fresh = np.flatnonzero(codes[pick] != keys)
+        pick[fresh] = count + np.arange(len(fresh))
+        rows, cols = np.divmod(flat[head][fresh], n)
+        entries = exps[rows]
+        entries[np.arange(len(fresh)), cols] -= 1
+        made = map(tuple.__new__, repeat(MultiIndex), entries.tolist())
+        pool = np.fromiter(chain(self.coeffs, made), object, count + len(fresh))
+        del exps, codes, flat, head, known, keys
+        out = dict(zip(pool[pick[rank]].tolist(), sums[rank].tolist()))
         return TruncatedSeries._trusted(n, max(self.max_degree - 1, 0), out)
 
     def compose_power_map(self, omega: SchwarzPowerMap) -> "TruncatedSeries":

@@ -20,10 +20,10 @@ def reference_bisect(f, lo, hi, iters=200):
 # -- the series engine's term loops ---------------------------------------------
 #
 # Plain term loops over the keys themselves, the reference for the bits of
-# TruncatedSeries's operations: the derivative runs on index codes, the
-# composition builds its keys from one stream of entries and the majorant sum
-# runs on float64 arrays, while the product is a term loop too, kept here so
-# that a faster version must match it.
+# TruncatedSeries's operations: the derivative and the majorant sum run on
+# float64 arrays and the composition builds its keys from one stream of
+# entries, while the product is a term loop too, kept here so that a faster
+# version must match it.
 # Each takes and returns (coeffs, max_degree) data, drops the exact zeros as
 # TruncatedSeries._trusted does, and keys its result by plain tuples, whose
 # repr is a MultiIndex's.

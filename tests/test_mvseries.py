@@ -231,8 +231,8 @@ def test_range_and_index_messages_are_pinned(call, message):
 
 def test_radii_and_mvseries_run_without_numpy():
     # a stub package whose __init__ never runs, so that only radii and
-    # mvseries load; with numpy blocked only eval_many and bohr_majorant_sum
-    # may need it
+    # mvseries load; with numpy blocked only the array passes (eval_many,
+    # bohr_majorant_sum and directional_derivative) may need it
     src = Path(mvseries.__file__).resolve().parent
     script = (
         "import sys, types\n"
@@ -244,11 +244,16 @@ def test_radii_and_mvseries_run_without_numpy():
         "problem = radii.RadiusProblem(radii.FunctionalKind.DERIV, 2, 1, lam=1.0)\n"
         "assert 0.0 < radii.radius_for(problem).radius < 1.0\n"
         "s = mvseries.TruncatedSeries(2, 2, {(1, 1): 1.0, (0, 1): 2.0})\n"
-        "du = s.directional_derivative(mvseries.Direction.uniform(2))\n"
-        "assert du.coeffs == {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5}, du.coeffs\n"
-        "try:\n"
-        "    du.eval((0.1, 0.2))\n"
-        "except ImportError:\n"
+        "g = s.compose_power_map(mvseries.SchwarzPowerMap(2, 3))\n"
+        "assert g.coeffs == {(3, 3): 1.0, (0, 3): 2.0}, g.coeffs\n"
+        "blocked = 0\n"
+        "for call in (lambda: s.directional_derivative(mvseries.Direction.uniform(2)),\n"
+        "             lambda: s.eval((0.1, 0.2))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ImportError:\n"
+        "        blocked += 1\n"
+        "if blocked == 2:\n"
         "    print('ok')\n")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
                           capture_output=True, text=True, timeout=120)
@@ -832,6 +837,59 @@ def test_bohr_majorant_sum_has_the_bits_of_the_term_loop_on_edge_values():
     assert seen == {"nan", "inf", "zero", "finite"}
 
 
+def assert_derivative_has_the_term_loop_bits(f, u):
+    """f's derivative along u against the reference loop: degree, keys, key
+    order and every coefficient to the bit; a key the source has is its object."""
+    got = f.directional_derivative(u)
+    want_degree, want = reference_directional_derivative(f.coeffs, f.max_degree, u.components)
+    assert got.max_degree == want_degree
+    assert items_repr(got.coeffs) == items_repr(want)
+    own = {key: key for key in f.coeffs}
+    assert all(type(key) is MultiIndex and all(type(e) is int for e in key)
+               and own.get(key, key) is key for key in got.coeffs)
+    return got
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["default-block", "block-3"])
+def test_directional_derivative_has_the_bits_of_the_term_loop_on_edge_values(monkeypatch, block):
+    # coefficient parts +-0.0, +-inf, NaN and +-1e308 (which a factor
+    # alpha_j > 1 overflows to inf), direction parts with signed zeros, the
+    # empty and the constant series; inf * 0.0 is NaN on both sides, and the
+    # suite's filterwarnings = error fails any numpy warning.  A block of 3
+    # puts block edges inside each key's run of contributions
+    if block is not None:
+        monkeypatch.setattr(mvseries, "_SUM_BLOCK", block)
+    rng = random.Random(20261022)
+    specials = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308)
+    seen = set()
+    for case in range(300):
+        n, degree = rng.randint(1, 4), rng.randint(0, 10)
+        keys = (list(sparse_coeffs(rng, n, degree)) if case % 10
+                else [(0,) * n] if case % 20 else [])
+        f = TruncatedSeries(n, degree, {
+            alpha: complex(*(rng.choice((*specials, rng.uniform(-2.0, 2.0))) for _ in "ri"))
+            for alpha in keys})
+        for _ in range(2):
+            got = assert_derivative_has_the_term_loop_bits(f, unit_direction(rng, n))
+            for c in got.coeffs.values():
+                seen.update("nan" if part != part else "inf" if abs(part) == math.inf
+                            else "finite" for part in (c.real, c.imag))
+            seen.add("empty" if not got.coeffs else "terms")
+    assert seen == {"nan", "inf", "finite", "empty", "terms"}
+
+
+def test_directional_derivative_has_the_bits_of_the_term_loop_past_int64_codes():
+    # n = 20, D = 10: codes in base 11 reach 11**20 > 2**63, so they are
+    # Python ints; and a degree past 2**63 with entries below it
+    assert 11 ** 20 > 2 ** 63
+    rng = random.Random(20261023)
+    for _ in range(40):
+        f = TruncatedSeries(20, 10, sparse_coeffs(rng, 20, 10))
+        assert_derivative_has_the_term_loop_bits(f, unit_direction(rng, 20))
+    wide = TruncatedSeries(2, 2 ** 63, {(2 ** 62, 2 ** 62): 1.5j, (0, 1): 2, (3, 0): -1})
+    assert_derivative_has_the_term_loop_bits(wide, Direction((0.25, -0.75j)))
+
+
 def test_bohr_majorant_sum_overflows_where_the_term_loop_does():
     # 1e200 ** 2 overflows a float: each call raises OverflowError exactly when
     # the term loop does, and otherwise has its bits
@@ -854,9 +912,11 @@ def test_bohr_majorant_sum_overflows_where_the_term_loop_does():
 
 
 def test_an_entry_past_intp_raises_in_the_array_passes():
-    # the majorant sum and eval_many hold the entries as intp: 2**63 raises
+    # the majorant sum, eval_many and the derivative hold the entries as
+    # intp: 2**63 raises
     big = TruncatedSeries(2, 2 ** 63, {(2 ** 63, 0): 1, (0, 1): 1})
-    for call in (lambda: big.bohr_majorant_sum(0.5), lambda: big.eval((0.5, 0.5))):
+    for call in (lambda: big.bohr_majorant_sum(0.5), lambda: big.eval((0.5, 0.5)),
+                 lambda: big.directional_derivative(Direction.uniform(2))):
         with pytest.raises(OverflowError, match="too large to convert"):
             call()
     # entries below it, on a degree past it: the degrees are summed without
@@ -916,6 +976,22 @@ def test_a_sparse_series_of_huge_degree_builds_no_degree_sized_table():
             tracemalloc.stop()
         assert peak - start < 1 << 20, name
         assert (got if name == "majorant sum" else list(got.coeffs.items())) == want, name
+
+
+def test_eval_builds_power_tables_only_up_to_the_exponents_present():
+    # degree 10**6 but no exponent above 3: tables sized by the degree would
+    # take MiBs and about a second
+    f = TruncatedSeries(2, 10 ** 6, {(1, 1): 1, (0, 3): 2})
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = f.eval((0.5, -0.5j))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1 << 20
+    # the term loop's bits, from tables up to degree 3
+    assert repr(got) == repr(term_loop_eval(TruncatedSeries(2, 3, f.coeffs), (0.5, -0.5j)))
 
 
 def test_identity_composition_and_derivative_own_their_dicts():
