@@ -24,7 +24,7 @@ def convex_table():
         for m in (1, 2):
             for t in (0.0, 0.3, 0.75, 0.9):
                 res = radius_for(RadiusProblem(FunctionalKind.CONVEX, n, m, t=t))
-                rho = FunctionalKind.CONVEX.closed_form(t)
+                rho = 1.0 / (1.0 + 2.0 * math.sqrt(1.0 - t))
                 closed = (rho / n) ** (1.0 / m)
                 print(f"{n:>3} {m:>3} {t:>6.2f} {res.radius:>18.12f} "
                       f"{res.rho_root:>18.12f} {closed:>18.12f} "

@@ -64,7 +64,7 @@ def main() -> int:
             ok = False
             continue
         stated = radius_for(problem).rho_root
-        crossing = empirical_radius(problem)
+        crossing = problem.n * empirical_radius(problem) ** problem.m
         print(f"          family first crosses 1 at rho = {crossing:.7f}, the "
               f"stated root {stated:.7f}")
         print(f"          (weight-free root {weight_free[problem.kind]:.7f})")

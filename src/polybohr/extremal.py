@@ -209,8 +209,9 @@ def majorant_functional(func: Functional, a0: float, rho: float) -> float:
     """Upper-bound chain value for any self-map with |f(0)| = a0.
 
     It is the witness family's closed form with tail ratio 1, for a0 in
-    [0, 1] and rho < 1 (CONVEX), rho <= sqrt(2)-1 (DERIV) or
-    rho <= (sqrt(5)-1)/2 (SQ_DERIV).  At a0 = 1 it is exactly 1.0.
+    [0, 1] and 0 <= rho < 1 up to the kind's float rho_cap, which for DERIV
+    and SQ_DERIV lies 1.74 and 0.49 ULP above sqrt(2)-1 and (sqrt(5)-1)/2.
+    At a0 = 1 it is exactly 1.0.
     """
     # mvseries._check_unit's test, kept inline: verify_radius calls this once
     # per grid point, and the helper's call adds 23-36 ns to its ~410 ns

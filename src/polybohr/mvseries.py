@@ -339,8 +339,10 @@ class TruncatedSeries:
         """[f(z) for z in points], each point with n_vars coordinates.
 
         Every value has the bits of the sequential term loop set out in the
-        module docstring.  The points are evaluated in blocks, so that no
-        temporary array holds much more than _EVAL_BLOCK elements.
+        module docstring.  The points go in blocks of _EVAL_BLOCK // (terms
+        + 1), at least one, so an array over the terms holds at most
+        _EVAL_BLOCK elements, or terms + 1 if more; each point's power tables
+        hold n (top + 1) more, top the largest exponent present.
         """
         import numpy as np
 

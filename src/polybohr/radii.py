@@ -63,13 +63,14 @@ FunctionalKind.SQ_DERIV.polynomial(1.0); below those weights their roots
 (0.31905..., 0.38579...) are safe but not sharp.
 
 Each root is solved in two stages.  A float stage brings a float within a
-few ULP of it: for the quartics a safeguarded Newton on (0, cap) of about
-eight evaluations of the float coefficients, coefficients(w, 1.0), for
-CONVEX the closed form.  An exact stage then certifies it.  With the
-weight's exact value N / D (every float is one), the integer polynomial
-D P(rho), coefficients(N, D), is signed exactly at floats and at their
-midpoints, by Horner in Python ints; a walk of about three exact signs ends
-at two adjacent floats whose exact signs differ, and the exact sign at their
+few ULP of it from coefficients(w, 1.0): the root of their quadratic part,
+for CONVEX the whole polynomial and the closed form above bit for bit, then
+for the quartics a safeguarded Newton on (0, cap) of about eight
+evaluations.  An exact stage then certifies it.  With the weight's exact
+value N / D (every float is one), the integer polynomial D P(rho),
+coefficients(N, D), is signed exactly at floats and at their midpoints, by
+Horner in Python ints; a walk of about three exact signs ends at two
+adjacent floats whose exact signs differ, and the exact sign at their
 midpoint picks the nearer one.  So rho_root is the correctly rounded root
 and its bracket proves a root lies between two adjacent floats; since P has
 one sign change on its interval (proved above), that root is the radius.
@@ -116,34 +117,22 @@ class RhoPolynomial:
 
 # -- kinds ---------------------------------------------------------------------
 
-def _convex_rho_closed_form(t: float) -> float:
-    """Normalized CONVEX radius rho = 1 / (1 + 2 sqrt(1 - t)).
-
-    Algebraically equal to (1 - 2 sqrt(1-t)) / (4t - 3) with the removable
-    0/0 at t = 3/4 eliminated; this form is exact in floating point at
-    t = 3/4 (giving 1/2) and at t = 1 (giving 1) and is stable in between.
-    """
-    _check_unit("t", t)
-    return 1.0 / (1.0 + 2.0 * math.sqrt(1.0 - t))
-
-
 class FunctionalKind(Enum):
     """The three Bohr-type functionals, also used to tag radius problems.
 
     Each member carries its own spec: the name of its weight, the weight's
     check, called as check(name, value), the coefficients of its radius
     polynomial and the polynomial's label, the cap of the rho interval on
-    which the majorant holds, the closed form of the rho root where there is
-    one, and search_cap, the largest rho the crossing searches and the verify
-    sweep use.  coefficients(w, one) gives one * P(w / one), ascending in rho,
-    for the polynomial P the module docstring states: the float coefficients
-    at (w, 1.0), the integers the certificate signs at the weight's exact
-    ratio (N, D), and the expressions tests/test_majorant_algebra.py proves
-    on symbols.  A public attribute, once set, can be neither overwritten
-    nor deleted.
+    which the majorant holds, and search_cap, the largest rho the crossing
+    searches and the verify sweep use.  coefficients(w, one) gives one *
+    P(w / one), ascending in rho, for the polynomial P the module docstring
+    states: the float coefficients at (w, 1.0), all the float stage reads,
+    the integers the certificate signs at the weight's exact ratio (N, D),
+    and the expressions tests/test_majorant_algebra.py proves on symbols.
+    A public attribute, once set, can be neither overwritten nor deleted.
     """
 
-    def __new__(cls, value, weight, check, coefficients, label, rho_cap, closed_form=None):
+    def __new__(cls, value, weight, check, coefficients, label, rho_cap):
         member = object.__new__(cls)
         member._value_ = value
         member.weight = weight
@@ -151,7 +140,6 @@ class FunctionalKind(Enum):
         member.coefficients = coefficients
         member.label = label
         member.rho_cap = rho_cap
-        member.closed_form = closed_form
         member.search_cap = min(rho_cap, 1.0 - 1e-9)
         return member
 
@@ -170,7 +158,7 @@ class FunctionalKind(Enum):
         return RhoPolynomial(self.coefficients(w, 1.0), self.label)
 
     CONVEX = ("convex", "t", _check_unit, lambda w, one: (one, -2 * one, 4 * w - 3 * one),
-              "convex-rho-quadratic", 1.0, _convex_rho_closed_form)
+              "convex-rho-quadratic", 1.0)
     DERIV = ("deriv", "lam", _check_positive,
              lambda w, one: (-one, 3 * one, 2 * w - one, 4 * w - one, 2 * w),
              "deriv-rho-quartic", math.sqrt(2.0) - 1.0)
@@ -238,13 +226,14 @@ def _newton(poly: RhoPolynomial, lo: float, hi: float, x: float) -> float:
 
     A safeguarded Newton from x, or from the midpoint if x is not strictly
     inside.  Each value, from poly.__call__, narrows the bracket by the side
-    of 0 it falls on.  The Newton step (slope from poly.derivative_at) is taken
-    when it lands strictly inside the bracket, and the bracket is bisected
-    otherwise.  Returns the Newton candidate once a step moves x by at most
-    1e-9 x, as its error is then about the square of that, or the last
-    candidate after 60 steps; _certify decides the bits.  Raises ValueError
-    when the float end values do not differ in sign, and OverflowError when
-    one is not finite (the weight is too large for float coefficients).
+    of 0 it falls on.  A Newton candidate (slope from poly.derivative_at; x
+    itself where the slope is 0 or overflows) that moves x by at most 1e-9 x
+    is returned, clamped into the bracket, as its error is then about the
+    square of that; a larger step is taken when it lands strictly inside the
+    bracket, and the bracket is bisected otherwise.  After 60 steps the last
+    x is returned; _certify decides the bits.  Raises ValueError when the
+    float end values do not differ in sign, and OverflowError when one is
+    not finite (the weight is too large for float coefficients).
     """
     # bound once: calling the instance would look up __call__ on each step
     value, slope = poly.__call__, poly.derivative_at
@@ -271,10 +260,10 @@ def _newton(poly: RhoPolynomial, lo: float, hi: float, x: float) -> float:
             lo = x
         d = slope(x)
         cand = x - f / d if d else x
+        if abs(cand - x) <= 1e-9 * x:
+            return min(max(cand, lo), hi)  # it may pass a bracket end
         if not lo < cand < hi:
             cand = 0.5 * (lo + hi)
-        elif abs(cand - x) <= 1e-9 * x:
-            return cand
         x = cand
     return x
 
@@ -359,27 +348,28 @@ def _geometric_radius(rho: float, n: int, m: int) -> float:
 def radius_for(problem: RadiusProblem) -> RadiusResult:
     """Radius of a RadiusProblem; r = (rho / n)^(1/m).
 
-    The float stage is the closed form where the kind has one (CONVEX), and
-    otherwise _newton on (0, rho_cap), started at the positive root of the
-    quartic's quadratic part c0 + c1 rho + c2 rho^2: within 20% of the root
-    for every weight, and within 1% from lam = 1e4 up, where both roots tend
-    to 0 alike.  _certify turns that float into the
-    correctly rounded root and its two-float bracket, on exact signs of
-    kind.coefficients at the weight's exact ratio.  For CONVEX the root
-    is the only sign change on [0, 1]: the quadratic's other root lies below
-    0 or above 1, and at t = 1 the root is the exact zero rho = 1.  The root
-    depends on the kind and the weight only (the CLI's `table` and `sweep`
-    solve each distinct weight once).
+    The float stage starts at the root of the float coefficients' quadratic
+    part c0 + c1 rho + c2 rho^2, without cancellation:
+    -2 c0 / (c1 + copysign(sqrt(c1^2 - 4 c0 c2), c1)).  For CONVEX that is
+    the whole polynomial, and the start, 1 / (1 + 2 sqrt(1 - t)) bit for
+    bit, ends the float stage.  For the quartics it is 2 / (3 + sqrt(5 + 8
+    lam)) or 1 / (1 + sqrt(1 + lam)), within 20% of the root for every
+    weight and 1% from lam = 1e4 up, and _newton goes on from it on
+    (0, rho_cap).  _certify turns that float, in [0, rho_cap] as it needs,
+    into the correctly rounded root and its two-float bracket, on exact
+    signs of kind.coefficients at the weight's exact ratio.  For CONVEX the
+    root is the only sign change on [0, 1]: the quadratic's other root lies
+    below 0 or above 1, and at t = 1 the root is the exact zero rho = 1.
+    The root depends on the kind and the weight only (the CLI's `table` and
+    `sweep` solve each distinct weight once).
     """
     kind = problem.kind
     w = float(problem.weight)
     poly = kind.polynomial(w)
-    if kind.closed_form is None:
-        c0, c1, c2 = poly.coefficients[:3]
-        start = -2.0 * c0 / (c1 + math.sqrt(c1 * c1 - 4.0 * c0 * c2))
-        x = _newton(poly, 0.0, kind.rho_cap, start)
-    else:
-        x = kind.closed_form(w)
+    c0, c1, c2 = poly.coefficients[:3]
+    x = -2.0 * c0 / (c1 + math.copysign(math.sqrt(c1 * c1 - 4.0 * c0 * c2), c1))
+    if len(poly.coefficients) > 3:
+        x = _newton(poly, 0.0, kind.rho_cap, x)
     root, bracket = _certify(kind.coefficients(*w.as_integer_ratio()), x, kind.rho_cap)
     return RadiusResult(_geometric_radius(root, problem.n, problem.m), root,
                         abs(poly(root)), bracket, poly.label)

@@ -8,8 +8,8 @@ import polybohr
 
 DELETED_LABELS = ("DERIV_RHO_SMALL", "SQ_DERIV_RHO_SMALL", "CONVEX_A0_CUBIC",
                   "WITNESS_QUARTIC")
-# each is reached as a FunctionalKind member's rho_cap, polynomial (built from its
-# coefficients) or closed_form
+# each is reached as a FunctionalKind member's rho_cap or polynomial (built from
+# its coefficients); the CONVEX root's closed form is its float start
 DELETED_KIND_ALIASES = ("SQRT2_MINUS_1", "GOLDEN_CONJUGATE", "convex_rho_polynomial",
                         "deriv_rho_polynomial", "sq_deriv_rho_polynomial",
                         "convex_rho_closed_form")
@@ -21,7 +21,8 @@ DELETED = ("deriv_rho_polynomial_small", "sq_deriv_rho_polynomial_small",
            "radius_convex", "radius_deriv", "radius_sq_deriv",
            "PhiPsiMode", "PhiPsiParams") + DELETED_LABELS + DELETED_KIND_ALIASES \
     + DELETED_EVALUATORS
-DELETED_FROM_RADII = ("KINDS", "KindSpec", "check_weight") + DELETED_KIND_ALIASES
+DELETED_FROM_RADII = ("KINDS", "KindSpec", "check_weight",
+                      "_convex_rho_closed_form") + DELETED_KIND_ALIASES
 ROOT = Path(__file__).parents[1]
 
 
@@ -37,6 +38,7 @@ def test_all_names_resolve_once_and_deleted_aliases_stay_gone():
                    for name in ("convex", "deriv", "sq_deriv", "from_problem"))
     assert not any(hasattr(polybohr.bounds, name) for name in ("PhiPsiMode", "PhiPsiParams"))
     assert not any(hasattr(polybohr.radii, name) for name in DELETED_FROM_RADII)
+    assert not any(hasattr(kind, "closed_form") for kind in polybohr.FunctionalKind)
     assert not any(hasattr(module, name) for name in DELETED_EVALUATORS
                    for module in (polybohr, polybohr.extremal, polybohr.bounds))
 

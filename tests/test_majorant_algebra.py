@@ -12,7 +12,7 @@ Functional's weight checks reject symbols.  Float spot checks tie the copies
 to the public entry points.  The one-variable thresholds the paper
 generalizes, the phi / psi monotonicity and the caps it sets are proved here
 as well, and so are the coefficients the root solver's float stage and its
-certificate evaluate.
+certificate evaluate, and the float stage's start in each kind's interval.
 sympy is imported, not skipped when missing: this file is the only place
 these facts are checked.
 """
@@ -380,3 +380,36 @@ def test_majorant_factors_move_the_right_way_in_a0():
     h_slope = 2 * lam * rho**3 * (a0 * rho + 1)
     assert sp.expand(sp.diff(H_FACTOR, a0) - h_slope) == 0
     assert on_domain(h_slope).is_nonnegative
+
+
+# -- the float stage's start --------------------------------------------------------
+
+def stable_root(c0, c1, c2):
+    """radii.radius_for's start, the root of c0 + c1 rho + c2 rho^2 written
+    without cancellation: -2 c0 / (c1 + sign(c1) sqrt(c1^2 - 4 c0 c2))."""
+    return -2 * c0 / (c1 + sp.sign(c1) * sp.sqrt(c1**2 - 4 * c0 * c2))
+
+
+@pytest.mark.parametrize("kind, weight, start", [
+    (FunctionalKind.CONVEX, t, 1 / (1 + 2 * sp.sqrt(1 - t))),
+    (FunctionalKind.DERIV, lam, 2 / (3 + sp.sqrt(5 + 8 * lam))),
+    (FunctionalKind.SQ_DERIV, lam, 1 / (1 + sp.sqrt(1 + lam))),
+], ids=["convex", "deriv", "sq_deriv"])
+def test_float_stage_starts_inside_the_interval(kind, weight, start):
+    # the start from the quadratic part of the kind's own coefficients is the
+    # closed form for CONVEX, whose float stage is this start alone, and the
+    # Newton start for the quartics
+    c0, c1, c2 = kind.coefficients(weight, 1)[:3]
+    assert sp.simplify(on_domain(stable_root(c0, c1, c2) - start)) == 0
+    assert on_domain(start).is_positive
+    slope = on_domain(sp.diff(start, weight))
+    if kind is FunctionalKind.CONVEX:
+        # it rises with t from 1/3 at t = 0 to 1, the cap, at t = 1
+        assert slope.subs(_S, sp.Symbol("S", positive=True)).is_positive
+        assert start.subs(t, 0) == sp.Rational(1, 3)
+        assert start.subs(t, 1) == 1 == kind.rho_cap
+    else:
+        # it falls as lam grows, from below the cap at lam = 0
+        assert slope.is_negative
+        cap = QUARTIC_SLOPES[kind.value][1]
+        assert start.subs(lam, 0) < cap

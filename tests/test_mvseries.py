@@ -172,8 +172,8 @@ _EMPTY = TruncatedSeries(2, 1, {})
                  "t must lie in [0, 1], got 1.5", id="problem-t-above"),
     pytest.param(lambda: _CONVEX.polynomial(-0.5),
                  "t must lie in [0, 1], got -0.5", id="polynomial-t-below"),
-    pytest.param(lambda: _CONVEX.closed_form(math.nan),
-                 "t must lie in [0, 1], got nan", id="closed-form-t-nan"),
+    pytest.param(lambda: Functional(_CONVEX, t=math.nan),
+                 "t must lie in [0, 1], got nan", id="functional-t-nan"),
     pytest.param(lambda: RadiusProblem(_DERIV, 1, 1, lam=math.nan),
                  "lam must be positive and finite, got nan", id="problem-lam-nan"),
     pytest.param(lambda: RadiusProblem(_DERIV, 1, 1, lam=0.0),

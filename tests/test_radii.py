@@ -1,15 +1,18 @@
-"""Radius tests: closed forms, root brackets, per-kind specs, branch structure, identities."""
+"""Radius tests: closed forms, float starts, root brackets, per-kind specs, branch
+structure, identities."""
 
 import copy
 import math
 import pickle
+import random
 import sys
 
 import numpy as np
 import pytest
 
 from polybohr import FunctionalKind, RadiusProblem, RhoPolynomial, radius_for
-from polybohr.radii import _certify, _convex_rho_closed_form, _newton
+from polybohr import radii
+from polybohr.radii import _certify, _newton
 from _reference import reference_bisect
 
 CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
@@ -18,6 +21,11 @@ CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
 # the paper's weight-free quartics, ascending coefficients
 PAPER_DERIV_COEFFS = (-1.0, 3.0, 0.0, 1.0, 1.0)  # rho^4 + rho^3 + 3 rho - 1
 PAPER_SQ_DERIV_COEFFS = (-1.0, 2.0, 1.0, 1.0, 1.0)  # rho^4 + rho^3 + rho^2 + 2 rho - 1
+
+
+def closed_form(t):
+    """The rationalized closed form of the CONVEX root, 1 / (1 + 2 sqrt(1-t))."""
+    return 1.0 / (1.0 + 2.0 * math.sqrt(1.0 - t))
 
 
 def branch_form(t):
@@ -34,22 +42,25 @@ def test_closed_form_matches_branch_form():
         t = float(t)
         if abs(t - 0.75) < 1e-9:
             continue
-        assert abs(CONVEX.closed_form(t) - branch_form(t)) < 1e-12
+        assert abs(closed_form(t) - branch_form(t)) < 1e-12
+        rho = radius_for(RadiusProblem(CONVEX, 1, 1, t=t)).rho_root
+        assert abs(rho - branch_form(t)) < 1e-12
 
 
 def test_closed_form_special_points():
-    assert CONVEX.closed_form(0.0) == pytest.approx(1 / 3, abs=1e-15)
-    assert CONVEX.closed_form(0.75) == 0.5  # exact in floating point
-    assert CONVEX.closed_form(1.0) == 1.0
+    assert closed_form(0.0) == pytest.approx(1 / 3, abs=1e-15)
+    assert closed_form(0.75) == 0.5  # exact in floating point
+    assert closed_form(1.0) == 1.0
+    for t in (0.0, 0.75, 1.0):
+        assert radius_for(RadiusProblem(CONVEX, 1, 1, t=t)).rho_root == closed_form(t)
 
 
 def test_closed_form_stable_near_degenerate_weight():
     # the rationalized form stays smooth through t = 3/4
     for dt in (1e-12, 1e-9, 1e-6):
-        lo = CONVEX.closed_form(0.75 - dt)
-        hi = CONVEX.closed_form(0.75 + dt)
-        assert abs(lo - 0.5) < 4 * dt
-        assert abs(hi - 0.5) < 4 * dt
+        for t in (0.75 - dt, 0.75 + dt):
+            assert abs(closed_form(t) - 0.5) < 4 * dt
+            assert abs(radius_for(RadiusProblem(CONVEX, 1, 1, t=t)).rho_root - 0.5) < 4 * dt
 
 
 # -- convex radius ------------------------------------------------------------------
@@ -70,7 +81,7 @@ def test_radius_convex_random_configs_match_closed_form():
         m = int(rng.integers(1, 7))
         t = float(rng.uniform(0.0, 1.0))
         res = radius_for(RadiusProblem(CONVEX, n, m, t=t))
-        rho = CONVEX.closed_form(t)
+        rho = closed_form(t)
         assert abs(res.rho_root - rho) <= 1e-10
         assert abs(res.radius - (rho / n) ** (1.0 / m)) <= 1e-10
         assert res.bracket[1] - res.bracket[0] <= 1e-14
@@ -204,6 +215,52 @@ def test_radius_monotone_in_m():
 
 # -- solver ------------------------------------------------------------------------------
 
+def test_convex_start_is_the_closed_form_bit_for_bit(monkeypatch):
+    # the float stage's start, the stable root -2 c0 / (c1 - sqrt(c1^2 - 4 c0 c2))
+    # of the float coefficients (1, -2, 4t - 3), is the float the exact stage
+    # starts from.  It is 1 / (1 + sqrt(1 - (4t - 3))) in floats, and
+    # 1 - fl(4t - 3) = fl(4 - 4t) = 4 fl(1 - t): 4t - 3 is exact from t = 1/4
+    # up, and below it both sides round 4 - 4t to the grid of [2, 4]
+    starts = []
+
+    def capture(coefficients, x, cap):
+        starts.append(x)
+        return x, (x, x)
+
+    monkeypatch.setattr(radii, "_certify", capture)
+    rng = random.Random(39)
+    ts = [rng.random() for _ in range(200_000)]
+    ts += [0.0, 0.75, 1.0, 5e-324, 1.0 - 2.0 ** -53]
+    for t in ts:
+        radius_for(RadiusProblem(CONVEX, 1, 1, t=t))
+    assert len(starts) == len(ts)
+    bad = [t for t, x in zip(ts, starts) if x.hex() != closed_form(t).hex()]
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("kind", [DERIV, SQ_DERIV], ids=["deriv", "sq_deriv"])
+def test_quartic_start_is_near_the_root(kind, monkeypatch):
+    # the float coefficients are finite for every lam in [1e-300, 1e300]; the
+    # start is within 20% of the certified root there, within 1% from 1e4 up
+    # (at most 19.1%, SQ_DERIV as lam -> 0, and 0.97% from 1e4 up)
+    starts = []
+    newton = radii._newton
+
+    def capture(poly, lo, hi, x):
+        starts.append(x)
+        return newton(poly, lo, hi, x)
+
+    monkeypatch.setattr(radii, "_newton", capture)
+    rng = random.Random(20)
+    lams = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2000)]
+    lams += [float(f"1e{e}") for e in range(-300, 301)]
+    for lam in lams:
+        assert all(map(math.isfinite, kind.polynomial(lam).coefficients))
+        root = radius_for(RadiusProblem(kind, 1, 1, lam=lam)).rho_root
+        error = abs(starts[-1] - root) / root
+        assert error <= (0.01 if lam >= 1e4 else 0.2), lam
+    assert len(starts) == len(lams)
+
 def test_solver_requires_sign_change():
     poly = CONVEX.polynomial(0.0)
     with pytest.raises(ValueError):
@@ -331,27 +388,24 @@ def test_radius_problem_rejects_non_finite_lam(kind, lam):
         RadiusProblem(kind, 1, 1, lam=lam)
 
 
-@pytest.mark.parametrize("kind, value, weight, cap, search_cap, closed_form, label", [
-    (CONVEX, "convex", "t", 1.0, 1.0 - 1e-9, _convex_rho_closed_form,
-     "convex-rho-quadratic"),
-    (DERIV, "deriv", "lam", math.sqrt(2.0) - 1.0, math.sqrt(2.0) - 1.0, None,
+@pytest.mark.parametrize("kind, value, weight, cap, search_cap, label", [
+    (CONVEX, "convex", "t", 1.0, 1.0 - 1e-9, "convex-rho-quadratic"),
+    (DERIV, "deriv", "lam", math.sqrt(2.0) - 1.0, math.sqrt(2.0) - 1.0,
      "deriv-rho-quartic"),
     (SQ_DERIV, "sq_deriv", "lam", (math.sqrt(5.0) - 1.0) / 2.0,
-     (math.sqrt(5.0) - 1.0) / 2.0, None, "sq-deriv-rho-quartic"),
+     (math.sqrt(5.0) - 1.0) / 2.0, "sq-deriv-rho-quartic"),
 ], ids=["convex", "deriv", "sq_deriv"])
-def test_each_kind_carries_its_spec(kind, value, weight, cap, search_cap,
-                                    closed_form, label):
+def test_each_kind_carries_its_spec(kind, value, weight, cap, search_cap, label):
     assert kind.value == value
     assert repr(kind) == f"<FunctionalKind.{kind.name}: {value!r}>"
     assert kind.weight == weight
     assert kind.rho_cap == cap
     assert kind.search_cap == search_cap
-    assert kind.closed_form is closed_form
     assert kind.label == label
     assert kind.polynomial(0.5).label == label
     # the spec is read-only: a reassigned cap would break every later solve
     for attr in ("weight", "check", "coefficients", "label", "polynomial", "rho_cap",
-                 "closed_form", "search_cap"):
+                 "search_cap"):
         with pytest.raises(AttributeError, match="read-only"):
             setattr(kind, attr, 0.2)
         with pytest.raises(AttributeError, match="read-only"):

@@ -190,11 +190,22 @@ def test_every_root_is_correctly_rounded_with_a_proving_bracket():
 
 # -- evaluation counts ---------------------------------------------------------------
 
+# CONVEX evaluates only the residual: its float stage is the start itself.
+# DERIV at 1e300 and SQ_DERIV at 4.287 and 4.707 land a converged Newton step
+# on a bracket end, which must end the float stage, not start a bisection
+# (up to 63 evaluations and 123 exact signs).  At t = 3/4 and t = 1 the
+# CONVEX root is an exact float: one exact sign, 0.
 @pytest.mark.parametrize("problem, evaluations, signs", [
     (RadiusProblem(CONVEX, 1, 1, t=0.3), 1, 3),
     (RadiusProblem(DERIV, 1, 1, lam=1.0), 7, 3),
     (RadiusProblem(SQ_DERIV, 1, 1, lam=2.0), 7, 5),
-], ids=["convex", "deriv", "sq_deriv"])
+    (RadiusProblem(DERIV, 1, 1, lam=1e300), 4, 3),
+    (RadiusProblem(SQ_DERIV, 1, 1, lam=4.287), 8, 3),
+    (RadiusProblem(SQ_DERIV, 1, 1, lam=4.707), 8, 3),
+    (RadiusProblem(CONVEX, 1, 1, t=0.75), 1, 1),
+    (RadiusProblem(CONVEX, 1, 1, t=1.0), 1, 1),
+], ids=["convex", "deriv", "sq_deriv", "deriv-1e300", "sq_deriv-4.287",
+        "sq_deriv-4.707", "convex-0.75", "convex-1"])
 def test_evaluations_per_solve(problem, evaluations, signs, monkeypatch):
     calls, exact = [], []
     evaluate, sign = RhoPolynomial.__call__, radii._exact_sign
