@@ -7,8 +7,8 @@ elementary polydisc bounds the proofs rest on, and a truncated-series
 engine that checks every closed form independently.
 """
 
-from .bounds import (DEFAULT_SEED, coefficient_bound_check, derivative_bound,
-                     schwarz_pick_bound, zero_multiplicity_bound_check)
+from .bounds import (DEFAULT_SEED, coefficient_bound_check,
+                     zero_multiplicity_bound_check)
 from .extremal import (ExtremalParams, Verification, Witness,
                        WitnessNotFoundError, empirical_radius,
                        extremal_functional, extremal_functional_from_series,
@@ -37,7 +37,6 @@ __all__ = [
     "Witness",
     "WitnessNotFoundError",
     "coefficient_bound_check",
-    "derivative_bound",
     "empirical_radius",
     "extremal_functional",
     "extremal_functional_from_series",
@@ -45,7 +44,6 @@ __all__ = [
     "majorant_functional",
     "multi_indices",
     "radius_for",
-    "schwarz_pick_bound",
     "sharpness_witness",
     "verify_radius",
     "zero_multiplicity_bound_check",

@@ -1,7 +1,6 @@
 """Pointwise bounds for self-maps of the polydisc into the closed unit disc.
 
-These are the elementary estimates the radius proofs lean on, packaged as
-checkable evaluators:
+These are the elementary estimates the radius proofs lean on:
 
 - growth:          |f(z)| <= (|a_0| + s)/(1 + |a_0| s)        for ||z||_inf <= s
 - derivatives:     |D^alpha f(z)| <= alpha! (1 - |f(z)|^2) (1+s)^(|alpha|-N) / (1-s^2)^|alpha|
@@ -9,16 +8,18 @@ checkable evaluators:
 - coefficients:    |a_alpha| <= 1 - |a_0|^2                   for |alpha| >= 1
 - zero order:      |f(z)| <= ||z||_inf^k  when f vanishes to order k at 0
 
-Each evaluator validates its hypotheses and refuses out-of-range inputs
-instead of extrapolating.  The weight transfer (phi and psi nondecreasing,
-see radii) is a polynomial fact, proved in tests/test_majorant_algebra.py.
+The checkers below test the last two on a series and refuse out-of-range
+inputs instead of extrapolating.  The first two have no evaluator:
+tests/test_majorant_algebra.py proves in sympy that the Mobius map
+(a - z)/(1 - a z) attains the growth bound and meets the derivative bound at
+every order, as it proves the weight transfer (phi and psi nondecreasing).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mvseries import MultiIndex, TruncatedSeries, _check_below_one, _check_count, _check_unit
+from .mvseries import TruncatedSeries, _check_count
 
 DEFAULT_SEED = 1234
 
@@ -29,38 +30,6 @@ _CHECK_TOL = 1e-12
 # a time (the default sample count in one eval_many call), so that its memory
 # does not grow with the sample count
 _SAMPLE_BLOCK = 10_000
-
-
-def schwarz_pick_bound(a0: float, s: float) -> float:
-    """Sharp growth bound (a0 + s)/(1 + a0 s) for |f| on ||z||_inf <= s.
-
-    Here a0 = |f(0)| in [0, 1] and s in [0, 1).  The bound is attained by
-    Mobius maps of one aligned variable, which is what makes it useful as a
-    test oracle.
-    """
-    _check_unit("a0", a0)
-    _check_below_one("s", s)
-    return (a0 + s) / (1.0 + a0 * s)
-
-
-def derivative_bound(a_fz: float, s: float, alpha) -> float:
-    """Bound for |D^alpha f(z)| at a point with ||z||_inf <= s.
-
-    a_fz = |f(z)| in [0, 1].  With d = |alpha| and N the number of nonzero
-    entries of alpha, the bound is
-
-        alpha! * (1 - a_fz^2) * (1 + s)^(d - N) / (1 - s^2)^d.
-
-    The bound diverges as s -> 1, so s >= 1 is refused.
-    """
-    idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-    if idx.degree < 1:
-        raise ValueError("alpha must have total degree >= 1")
-    _check_unit("a_fz", a_fz)
-    _check_below_one("s", s)
-    d = idx.degree
-    nonzero = sum(1 for e in idx if e)
-    return idx.factorial * (1.0 - a_fz * a_fz) * (1.0 + s) ** (d - nonzero) / (1.0 - s * s) ** d
 
 
 def coefficient_bound_check(series: TruncatedSeries) -> list:

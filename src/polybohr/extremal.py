@@ -50,7 +50,7 @@ from .radii import (Functional, FunctionalKind, RadiusProblem, _geometric_radius
 # exceeds 1 by more than this
 CROSSING_TOL = 1e-12
 
-_RHO_TOL = 1e-7  # bracket width at which a crossing bisection stops
+_RHO_TOL = 1e-7  # relative bracket width at which a crossing bisection stops
 
 # bound once: on Python 3.11 each FunctionalKind.X lookup costs about 150 ns,
 # and verify's loop would pay two or three of them per grid point
@@ -356,29 +356,28 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
 def empirical_radius(problem: RadiusProblem) -> float:
     """Radius recovered by bisecting the sup-over-a crossing of 1.
 
-    Bisects rho over the kind's admissible interval until the bracket is
-    narrower than 1e-7, testing sup_a(functional) > 1 + 1e-12 on an a-grid of
-    512 uniform points plus the log tail; returns r = (rho/n)^(1/m).  This
-    measures the witness family's threshold, the root of the convex
-    quadratic or of the weighted DERIV / SQ_DERIV quartic, until the
-    family's excess over 1 at the search cap falls below CROSSING_TOL, near
-    float resolution.  Then it raises "threshold not bracketed", though
-    radius_for still solves the root, correctly rounded with an exact
-    two-float bracket: DERIV from lam = 1e-6 down (excess 9.9e-13 there)
-    and SQ_DERIV from lam = 1e-12 down (excess 2.4e-13).  A deeper a-grid
-    tail does not help; an exact sign test would.
+    Bisects rho from 0 (where the family is at most a <= 1 - 2^-30) to the
+    kind's search cap until the bracket is narrower than 1e-7 of its upper
+    end, testing sup_a(functional) > 1 + 1e-12 on an a-grid of 512 uniform
+    points plus the log tail; returns r = (rho/n)^(1/m).  This measures the
+    witness family's threshold, the root of the convex quadratic or of the
+    weighted DERIV / SQ_DERIV quartic, from lam = 1e300 (521 steps) down to
+    where the family's excess over 1 at the search cap falls below
+    CROSSING_TOL, near float resolution.  There it raises "threshold not
+    bracketed", though radius_for still solves the root, correctly rounded
+    with an exact two-float bracket: DERIV from lam = 1e-6 down (excess
+    9.9e-13 there) and SQ_DERIV from lam = 1e-12 down (excess 2.4e-13).  A
+    deeper a-grid tail does not help; an exact sign test would.
     """
     def crosses(rho: float) -> bool:
         return float(np.max(_functional_value(problem, _A_GRID, rho))) > 1.0 + CROSSING_TOL
 
     kind = problem.kind
-    lo, hi = 1e-9, kind.search_cap
-    if crosses(lo):
-        raise ValueError(f"threshold not bracketed: crossing already at rho = {lo!r}")
+    lo, hi = 0.0, kind.search_cap
     if not crosses(hi):
         raise ValueError(f"threshold not bracketed: no crossing up to rho = {hi!r} "
                          f"for {kind.value} with weight {problem.weight!r}")
-    while hi - lo > _RHO_TOL:
+    while hi - lo > _RHO_TOL * hi:
         mid = 0.5 * (lo + hi)
         if crosses(mid):
             hi = mid

@@ -45,9 +45,9 @@ times -1, 1 or 2 respectively, so the family exceeds 1 just beyond the
 root.  tests/test_majorant_algebra.py proves in sympy every identity and
 inequality above, for every admissible weight: the factorizations, the
 slopes of K, G, H and the quartics, the values at the caps, D > 0, and the
-dominance margin M - F >= 0.  What rests on the paper's lemmas, which
-bounds evaluates in floats only, is that the majorant bounds every
-self-map.
+dominance margin M - F >= 0, and that the Mobius map meets the growth and
+derivative bounds of bounds sharply.  What rests on the paper's lemmas is
+that the majorant bounds every self-map.
 
 The quartic caps: the derivative term is A (1 - h^2), with h the growth
 bound and A = rho / (1 - rho^2), and bounding phi(h) = h + A (1 - h^2)
@@ -349,8 +349,10 @@ def radius_for(problem: RadiusProblem) -> RadiusResult:
     """Radius of a RadiusProblem; r = (rho / n)^(1/m).
 
     The float stage starts at the root of the float coefficients' quadratic
-    part c0 + c1 rho + c2 rho^2, without cancellation:
-    -2 c0 / (c1 + copysign(sqrt(c1^2 - 4 c0 c2), c1)).  For CONVEX that is
+    part c0 + c1 rho + c2 rho^2, without cancellation or overflow:
+    -2 c0 / (c1 + copysign(2 sqrt(c1^2 / 4 - c0 c2), c1)), bit for bit the
+    form with sqrt(c1^2 - 4 c0 c2) wherever 4 c0 c2 is finite, and finite
+    where it is not (DERIV from lam ~ 2.25e307).  For CONVEX that is
     the whole polynomial, and the start, 1 / (1 + 2 sqrt(1 - t)) bit for
     bit, ends the float stage.  For the quartics it is 2 / (3 + sqrt(5 + 8
     lam)) or 1 / (1 + sqrt(1 + lam)), within 20% of the root for every
@@ -367,7 +369,7 @@ def radius_for(problem: RadiusProblem) -> RadiusResult:
     w = float(problem.weight)
     poly = kind.polynomial(w)
     c0, c1, c2 = poly.coefficients[:3]
-    x = -2.0 * c0 / (c1 + math.copysign(math.sqrt(c1 * c1 - 4.0 * c0 * c2), c1))
+    x = -2.0 * c0 / (c1 + math.copysign(2.0 * math.sqrt(0.25 * c1 * c1 - c0 * c2), c1))
     if len(poly.coefficients) > 3:
         x = _newton(poly, 0.0, kind.rho_cap, x)
     root, bracket = _certify(kind.coefficients(*w.as_integer_ratio()), x, kind.rho_cap)

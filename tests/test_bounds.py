@@ -1,4 +1,7 @@
-"""Bound evaluator tests: sharp cases, equality cases, negative controls."""
+"""Bound checker tests: sharp cases, equality cases, negative controls.
+
+The growth and derivative bounds have no evaluator; their sharpness on the
+Mobius map is proved in sympy in tests/test_majorant_algebra.py."""
 
 import math
 
@@ -6,7 +9,6 @@ import numpy as np
 import pytest
 
 from polybohr import (TruncatedSeries, bounds, coefficient_bound_check,
-                      derivative_bound, schwarz_pick_bound,
                       zero_multiplicity_bound_check)
 from polybohr.mvseries import multi_indices
 
@@ -18,97 +20,6 @@ def embedded_mobius(a, n, max_degree):
         alpha = tuple(k if j == 0 else 0 for j in range(n))
         coeffs[alpha] = -(1 - a * a) * a ** (k - 1)
     return TruncatedSeries(n, max_degree, coeffs)
-
-
-# -- growth bound ----------------------------------------------------------------
-
-def test_schwarz_pick_bound_values():
-    assert schwarz_pick_bound(0.5, 0.3) == pytest.approx(0.8 / 1.15, abs=1e-15)
-    assert schwarz_pick_bound(0.0, 0.3) == 0.3
-    assert schwarz_pick_bound(1.0, 0.3) == 1.0
-
-
-def test_schwarz_pick_bound_monotone():
-    grid = np.linspace(0.0, 0.99, 34)
-    for a0 in grid:
-        vals = [schwarz_pick_bound(a0, s) for s in grid]
-        assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
-    for s in grid:
-        vals = [schwarz_pick_bound(a0, s) for a0 in grid]
-        assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
-
-
-def test_schwarz_pick_bound_is_attained_by_mobius():
-    # |f_a(-s)| = (a + s)/(1 + a s) for f_a(z) = (a - z)/(1 - a z)
-    for a in (0.0, 0.3, 0.8):
-        for s in (0.0, 0.2, 0.7):
-            attained = abs((a + s) / (1 + a * s))
-            assert attained == pytest.approx(schwarz_pick_bound(a, s), abs=1e-15)
-
-
-def test_schwarz_pick_bound_range_errors():
-    with pytest.raises(ValueError):
-        schwarz_pick_bound(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        schwarz_pick_bound(1.1, 0.5)
-    with pytest.raises(ValueError):
-        schwarz_pick_bound(0.5, 1.0)
-    with pytest.raises(ValueError):
-        schwarz_pick_bound(0.5, -0.2)
-
-
-# -- derivative bound --------------------------------------------------------------
-
-def test_derivative_bound_first_order_reduction_exact():
-    # |alpha| = 1 collapses to (1 - a^2)/(1 - s^2), bit for bit
-    for a in (0.0, 0.25, 0.8):
-        for s in (0.0, 0.3, 0.9):
-            assert derivative_bound(a, s, (1,)) == (1.0 - a * a) / (1.0 - s * s)
-            assert derivative_bound(a, s, (0, 1, 0)) == (1.0 - a * a) / (1.0 - s * s)
-
-
-def test_derivative_bound_counts_nonzero_entries():
-    a, s = 0.4, 0.3
-    base = (1.0 - a * a)
-    # alpha = (2, 1, 0): degree 3, two nonzero entries, alpha! = 2
-    expect = 2 * base * (1.0 + s) ** 1 / (1.0 - s * s) ** 3
-    assert derivative_bound(a, s, (2, 1, 0)) == pytest.approx(expect, rel=1e-15)
-    # alpha = (3, 0, 0): degree 3, one nonzero entry, alpha! = 6
-    expect = 6 * base * (1.0 + s) ** 2 / (1.0 - s * s) ** 3
-    assert derivative_bound(a, s, (3, 0, 0)) == pytest.approx(expect, rel=1e-15)
-    # alpha = (1, 1, 1): degree 3, three nonzero entries, alpha! = 1
-    expect = base / (1.0 - s * s) ** 3
-    assert derivative_bound(a, s, (1, 1, 1)) == pytest.approx(expect, rel=1e-15)
-
-
-def test_derivative_bound_equality_for_mobius_first_order():
-    # the first-order bound is an equality along the aligned slice:
-    # |f'(x)| = (1 - a^2)/(1 - a x)^2 = (1 - |f(x)|^2)/(1 - x^2) for real x
-    for a in (0.2, 0.5, 0.9):
-        for x in (-0.6, 0.0, 0.4, 0.7):
-            fx = (a - x) / (1 - a * x)
-            deriv = (1 - a * a) / (1 - a * x) ** 2
-            bound = derivative_bound(abs(fx), abs(x), (1,))
-            assert deriv == pytest.approx(bound, rel=1e-13)
-
-
-def test_derivative_bound_dominates_series_derivatives():
-    # second derivative of the Mobius map: |f''(x)| = 2a(1-a^2)/(1-ax)^3 at
-    # real x in (0, 1); compare against the alpha = (2,) bound at s = x
-    for a in (0.3, 0.6, 0.9):
-        for x in (0.0, 0.2, 0.5):
-            second = 2 * a * (1 - a * a) / (1 - a * x) ** 3
-            fx = (a - x) / (1 - a * x)
-            assert second <= derivative_bound(abs(fx), x, (2,)) + 1e-12
-
-
-def test_derivative_bound_errors():
-    with pytest.raises(ValueError):
-        derivative_bound(0.5, 1.0, (1,))  # diverges at s = 1
-    with pytest.raises(ValueError):
-        derivative_bound(1.5, 0.5, (1,))
-    with pytest.raises(ValueError):
-        derivative_bound(0.5, 0.5, (0, 0))  # degree 0
 
 
 # -- coefficient bound --------------------------------------------------------------

@@ -844,9 +844,10 @@ def test_identical_invocations_identical_bytes(tmp_path, capsys):
 
 def test_console_script_and_module_entry():
     argv = ["radius", "--theorem", "convex", "--t", "0.75"]
-    # the child imports the same package as this test, installed or not
+    # the child imports the same package as this test, installed or not, and
+    # turns warnings into errors itself: the suite's filter does not reach it
     env = dict(os.environ, PYTHONPATH=str(Path(polybohr.__file__).parents[1]))
-    module = subprocess.run([sys.executable, "-m", "polybohr"] + argv,
+    module = subprocess.run([sys.executable, "-W", "error", "-m", "polybohr"] + argv,
                             capture_output=True, text=True, env=env)
     assert module.returncode == 0
     assert json.loads(module.stdout)["rho_root"] == 0.5

@@ -1,5 +1,6 @@
 """Golden help and usage text: `polybohr --help`, each subcommand's `--help`
-and three usage errors, as a fresh `python -m polybohr` prints them.
+and three usage errors, as a fresh `python -W error -m polybohr` prints them
+(the suite's warning filter does not reach a child process).
 
 cli_help_golden.json lists each case as {"argv", "exit", "stdout", "stderr"}.
 The parser's option order, help strings and usage lines are part of the CLI,
@@ -23,7 +24,7 @@ GOLDEN = json.loads((Path(__file__).with_name("cli_help_golden.json")).read_text
 def run_cli(argv):
     env = dict(os.environ, COLUMNS="80",
                PYTHONPATH=str(Path(polybohr.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "polybohr", *argv],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "polybohr", *argv],
                           capture_output=True, text=True, env=env)
 
 

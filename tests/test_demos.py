@@ -1,5 +1,6 @@
 """Each demo runs to completion: exit 0, nothing on stderr, and the stdout
-recorded in demo_golden.json, byte for byte."""
+recorded in demo_golden.json, byte for byte.  The child runs under -W error,
+since the suite's warning filter does not reach a child process."""
 
 import json
 import os
@@ -19,7 +20,7 @@ GOLDEN = json.loads(Path(__file__).with_name("demo_golden.json").read_text())
 def test_demo_runs_clean(demo):
     # the child imports the same package as this test, installed or not
     env = dict(os.environ, PYTHONPATH=str(Path(polybohr.__file__).parents[1]))
-    run = subprocess.run([sys.executable, str(demo)], capture_output=True,
+    run = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True,
                          text=True, env=env)
     assert run.returncode == 0, run.stdout
     assert run.stderr == ""

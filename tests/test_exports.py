@@ -14,7 +14,8 @@ DELETED_KIND_ALIASES = ("SQRT2_MINUS_1", "GOLDEN_CONJUGATE", "convex_rho_polynom
                         "deriv_rho_polynomial", "sq_deriv_rho_polynomial",
                         "convex_rho_closed_form")
 # proved in sympy in tests/test_majorant_algebra.py instead of evaluated
-DELETED_EVALUATORS = ("rogosinski_value", "rogosinski_threshold", "phi_psi_monotone")
+DELETED_EVALUATORS = ("rogosinski_value", "rogosinski_threshold", "phi_psi_monotone",
+                      "schwarz_pick_bound", "derivative_bound")
 DELETED = ("deriv_rho_polynomial_small", "sq_deriv_rho_polynomial_small",
            "GrowthBound", "DEFAULT_MAX_DEGREE", "convex_bound_cubic",
            "deriv_witness_quartic", "solve_unique_positive_root", "PolyLabel",
@@ -45,7 +46,7 @@ def test_all_names_resolve_once_and_deleted_aliases_stay_gone():
 
 def test_export_list_is_pinned():
     # re-adding an alias must be a deliberate edit here
-    assert len(polybohr.__all__) == 27
+    assert len(polybohr.__all__) == 25
 
 
 def test_docs_name_no_deleted_function():

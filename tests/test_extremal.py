@@ -408,17 +408,25 @@ def test_empirical_radius_matches_certified_on_sharp_branches():
 
 
 def test_empirical_radius_validation():
-    # a huge lam crosses 1 already at the bottom of the bracket, a tiny one's
-    # excess at the cap is below CROSSING_TOL, and weight-1 convex never
-    # crosses below rho = 1: no bracket exists in any of them
+    # a tiny lam's excess at the cap is below CROSSING_TOL, and weight-1
+    # convex never crosses below rho = 1: no bracket exists in either
     for kind, weight, message in (
-            (DERIV, 1e300, "crossing already at rho = 1e-09"),
             (DERIV, 1e-6, "no crossing up to rho = 0.41421356237309515 for deriv "
                           "with weight 1e-06"),
             (CONVEX, 1.0, "no crossing up to rho = 0.999999999 for convex with weight 1.0")):
         with pytest.raises(ValueError) as exc:
             empirical_radius(RadiusProblem(kind, 1, 1, **{kind.weight: weight}))
         assert str(exc.value) == f"threshold not bracketed: {message}"
+
+
+@pytest.mark.parametrize("kind", [DERIV, SQ_DERIV], ids=["deriv", "sq_deriv"])
+def test_empirical_radius_is_relatively_accurate_at_every_decade(kind):
+    # the bisection starts at rho = 0 and stops at a relative width, so a
+    # root near 1e-150 (lam = 1e300) is found as closely as one near 0.3
+    for e in range(-5, 301):
+        problem = RadiusProblem(kind, 1, 1, lam=float(f"1e{e}"))
+        emp = empirical_radius(problem)
+        assert abs(emp / radius_for(problem).radius - 1.0) < 1e-5, e
 
 
 NAN = float("nan")

@@ -12,7 +12,8 @@ Functional's weight checks reject symbols.  Float spot checks tie the copies
 to the public entry points.  The one-variable thresholds the paper
 generalizes, the phi / psi monotonicity and the caps it sets are proved here
 as well, and so are the coefficients the root solver's float stage and its
-certificate evaluate, and the float stage's start in each kind's interval.
+certificate evaluate, the float stage's start in each kind's interval, and
+bounds' growth and derivative bounds, sharp on the Mobius map at every order.
 sympy is imported, not skipped when missing: this file is the only place
 these facts are checked.
 """
@@ -413,3 +414,73 @@ def test_float_stage_starts_inside_the_interval(kind, weight, start):
         assert slope.is_negative
         cap = QUARTIC_SLOPES[kind.value][1]
         assert start.subs(lam, 0) < cap
+
+
+# -- the growth and derivative bounds, sharp on the Mobius map ----------------------
+# bounds states both for every self-map of the polydisc into the closed disc;
+# here the one-variable Mobius map f(z) = (a - z)/(1 - a z), 0 <= a < 1,
+# attains the growth bound and meets the derivative bound at every order k
+# for real z with s = |z| < 1, with equality at k = 1.
+s, z = sp.symbols("s z")
+k = sp.Symbol("k", integer=True, positive=True)
+MOBIUS = (a - z) / (1 - a * z)
+GROWTH_BOUND = (a + s) / (1 + a * s)
+BOUND_DOMAIN = {a: DOMAIN[a], s: DOMAIN[rho]}
+
+
+def on_bound_domain(expr):
+    return sp.factor(sp.together(expr.subs(BOUND_DOMAIN)))
+
+
+def mobius_derivative(order, at=z):
+    """f^(order)(at) = -order! a^(order-1) (1 - a^2) / (1 - a at)^(order+1)."""
+    return -sp.factorial(order) * a ** (order - 1) * (1 - a**2) / (1 - a * at) ** (order + 1)
+
+
+def test_growth_bound_is_attained_by_the_mobius_map():
+    assert is_zero(MOBIUS.subs(z, -s) - GROWTH_BOUND)
+
+
+def test_growth_bound_rises_in_both_arguments_from_s_to_one():
+    by_s, by_a = sp.diff(GROWTH_BOUND, s), sp.diff(GROWTH_BOUND, a)
+    assert is_zero(by_s - (1 - a**2) / (1 + a * s) ** 2)
+    assert is_zero(by_a - (1 - s**2) / (1 + a * s) ** 2)
+    assert on_bound_domain(by_s).is_nonnegative
+    assert on_bound_domain(by_a).is_nonnegative
+    assert GROWTH_BOUND.subs(a, 0) == s
+    assert sp.cancel(GROWTH_BOUND.subs(a, 1)) == 1
+
+
+def test_first_order_derivative_bound_is_an_equality_on_the_real_slice():
+    # |f'(z)| = -f'(z) = (1 - a^2)/(1 - a z)^2 = (1 - f(z)^2)/(1 - z^2); that
+    # -f' >= 0 is the k = 1 case of test_derivative_bound_holds_at_every_order
+    slope = sp.diff(MOBIUS, z)
+    assert is_zero(slope - mobius_derivative(1))
+    assert is_zero(-slope - (1 - MOBIUS**2) / (1 - z**2))
+
+
+def test_mobius_derivative_of_every_order():
+    # by induction on k: the stated k-th derivative is f' at k = 1, and its
+    # derivative is the stated (k+1)-th; orders 1 to 6 are checked directly
+    assert is_zero(mobius_derivative(1) - sp.diff(MOBIUS, z))
+    assert sp.simplify(sp.diff(mobius_derivative(k), z) / mobius_derivative(k + 1)) == 1
+    for order in range(1, 7):
+        assert is_zero(sp.diff(MOBIUS, z, order) - mobius_derivative(order))
+
+
+@pytest.mark.parametrize("at, gap", [(s, 1 - a), (-s, 1 - a + 2 * a * s)],
+                         ids=["z-nonnegative", "z-negative"])
+def test_derivative_bound_holds_at_every_order(at, gap):
+    # at z = at, s = |z|: |f^(k)(z)| over the bound
+    # k! (1 - f(z)^2) (1 + s)^(k-1) / (1 - s^2)^k is q^(k-1) with
+    # q = a (1 - s)/(1 - a z), and 0 <= q <= 1 since (1 - a z) - a (1 - s) = gap
+    modulus = -mobius_derivative(k, at)
+    assert on_bound_domain(modulus).is_nonnegative
+    bound = sp.factorial(k) * (1 - MOBIUS.subs(z, at) ** 2) * (1 + s) ** (k - 1) \
+        / (1 - s**2) ** k
+    q = a * (1 - s) / (1 - a * at)
+    assert sp.simplify(on_bound_domain(modulus / bound / q ** (k - 1))) == 1
+    assert sp.expand((1 - a * at) - a * (1 - s) - gap) == 0
+    assert on_bound_domain(gap).is_positive
+    assert on_bound_domain(a * (1 - s)).is_nonnegative
+    assert on_bound_domain(1 - a * at).is_positive

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from polybohr import (Direction, Functional, FunctionalKind, MultiIndex, RadiusProblem,
-                      SchwarzPowerMap, TruncatedSeries, derivative_bound, extremal,
-                      extremal_functional, multi_indices, mvseries, schwarz_pick_bound,
-                      sharpness_witness)
+                      SchwarzPowerMap, TruncatedSeries, extremal, extremal_functional,
+                      multi_indices, mvseries, sharpness_witness)
 from polybohr.extremal import ExtremalParams, extremal_series
 from _reference import (reference_bohr_majorant_sum, reference_compose_power_map,
                         reference_directional_derivative, reference_multiply)
@@ -188,22 +187,6 @@ _EMPTY = TruncatedSeries(2, 1, {})
                  "a must lie in [0, 1), got nan", id="functional-a-nan"),
     pytest.param(lambda: extremal_functional(Functional(_CONVEX, t=0.5), 1.0, 0.1),
                  "a must lie in [0, 1), got 1.0", id="functional-a-one"),
-    pytest.param(lambda: schwarz_pick_bound(math.nan, 0.5),
-                 "a0 must lie in [0, 1], got nan", id="pick-a0-nan"),
-    pytest.param(lambda: schwarz_pick_bound(1.5, 0.5),
-                 "a0 must lie in [0, 1], got 1.5", id="pick-a0-above"),
-    pytest.param(lambda: schwarz_pick_bound(0.5, math.nan),
-                 "s must lie in [0, 1), got nan", id="pick-s-nan"),
-    pytest.param(lambda: schwarz_pick_bound(0.5, 1.0),
-                 "s must lie in [0, 1), got 1.0", id="pick-s-one"),
-    pytest.param(lambda: derivative_bound(math.nan, 0.5, (1,)),
-                 "a_fz must lie in [0, 1], got nan", id="derivative-a_fz-nan"),
-    pytest.param(lambda: derivative_bound(-0.5, 0.5, (1,)),
-                 "a_fz must lie in [0, 1], got -0.5", id="derivative-a_fz-below"),
-    pytest.param(lambda: derivative_bound(0.5, math.nan, (1,)),
-                 "s must lie in [0, 1), got nan", id="derivative-s-nan"),
-    pytest.param(lambda: derivative_bound(0.5, 1.0, (1,)),
-                 "s must lie in [0, 1), got 1.0", id="derivative-s-one"),
     pytest.param(lambda: sharpness_witness(RadiusProblem(_CONVEX, 1, 1, t=0.5), math.nan),
                  "delta must be positive and finite, got nan", id="witness-delta-nan"),
     pytest.param(lambda: sharpness_witness(RadiusProblem(_CONVEX, 1, 1, t=0.5), 0.0),
@@ -220,8 +203,8 @@ _EMPTY = TruncatedSeries(2, 1, {})
                  "non-integer exponent nan", id="series-index-nan"),
     pytest.param(lambda: TruncatedSeries(1, 1, {}).coefficient((math.nan,)),
                  "non-integer exponent nan", id="coefficient-index-nan"),
-    pytest.param(lambda: derivative_bound(0.5, 0.5, (math.nan,)),
-                 "non-integer exponent nan", id="derivative-alpha-nan"),
+    pytest.param(lambda: MultiIndex((math.nan,)),
+                 "non-integer exponent nan", id="multiindex-nan"),
 ])
 def test_range_and_index_messages_are_pinned(call, message):
     with pytest.raises(ValueError) as exc:

@@ -194,7 +194,10 @@ def test_every_root_is_correctly_rounded_with_a_proving_bracket():
 # DERIV at 1e300 and SQ_DERIV at 4.287 and 4.707 land a converged Newton step
 # on a bracket end, which must end the float stage, not start a bisection
 # (up to 63 evaluations and 123 exact signs).  At t = 3/4 and t = 1 the
-# CONVEX root is an exact float: one exact sign, 0.
+# CONVEX root is an exact float: one exact sign, 0.  From DERIV's
+# lam ~ 2.25e307, 4 c0 c2 overflows, so a start that formed it would be 0;
+# _newton would go to the midpoint, where the slope overflows and stops it,
+# and leave the exact walk 123 signs.
 @pytest.mark.parametrize("problem, evaluations, signs", [
     (RadiusProblem(CONVEX, 1, 1, t=0.3), 1, 3),
     (RadiusProblem(DERIV, 1, 1, lam=1.0), 7, 3),
@@ -204,8 +207,10 @@ def test_every_root_is_correctly_rounded_with_a_proving_bracket():
     (RadiusProblem(SQ_DERIV, 1, 1, lam=4.707), 8, 3),
     (RadiusProblem(CONVEX, 1, 1, t=0.75), 1, 1),
     (RadiusProblem(CONVEX, 1, 1, t=1.0), 1, 1),
+    (RadiusProblem(DERIV, 1, 1, lam=2.3e307), 4, 3),
+    (RadiusProblem(DERIV, 1, 1, lam=3e307), 4, 3),
 ], ids=["convex", "deriv", "sq_deriv", "deriv-1e300", "sq_deriv-4.287",
-        "sq_deriv-4.707", "convex-0.75", "convex-1"])
+        "sq_deriv-4.707", "convex-0.75", "convex-1", "deriv-2.3e307", "deriv-3e307"])
 def test_evaluations_per_solve(problem, evaluations, signs, monkeypatch):
     calls, exact = [], []
     evaluate, sign = RhoPolynomial.__call__, radii._exact_sign
