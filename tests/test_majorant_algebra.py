@@ -437,18 +437,33 @@ def mobius_derivative(order, at=z):
     return -sp.factorial(order) * a ** (order - 1) * (1 - a**2) / (1 - a * at) ** (order + 1)
 
 
+def derivative_bound(order, at):
+    """k! (1 - f(at)^2) (1 + s)^(k-1) / (1 - s^2)^k at k = order."""
+    return sp.factorial(order) * (1 - MOBIUS.subs(z, at) ** 2) * (1 + s) ** (order - 1) \
+        / (1 - s**2) ** order
+
+
 def test_growth_bound_is_attained_by_the_mobius_map():
     assert is_zero(MOBIUS.subs(z, -s) - GROWTH_BOUND)
 
 
-def test_growth_bound_rises_in_both_arguments_from_s_to_one():
+def test_growth_bound_runs_from_s_at_a0_zero_to_one_at_a0_one():
+    assert GROWTH_BOUND.subs(a, 0) == s
+    assert sp.cancel(GROWTH_BOUND.subs(a, 1)) == 1
+
+
+def test_growth_bound_rises_in_both_arguments():
     by_s, by_a = sp.diff(GROWTH_BOUND, s), sp.diff(GROWTH_BOUND, a)
     assert is_zero(by_s - (1 - a**2) / (1 + a * s) ** 2)
     assert is_zero(by_a - (1 - s**2) / (1 + a * s) ** 2)
     assert on_bound_domain(by_s).is_nonnegative
     assert on_bound_domain(by_a).is_nonnegative
-    assert GROWTH_BOUND.subs(a, 0) == s
-    assert sp.cancel(GROWTH_BOUND.subs(a, 1)) == 1
+
+
+def test_derivative_bound_at_order_one_is_the_first_order_bound():
+    # k! (1 - f^2) (1 + s)^(k-1) / (1 - s^2)^k at k = 1, with s^2 = z^2 for real z
+    bound = derivative_bound(1, z).subs(s, z)
+    assert is_zero(bound - (1 - MOBIUS**2) / (1 - z**2))
 
 
 def test_first_order_derivative_bound_is_an_equality_on_the_real_slice():
@@ -476,8 +491,7 @@ def test_derivative_bound_holds_at_every_order(at, gap):
     # q = a (1 - s)/(1 - a z), and 0 <= q <= 1 since (1 - a z) - a (1 - s) = gap
     modulus = -mobius_derivative(k, at)
     assert on_bound_domain(modulus).is_nonnegative
-    bound = sp.factorial(k) * (1 - MOBIUS.subs(z, at) ** 2) * (1 + s) ** (k - 1) \
-        / (1 - s**2) ** k
+    bound = derivative_bound(k, at)
     q = a * (1 - s) / (1 - a * at)
     assert sp.simplify(on_bound_domain(modulus / bound / q ** (k - 1))) == 1
     assert sp.expand((1 - a * at) - a * (1 - s) - gap) == 0
