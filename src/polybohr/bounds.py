@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mvseries import TruncatedSeries, _check_count
+from .mvseries import MultiIndex, TruncatedSeries, _check_count, _codes
 
 DEFAULT_SEED = 1234
 
@@ -43,10 +43,12 @@ def coefficient_bound_check(series: TruncatedSeries) -> list:
     if not a0 <= 1.0 + _CHECK_TOL:
         raise ValueError(f"|a_0| = {a0!r} exceeds 1; not a map into the closed disc")
     limit = 1.0 - a0 * a0 + _CHECK_TOL
-    # the modulus test first, and sum(alpha) for |alpha| without a property call
-    bad = [alpha for alpha, c in series.coeffs.items() if not abs(c) <= limit and sum(alpha) >= 1]
-    bad.sort()
-    return bad
+    # CPython's abs for the moduli; no entry exceeds D, so codes in base
+    # D + 1 sort the rows lexicographically
+    moduli = np.fromiter(map(abs, series.values.tolist()), float, len(series.values))
+    bad = series.exps[~(moduli <= limit) & ~series._below(1)]
+    bad = bad[np.argsort(_codes(bad, series.max_degree + 1)[0])]
+    return [tuple.__new__(MultiIndex, row) for row in zip(*bad.T.tolist())]
 
 
 def zero_multiplicity_bound_check(series: TruncatedSeries, k: int,
@@ -61,9 +63,10 @@ def zero_multiplicity_bound_check(series: TruncatedSeries, k: int,
     k = _check_count("k", k, 1)
     samples = _check_count("samples", samples, 1)
     seed = _check_count("seed", seed, 0)
-    low = [alpha for alpha in series.coeffs if sum(alpha) < k]
-    if low:
-        raise ValueError(f"series does not vanish to order {k}: found {tuple(low[0])}")
+    low = series._below(k)
+    if low.any():
+        found = tuple(series.exps[low.argmax()].tolist())
+        raise ValueError(f"series does not vanish to order {k}: found {found}")
     rng = np.random.default_rng(seed)
     n = series.n_vars
     lo = [[1e-6] * n, [0.0] * n]

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mvseries import (Direction, MultiIndex, SchwarzPowerMap, TruncatedSeries,
-                       _check_below_one, _check_count, _check_positive, _indices)
+from .mvseries import (Direction, SchwarzPowerMap, TruncatedSeries, _check_below_one,
+                       _check_count, _check_positive, _indices)
 from .radii import (Functional, FunctionalKind, RadiusProblem, _geometric_radius,
                     radius_for)
 
@@ -143,31 +143,32 @@ def extremal_series(params: ExtremalParams, max_degree: int) -> TruncatedSeries:
     """
     max_degree = _check_count("max_degree", max_degree, 0)
     a, n = params.a, params.n
-    coeffs: dict = {tuple.__new__(MultiIndex, (0,) * n): complex(a)}
+    exps, values = [np.zeros((1, n), np.intp)], [np.array([complex(a)])]
     one_minus = 1.0 - a * a
     for k in range(1, max_degree + 1):
-        base = -one_minus * a ** (k - 1)
-        keys, multinomials = _table(n, k)
-        # float64 products are the Python float products, each imag is +0.0
-        coeffs.update(zip(keys, (base * multinomials).astype(complex).tolist()))
-    return TruncatedSeries._trusted(n, max_degree, coeffs)
+        block, multinomials = _table(n, k)
+        exps.append(block)
+        # float64 products of the Python float base, each imag is +0.0
+        values.append((-one_minus * a ** (k - 1) * multinomials).astype(complex))
+    return TruncatedSeries._trusted(n, max_degree, np.concatenate(exps), np.concatenate(values))
 
 
 @functools.cache
 def _table(n: int, k: int) -> tuple:
-    """(keys, multinomials): every alpha of degree k in n variables, in
-    lexicographic order, and k!/alpha! for each as a read-only float64 array.
+    """(exps, multinomials): read-only, each alpha of degree k in n variables
+    as an intp row, in lexicographic order, and k!/alpha! for each as float64.
 
     float(k!/alpha!) rounds the exact int as base * (k!/alpha!) in Python
     would, so base * multinomials has the bits of the Python products.  Built
     once per (n, k) and kept for the process, the package's only table cache;
-    for n <= 3 and k <= 40 the tables hold about 1.1 MiB.
+    for n <= 3 and k <= 40 the tables hold about 0.4 MiB.
     """
-    keys = tuple(_indices(n, k))
+    keys = list(_indices(n, k))
     kfac = math.factorial(k)
     multinomials = np.array([float(kfac // alpha.factorial) for alpha in keys])
-    multinomials.flags.writeable = False
-    return keys, multinomials
+    exps = np.array(keys, np.intp)
+    exps.flags.writeable = multinomials.flags.writeable = False
+    return exps, multinomials
 
 
 # -- closed-form functional values --------------------------------------------

@@ -4,13 +4,14 @@ The growth and derivative bounds have no evaluator; their sharpness on the
 Mobius map is proved in sympy in tests/test_majorant_algebra.py."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from polybohr import (TruncatedSeries, bounds, coefficient_bound_check,
                       zero_multiplicity_bound_check)
-from polybohr.mvseries import multi_indices
+from polybohr.mvseries import MultiIndex, multi_indices
 
 
 def embedded_mobius(a, n, max_degree):
@@ -142,3 +143,61 @@ def test_phi_fails_beyond_half_by_construction():
 def test_multi_indices_helper_available():
     # the bounds tests reuse the generator; pin its contract here too
     assert len(list(multi_indices(3, 4))) == math.comb(6, 2)
+
+
+# -- the checks' masks against term loops ---------------------------------------
+
+def reference_violations(series):
+    """coefficient_bound_check as a term loop over the keys."""
+    a0 = abs(series.coefficient((0,) * series.n_vars))
+    limit = 1.0 - a0 * a0 + 1e-12
+    return sorted(alpha for alpha, c in series.coeffs.items()
+                  if not abs(c) <= limit and sum(alpha) >= 1)
+
+
+def reference_precheck(series, k):
+    """The zero-order precheck's message as a term loop, or None."""
+    for alpha in series.coeffs:
+        if sum(alpha) < k:
+            return f"series does not vanish to order {k}: found {tuple(alpha)}"
+    return None
+
+
+def precheck(series, k):
+    try:
+        zero_multiplicity_bound_check(series, k, samples=1)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_checks_match_their_term_loops_on_edge_values():
+    # keys in shuffled order, moduli on both sides of the limit, inf and NaN
+    rng = random.Random(20261024)
+    parts = (0.0, -0.0, 0.5, -0.9, 2.0, math.inf, math.nan)
+    seen = set()
+    for _ in range(200):
+        n, degree = rng.randint(1, 4), rng.randint(0, 8)
+        keys = [tuple(rng.randint(0, degree // n) for _ in range(n)) for _ in range(12)]
+        rng.shuffle(keys)
+        coeffs = {alpha: complex(rng.choice(parts), rng.choice(parts)) for alpha in keys}
+        # a constant term half the time: without one, k up to the lowest
+        # degree passes the precheck
+        coeffs[(0,) * n] = rng.choice((0.0, rng.uniform(0.0, 1.0)))
+        series = TruncatedSeries(n, degree, coeffs)
+        assert coefficient_bound_check(series) == reference_violations(series)
+        assert all(type(alpha) is MultiIndex for alpha in coefficient_bound_check(series))
+        for k in range(1, degree + 3):
+            got = precheck(series, k)
+            assert got == reference_precheck(series, k)
+            seen.add(got is None)
+    assert seen == {True, False}
+
+
+def test_the_checks_sum_degrees_past_intp_without_wrapping():
+    # (2**62, 2**62) has degree 2**63, which intp would wrap to -2**63
+    wide = TruncatedSeries(2, 2 ** 63, {(2 ** 62, 2 ** 62): 3, (0, 1): 2})
+    assert coefficient_bound_check(wide) == reference_violations(wide) == [(0, 1), (2 ** 62,) * 2]
+    for k in (2, 2 ** 63, 2 ** 63 + 1):
+        assert precheck(wide, k) == reference_precheck(wide, k) is not None
+    assert "found (4611686018427387904, 4611686018427387904)" in precheck(wide, 2 ** 63 + 1)

@@ -1,6 +1,7 @@
 """Series engine tests: exact algebra, Mobius oracles, calculus properties."""
 
 import cmath
+import gc
 import itertools
 import math
 import os
@@ -9,14 +10,16 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polybohr import (Direction, Functional, FunctionalKind, MultiIndex, RadiusProblem,
-                      SchwarzPowerMap, TruncatedSeries, extremal, extremal_functional,
-                      multi_indices, mvseries, sharpness_witness)
+                      SchwarzPowerMap, TruncatedSeries, coefficient_bound_check, extremal,
+                      extremal_functional, multi_indices, mvseries, sharpness_witness,
+                      zero_multiplicity_bound_check)
 from polybohr.extremal import ExtremalParams, extremal_series
 from _reference import (reference_bohr_majorant_sum, reference_compose_power_map,
                         reference_directional_derivative, reference_multiply)
@@ -214,8 +217,8 @@ def test_range_and_index_messages_are_pinned(call, message):
 
 def test_radii_and_mvseries_run_without_numpy():
     # a stub package whose __init__ never runs, so that only radii and
-    # mvseries load; with numpy blocked only the array passes (eval_many,
-    # bohr_majorant_sum and directional_derivative) may need it
+    # mvseries load; with numpy blocked radii solves and mvseries imports,
+    # and building a series, whose columns are arrays, needs numpy
     src = Path(mvseries.__file__).resolve().parent
     script = (
         "import sys, types\n"
@@ -226,17 +229,11 @@ def test_radii_and_mvseries_run_without_numpy():
         "from polybohr import mvseries, radii\n"
         "problem = radii.RadiusProblem(radii.FunctionalKind.DERIV, 2, 1, lam=1.0)\n"
         "assert 0.0 < radii.radius_for(problem).radius < 1.0\n"
-        "s = mvseries.TruncatedSeries(2, 2, {(1, 1): 1.0, (0, 1): 2.0})\n"
-        "g = s.compose_power_map(mvseries.SchwarzPowerMap(2, 3))\n"
-        "assert g.coeffs == {(3, 3): 1.0, (0, 3): 2.0}, g.coeffs\n"
-        "blocked = 0\n"
-        "for call in (lambda: s.directional_derivative(mvseries.Direction.uniform(2)),\n"
-        "             lambda: s.eval((0.1, 0.2))):\n"
-        "    try:\n"
-        "        call()\n"
-        "    except ImportError:\n"
-        "        blocked += 1\n"
-        "if blocked == 2:\n"
+        "assert list(mvseries.multi_indices(2, 1)) == [(0, 1), (1, 0)]\n"
+        "assert mvseries.Direction.uniform(2).components == (0.5 + 0j, 0.5 + 0j)\n"
+        "try:\n"
+        "    mvseries.TruncatedSeries(2, 2, {(1, 1): 1.0, (0, 1): 2.0})\n"
+        "except ImportError:\n"
         "    print('ok')\n")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
                           capture_output=True, text=True, timeout=120)
@@ -306,9 +303,15 @@ def test_extremal_series_has_the_formula_bits_on_repeated_calls():
 
 
 def test_the_multinomial_table_is_a_read_only_float_array():
-    # k!/alpha! as float(int), the rounding of a Python float * int; at
-    # n = 3, k = 40 some exceed 2**53, so the rounding is exercised
-    keys, multinomials = extremal._table(3, 40)
+    # the rows are multi_indices(3, 40) as a read-only intp array; k!/alpha!
+    # as float(int), the rounding of a Python float * int; at n = 3, k = 40
+    # some exceed 2**53, so the rounding is exercised
+    exps, multinomials = extremal._table(3, 40)
+    keys = list(multi_indices(3, 40))
+    assert exps.dtype == np.intp and not exps.flags.writeable
+    assert exps.tolist() == [list(alpha) for alpha in keys]
+    with pytest.raises(ValueError):
+        exps[0, 0] = 1
     assert multinomials.dtype == np.float64 and not multinomials.flags.writeable
     exact = [math.factorial(40) // alpha.factorial for alpha in keys]
     assert max(exact) > 2 ** 53
@@ -362,8 +365,8 @@ def test_internal_results_drop_exact_zeros():
 
 
 def test_a_sum_drops_its_zeros_in_place_and_keeps_the_order():
-    # the sum cancels the first, a middle and the last key of its dict: the
-    # others keep their order and bits, in the dict the result was built in
+    # the sum cancels the first, a middle and the last key: the others keep
+    # their order and bits
     f = TruncatedSeries(1, 5, {(k,): complex(k + 1, -0.5 * k) for k in range(6)})
     g = TruncatedSeries(1, 5, {(0,): -1, (2,): complex(-3, 1), (5,): complex(-6, 2.5),
                                (1,): 0.25j})
@@ -372,11 +375,13 @@ def test_a_sum_drops_its_zeros_in_place_and_keeps_the_order():
     assert items_repr(h.coeffs) == repr(want)
     assert all(type(key) is MultiIndex for key in h.coeffs)
     assert (f - f).coeffs == {}
-    coeffs = {MultiIndex((0,)): 0j, MultiIndex((1,)): 2j, MultiIndex((2,)): -0j,
-              MultiIndex((3,)): 1 + 0j, MultiIndex((4,)): 0j}
-    built = TruncatedSeries._trusted(1, 4, coeffs)
-    assert built.coeffs is coeffs
-    assert items_repr(coeffs) == repr([((1,), 2j), ((3,), 1 + 0j)])
+    # one mask drops the exact zeros of both signs from the columns it takes
+    # over, keeps NaN as c == 0 does, and leaves the columns read-only
+    nan = complex(math.nan, 0.0)
+    exps = np.arange(6, dtype=np.intp).reshape(6, 1)
+    built = TruncatedSeries._trusted(1, 5, exps, np.array([0j, 2j, -0j, 1 + 0j, 0j, nan]))
+    assert items_repr(built.coeffs) == repr([((1,), 2j), ((3,), 1 + 0j), ((5,), nan)])
+    assert not built.exps.flags.writeable and not built.values.flags.writeable
 
 
 def test_internal_keys_are_multi_indices_of_plain_ints():
@@ -822,14 +827,18 @@ def test_bohr_majorant_sum_has_the_bits_of_the_term_loop_on_edge_values():
 
 def assert_derivative_has_the_term_loop_bits(f, u):
     """f's derivative along u against the reference loop: degree, keys, key
-    order and every coefficient to the bit; a key the source has is its object."""
+    order and every coefficient to the bit; its keys are MultiIndex of plain
+    ints, its coeffs read-only, and the source is unchanged."""
+    before = items_repr(f.coeffs)
     got = f.directional_derivative(u)
     want_degree, want = reference_directional_derivative(f.coeffs, f.max_degree, u.components)
     assert got.max_degree == want_degree
     assert items_repr(got.coeffs) == items_repr(want)
-    own = {key: key for key in f.coeffs}
     assert all(type(key) is MultiIndex and all(type(e) is int for e in key)
-               and own.get(key, key) is key for key in got.coeffs)
+               for key in got.coeffs)
+    with pytest.raises(TypeError):
+        got.coeffs[MultiIndex((0,) * f.n_vars)] = 1j
+    assert items_repr(f.coeffs) == before
     return got
 
 
@@ -895,13 +904,13 @@ def test_bohr_majorant_sum_overflows_where_the_term_loop_does():
 
 
 def test_an_entry_past_intp_raises_in_the_array_passes():
-    # the majorant sum, eval_many and the derivative hold the entries as
-    # intp: 2**63 raises
-    big = TruncatedSeries(2, 2 ** 63, {(2 ** 63, 0): 1, (0, 1): 1})
-    for call in (lambda: big.bohr_majorant_sum(0.5), lambda: big.eval((0.5, 0.5)),
-                 lambda: big.directional_derivative(Direction.uniform(2))):
-        with pytest.raises(OverflowError, match="too large to convert"):
-            call()
+    # a series holds its entries as intp: 2**63 raises where the columns are
+    # built, from a caller's mapping and from a product's keys
+    with pytest.raises(OverflowError, match="too large to convert"):
+        TruncatedSeries(2, 2 ** 63, {(2 ** 63, 0): 1, (0, 1): 1})
+    half = TruncatedSeries(1, 2 ** 62, {(2 ** 62,): 1})
+    with pytest.raises(OverflowError, match="too large to convert"):
+        half.multiply(half)
     # entries below it, on a degree past it: the degrees are summed without
     # wrapping, so k_min keeps the term loop's terms
     wide = TruncatedSeries(2, 2 ** 63, {(2 ** 62, 2 ** 62): 1, (0, 1): 2})
@@ -978,20 +987,94 @@ def test_eval_builds_power_tables_only_up_to_the_exponents_present():
 
 
 def test_identity_composition_and_derivative_own_their_dicts():
+    # a result's coeffs and columns are read-only, and its source unchanged
     f = random_series(np.random.default_rng(47), 3, 4)
     before = dict(f.coeffs)
     for g in (f.compose_power_map(SchwarzPowerMap(3, 1)),
               f.directional_derivative(Direction.uniform(3))):
-        assert g.coeffs is not f.coeffs
+        assert g.coeffs is not f.coeffs and g.coeffs
         for key in list(g.coeffs):
-            g.coeffs[key] = 7j
-        g.coeffs[MultiIndex((9, 9, 9))] = 1j
+            with pytest.raises(TypeError):
+                g.coeffs[key] = 7j
+        with pytest.raises(TypeError):
+            g.coeffs[MultiIndex((9, 9, 9))] = 1j
+        for column in (g.exps, g.values):
+            with pytest.raises(ValueError):
+                column[0] = 0
         assert f.coeffs == before
         assert items_repr(f.coeffs) == items_repr(before)
         for s in (f, g):
             assert all(type(key) is MultiIndex and all(type(e) is int for e in key)
                        for key in s.coeffs)
-    # a key the derivative shares with its source is the source's own object
-    du = f.directional_derivative(Direction.uniform(3))
-    own = {key: key for key in f.coeffs}
-    assert du.coeffs and all(own[key] is key for key in du.coeffs)
+
+
+def test_compose_power_map_raises_where_an_entry_would_pass_intp():
+    # m * entry >= 2**63 would wrap in intp, so it raises OverflowError; up
+    # to 2**63 - 1 the rows are the term loop's
+    e = (2 ** 63 - 1) // 3
+    fits = TruncatedSeries(2, e + 1, {(e, 1): 1.5, (0, 0): 2})
+    got = fits.compose_power_map(SchwarzPowerMap(2, 3))
+    want_degree, want = reference_compose_power_map(fits.coeffs, fits.max_degree, 3)
+    assert got.max_degree == want_degree
+    assert items_repr(got.coeffs) == items_repr(want)
+    assert got.coefficient((3 * e, 3)) == 1.5 and 3 * e == 2 ** 63 - 2
+    past = TruncatedSeries(2, e + 1, {(1, 0): 2, (0, e + 1): 1})
+    with pytest.raises(OverflowError, match="exceeds intp"):
+        past.compose_power_map(SchwarzPowerMap(2, 3))
+    # a constant series takes any power: its one row stays zero
+    huge = TruncatedSeries.constant(0.5, 2).compose_power_map(SchwarzPowerMap(2, 2 ** 70))
+    assert huge.max_degree == 0 and items_repr(huge.coeffs) == repr([((0, 0), 0.5 + 0j)])
+
+
+_ROUTE_FUNCTIONALS = (Functional(FunctionalKind.CONVEX, t=0.5), Functional(_DERIV, lam=1.0),
+                      Functional(FunctionalKind.SQ_DERIV, lam=2.0))
+
+
+def test_the_series_route_never_builds_the_coefficient_dict(monkeypatch):
+    # the dict costs milliseconds at n = 3, D = 40: the series route, the
+    # bound checks and len(s.coeffs) read the columns alone
+    def refuse(view):
+        raise AssertionError("the coefficient dict was built")
+
+    monkeypatch.setattr(mvseries._Coeffs, "_mapping", refuse)
+    params = ExtremalParams(0.4, 3, 2)
+    for func in _ROUTE_FUNCTIONALS:
+        assert extremal.extremal_functional_from_series(func, params, 0.3, max_degree=12) > 0.0
+    f = extremal_series(params, 12)
+    g = f.compose_power_map(SchwarzPowerMap(3, 2))
+    assert coefficient_bound_check(g)
+    h = g - TruncatedSeries.constant(0.4, 3)
+    assert zero_multiplicity_bound_check(h, 2, samples=50) > 0.0
+    assert [len(s.coeffs) for s in (f, g, h)] == [455, 455, 454]
+    with pytest.raises(AssertionError, match="was built"):
+        list(f.coeffs)
+
+
+def test_a_series_whose_coeffs_were_read_dies_without_the_cyclic_collector():
+    # the view holds the columns, not the series: no reference cycle
+    gc.disable()
+    try:
+        s = extremal_series(ExtremalParams(0.5, 2, 1), 6)
+        assert len(s.coeffs) == 28 and s.coeffs[(0, 0)] == 0.5
+        ref = weakref.ref(s)
+        del s
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("func", _ROUTE_FUNCTIONALS, ids=["convex", "deriv", "sq_deriv"])
+def test_the_series_route_peaks_below_4_mib(func):
+    # n = 3, m = 3, D = 40 (12341 terms per series) from an empty table
+    # cache: about 2.2 MiB on columns; a dict of MultiIndex keys per series
+    # would take about 4.7 MiB, above the bound
+    extremal._table.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        extremal.extremal_functional_from_series(func, ExtremalParams(0.5, 3, 3), 0.3,
+                                                 max_degree=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 4 << 20
