@@ -42,8 +42,9 @@ real ufuncs, and the sum is np.add.accumulate over [0.0, terms...] (numpy's
 complex multiply and pairwise np.sum would differ in the last bit).  eval(z)
 is eval_many([z])[0].
 
-The majorant sum has fixed bits too: each term is CPython's abs(a_alpha)
-(np.abs may round differently) times r_j ** alpha_j for j = 1..n in turn,
+The majorant sum has fixed bits too: each term is CPython's abs(a_alpha),
+taken by np.hypot on the parts (_moduli; np.abs may round differently), times
+r_j ** alpha_j for j = 1..n in turn,
 added in key order to 0.0 by np.add.accumulate.  Each r_j ** e is a Python
 float power taken once per exponent present, so an overflow raises
 OverflowError and nothing is sized by the degree; a factor r_j ** 0 == 1.0
@@ -172,6 +173,19 @@ def _codes(exps, base: int) -> tuple:
     kind = np.int64 if base ** n <= np.iinfo(np.int64).max else object
     places = np.array([base ** (n - 1 - j) for j in range(n)], kind)
     return exps.astype(kind, copy=False) @ places, places
+
+
+def _moduli(values):
+    """|c| for each complex c of values, float64, in one np.hypot pass: the
+    bits of CPython's abs, which raises OverflowError where a finite value's
+    modulus overflows, and so does this."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        moduli = np.hypot(values.real, values.imag)
+    if not np.isfinite(moduli).all() and np.isfinite(values[np.isinf(moduli)]).any():
+        raise OverflowError("absolute value too large")
+    return moduli
 
 
 def multi_indices(n_vars: int, degree: int) -> Iterator[MultiIndex]:
@@ -517,12 +531,12 @@ class TruncatedSeries:
                 raise ValueError("radii must be nonnegative")
         if k_min > self.max_degree:  # no key reaches it
             return 0.0
-        exps, count = self.exps, len(self.values)
-        # the 0.0 the sum starts from, then each |a_alpha| by CPython's abs
-        row = np.fromiter(chain((0.0,), map(abs, self.values.tolist())), float, count + 1)
+        exps, values = self.exps, self.values
         if k_min:
             keep = ~self._below(k_min)
-            exps, row = exps[keep], row[np.concatenate(([True], keep))]
+            exps, values = exps[keep], values[keep]
+        # the 0.0 the sum starts from, then each |a_alpha|
+        row = np.concatenate(([0.0], _moduli(values)))
         terms = row[1:]
         with np.errstate(all="ignore"):  # 0 * inf is nan, as in Python
             for x, col in zip(rv, exps.T):

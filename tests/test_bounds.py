@@ -5,6 +5,7 @@ Mobius map is proved in sympy in tests/test_majorant_algebra.py."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,50 @@ def test_zero_multiplicity_draws_points_as_a_per_sample_loop(block, monkeypatch)
                 == repr(per_sample_zero_order_check(series, k, samples, seed)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 128 + 1, 10 ** 40])
+def test_zero_multiplicity_draws_the_points_of_numpy_default_rng(seed, n, monkeypatch):
+    # the pure-Python PCG64 against numpy's: seeds of one to five uint32
+    # words, 17 samples across blocks of 7, every point to the bit
+    monkeypatch.setattr(bounds, "_SAMPLE_BLOCK", 7)
+    points = []
+    eval_many = TruncatedSeries.eval_many
+
+    def spy(self, chunk):
+        points.extend(chunk)
+        return eval_many(self, chunk)
+
+    monkeypatch.setattr(TruncatedSeries, "eval_many", spy)
+    series = TruncatedSeries(n, 1, {(1,) + (0,) * (n - 1): 0.5})
+    zero_multiplicity_bound_check(series, 1, samples=17, seed=seed)
+    draws = np.random.default_rng(seed).uniform(
+        [[1e-6] * n, [0.0] * n], [[1.0 - 1e-12] * n, [2.0 * np.pi] * n], size=(17, 2, n))
+    radii, angles = draws[:, 0], draws[:, 1]
+    want = [tuple(map(complex, re, im)) for re, im in
+            zip((radii * np.cos(angles)).tolist(), (radii * np.sin(angles)).tolist())]
+    assert repr(points) == repr(want)
+
+
+def test_unit_draws_hold_one_block_of_ints_at_a_time(monkeypatch):
+    # the stream continues across int blocks and calls; 60,000 draws hold at
+    # most 4096 Python ints (about 160 KiB) besides their float64 output
+    monkeypatch.setattr(bounds, "_INT_BLOCK", 5)
+    gen = bounds._pcg64(2 ** 64 + 5)
+    got = np.concatenate([bounds._unit_draws(gen, count) for count in (1, 5, 12)])
+    assert got.tobytes() == np.random.default_rng(2 ** 64 + 5).random(18).tobytes()
+    monkeypatch.undo()
+    gen = bounds._pcg64(7)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = bounds._unit_draws(gen, 60_000)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak - got.nbytes < 256 << 10
+    assert got[-3:].tobytes() == np.random.default_rng(7).random(60_000)[-3:].tobytes()
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "7", True], ids=["negative", "float", "string", "bool"])
 def test_zero_multiplicity_refuses_a_seed_that_is_not_a_count(seed):
     # -1 and 1.5 used to reach numpy, which raised its own ValueError / TypeError
@@ -171,6 +216,15 @@ def precheck(series, k):
     return None
 
 
+def outcome(call):
+    """repr of call(), or "OverflowError" where a modulus overflows."""
+    try:
+        return repr(call())
+    except OverflowError as exc:
+        assert str(exc) == "absolute value too large"
+        return "OverflowError"
+
+
 def test_the_checks_match_their_term_loops_on_edge_values():
     # keys in shuffled order, moduli on both sides of the limit, inf and NaN
     rng = random.Random(20261024)
@@ -192,6 +246,20 @@ def test_the_checks_match_their_term_loops_on_edge_values():
             assert got == reference_precheck(series, k)
             seen.add(got is None)
     assert seen == {True, False}
+    # moduli past the largest float: |1.5e308 (1 + i)| overflows, and CPython's
+    # abs raises where np.hypot would give inf; |1e308 (1 + i)| does not
+    outcomes = set()
+    for big in (complex(1e308, 1e308), complex(1.5e308, 1.5e308)):
+        for key in ((1, 0), (1, 1)):
+            series = TruncatedSeries(2, 2, {key: big, (0, 1): 0.5})
+            got = outcome(lambda: coefficient_bound_check(series))
+            assert got == outcome(lambda: reference_violations(series))
+            outcomes.add(got)
+            for seed in range(3):
+                got = outcome(lambda: zero_multiplicity_bound_check(series, 1, samples=40, seed=seed))
+                assert got == outcome(lambda: per_sample_zero_order_check(series, 1, 40, seed))
+                outcomes.add(got)
+    assert {"OverflowError", "[(1, 0)]", "inf"} <= outcomes
 
 
 def test_the_checks_sum_degrees_past_intp_without_wrapping():

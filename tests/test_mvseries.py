@@ -901,6 +901,13 @@ def test_bohr_majorant_sum_overflows_where_the_term_loop_does():
             outcomes.append(got)
     assert outcomes.count("OverflowError") == 14
     assert repr(1e200 * 0.5 ** 2) in outcomes and outcomes[-1] == "0.0"
+    # a modulus past the largest float raises, as CPython's abs does, but not
+    # from a term below k_min, which the term loop skips
+    big = TruncatedSeries(2, 3, {(1, 0): complex(1.5e308, 1.5e308), (1, 2): 0.5})
+    for k_min in (0, 1, 2, 3):
+        got = outcome(lambda: big.bohr_majorant_sum(0.5, k_min))
+        assert got == outcome(lambda: reference_bohr_majorant_sum(big.coeffs, [0.5, 0.5], k_min))
+        assert (got == "OverflowError") == (k_min <= 1)
 
 
 def test_an_entry_past_intp_raises_in_the_array_passes():
@@ -921,20 +928,28 @@ def test_an_entry_past_intp_raises_in_the_array_passes():
 
 
 def test_the_series_path_does_not_import_numpy_ma():
-    # np.unique would import numpy.ma, about 1 MiB of RSS in a series worker
+    # np.unique would import numpy.ma, about 1 MiB of RSS in a series worker,
+    # and numpy.random (with secrets, hashlib and OpenSSL) about 6 MiB.  What
+    # `import numpy` itself loads (none of these on numpy 2) is numpy's cost,
+    # so the route must add none beyond it
     script = (
         "import sys\n"
+        "import numpy\n"
+        "watched = ('numpy.ma', 'numpy.random', 'secrets', '_hashlib')\n"
+        "numpy_own = {name for name in watched if name in sys.modules}\n"
         "from polybohr import (ExtremalParams, Functional, FunctionalKind, SchwarzPowerMap,\n"
-        "                      TruncatedSeries, extremal_functional_from_series,\n"
-        "                      extremal_series, zero_multiplicity_bound_check)\n"
+        "                      TruncatedSeries, coefficient_bound_check,\n"
+        "                      extremal_functional_from_series, extremal_series,\n"
+        "                      zero_multiplicity_bound_check)\n"
         "params = ExtremalParams(0.5, 2, 2)\n"
         "func = Functional(FunctionalKind.DERIV, lam=1.0)\n"
         "assert extremal_functional_from_series(func, params, 0.3, max_degree=12) > 0.0\n"
         "g = extremal_series(params, 12).compose_power_map(SchwarzPowerMap(2, 2))\n"
         "assert g.bohr_majorant_sum((0.25, 0.5), k_min=4) > 0.0\n"
+        "assert coefficient_bound_check(g) == []\n"
         "h = g - TruncatedSeries.constant(0.5, 2)\n"
         "assert zero_multiplicity_bound_check(h, 2, samples=50, seed=3) > 0.0\n"
-        "assert 'numpy.ma' not in sys.modules\n"
+        "assert {name for name in watched if name in sys.modules} == numpy_own\n"
         "print('ok')\n")
     src = str(Path(mvseries.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
