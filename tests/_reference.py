@@ -1,5 +1,14 @@
 """Test helpers shared by several test modules."""
 
+import math
+
+import numpy as np
+
+from polybohr import extremal
+from polybohr.extremal import Verification
+from polybohr.mvseries import _check_count
+from polybohr.radii import radius_for
+
 
 def reference_bisect(f, lo, hi, iters=200):
     """Plain bisection, independent of the package's solver."""
@@ -69,3 +78,52 @@ def reference_bohr_majorant_sum(coeffs, radii, k_min):
                 term *= radii[j] ** e
         total += term
     return total
+
+
+# -- the verify sweep -------------------------------------------------------------
+
+def reference_verify(problem, a_grid, rho_grid, inflate):
+    """extremal.verify_radius as a per-point loop, row by row, which the
+    array passes of the library's sweep must match bit for bit.  It reads
+    extremal's majorant_functional and _functional_value at call time, so a
+    monkeypatched one reaches both."""
+    _check_count("a_grid", a_grid, 10)
+    _check_count("rho_grid", rho_grid, 10)
+    if not 0.0 <= inflate < math.inf:
+        raise ValueError(f"inflate must be finite and >= 0, got {inflate!r}")
+    radius = radius_for(problem).radius
+    try:
+        rho_max = problem.n * (radius * (1.0 + inflate)) ** problem.m
+    except OverflowError:
+        raise ValueError(f"inflate = {inflate!r} overflows rho_max; lower inflate") from None
+    avals = np.linspace(0.0, 1.0, a_grid, endpoint=False)
+    rhos = np.linspace(0.0, rho_max, rho_grid)
+    a_list = avals.tolist()
+    cap = problem.kind.search_cap
+    majorant = extremal.majorant_functional
+    closed_form = extremal._functional_value
+    max_value = 0.0
+    below_violations = []
+    dominance_violations = []
+    min_margin = float("inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rho in rhos.tolist():
+            if rho > 1.0 and (avals * rho == 1.0).any():
+                raise ValueError(f"the verify grid reaches a * rho = 1 at rho = {rho!r}, "
+                                 f"the pole of the family's tail; lower inflate")
+            vals = closed_form(problem, avals, rho)
+            top = float(np.max(vals))
+            if top > max_value:
+                max_value = top
+            for i in np.nonzero(vals > 1.0 + 1e-12)[0]:
+                below_violations.append([a_list[i], rho, float(vals[i])])
+            rr = min(rho, cap)
+            fam = vals if rr == rho else closed_form(problem, avals, rr)
+            for a, value in zip(a_list, fam.tolist()):
+                margin = majorant(problem, a, rr) - value
+                if margin < min_margin:
+                    min_margin = margin
+                if margin < -1e-12:
+                    dominance_violations.append([a, rr, margin])
+    return Verification(radius, rho_max, max_value, min_margin,
+                        below_violations, dominance_violations)
