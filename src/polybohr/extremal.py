@@ -16,15 +16,16 @@ produces closed forms in a and rho = n r^m:
     SQ_DERIV  the same with the first term squared
 
 Each geometric tail above has ratio a rho.  The majorant (an upper-bound
-chain valid for every self-map with |f(0)| = a0) is the same closed form
-with tail ratio 1, i.e. rho in place of a rho, since it bounds a^(k-1) by
-1.  It dominates the family, and the value crosses 1 for some a precisely
-when rho exceeds the family threshold.  empirical_radius recovers radii by
-bisecting that crossing; sharpness_witness exhibits an explicit a just
-beyond a stated radius, the first point of one a-grid where the value
-exceeds 1, and raises when no grid point does (as for delta <~ 1e-8);
-verify_radius checks on an (a, rho) grid that the family stays at or below
-1 inside it and that the majorant dominates.
+chain valid for every self-map with |f(0)| = a0) bounds a^(k-1) by 1:
+majorant_functional spells it out, and
+test_majorant_is_the_family_with_tail_ratio_one proves it is the closed form
+with tail ratio 1, rho in place of a rho.  It dominates the family, and the
+value crosses 1 for some a precisely when rho exceeds the family threshold.
+empirical_radius recovers radii by bisecting that crossing; sharpness_witness
+exhibits an explicit a just beyond a stated radius, the first point of one
+a-grid where the value exceeds 1, and raises when no grid point does (as for
+delta <~ 1e-8); verify_radius checks on an (a, rho) grid that the family
+stays at or below 1 inside it and that the majorant dominates.
 Both thresholds are the roots of the radius polynomials in radii, for every
 weight: the majorant factors through the same quartic (see the radii module
 docstring), so every stated radius is sharp.  A functional is a
@@ -58,6 +59,7 @@ _VERIFY_BLOCK = 1 << 12  # verify evaluates the family on whole rows of at most 
 # and verify's loop would pay two or three of them per grid point
 _CONVEX, _DERIV, _SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
                               FunctionalKind.SQ_DERIV)
+_FLOAT = float  # majorant_functional converts numpy scalars to it, not every result
 
 # The search a-grid: 512 uniform points on [0, 1), then 1 - 2^-k for
 # k = 10..30 (smaller k are uniform points already).  The functionals
@@ -175,23 +177,21 @@ def _table(n: int, k: int) -> tuple:
 
 # -- closed-form functional values --------------------------------------------
 
-def _functional_value(func: Functional, a, rho, ratio=None):
-    """Closed form of each kind; elementwise on numpy arrays of a and rho.
+def _functional_value(func: Functional, a, rho):
+    """The witness family's closed form; elementwise on numpy arrays.
 
-    The coefficients of degree k >= 1 have modulus (1 - a^2) ratio^(k-1), so
-    each geometric tail has ratio ratio * rho.  ratio = None means a: the
-    witness family.  ratio = 1 bounds a^(k-1) by 1: the majorant.
+    The coefficients of degree k >= 1 have modulus (1 - a^2) a^(k-1), so
+    each geometric tail has ratio a rho.
     """
     kind = func.kind
-    q = a if ratio is None else ratio
     d = 1.0 + a * rho
     first = (rho + a) / d
     if kind is _CONVEX:
         t = func.t
-        return t * first + (1.0 - t) * (a + (1.0 - a * a) * rho / (1.0 - q * rho))
+        return t * first + (1.0 - t) * (a + (1.0 - a * a) * rho / (1.0 - a * rho))
     one_minus = 1.0 - a * a
     second = one_minus * rho / (d * d)
-    tail = func.lam * one_minus * q * rho * rho / (1.0 - q * rho)
+    tail = func.lam * one_minus * a * rho * rho / (1.0 - a * rho)
     if kind is _DERIV:
         return first + second + tail
     return first * first + second + tail
@@ -215,17 +215,29 @@ def majorant_functional(func: Functional, a0: float, rho: float) -> float:
     It is the witness family's closed form with tail ratio 1, for a0 in
     [0, 1] and 0 <= rho < 1 up to the kind's float rho_cap, which for DERIV
     and SQ_DERIV lies 1.74 and 0.49 ULP above sqrt(2)-1 and (sqrt(5)-1)/2.
-    At a0 = 1 it is exactly 1.0.
+    At a0 = 1 it is exactly 1.0.  It returns a Python float, also for numpy scalars.
     """
-    # mvseries._check_unit's test, kept inline: verify_radius calls this once
-    # per grid point, and the helper's call adds about 35 ns to its 290-330 ns
+    # straight-line scalar code, checks inline: verify_radius calls this once
+    # per grid point, at 270-320 ns a call, and a helper's call adds 35-80 ns
     if not 0.0 <= a0 <= 1.0:
         raise ValueError(f"a0 must lie in [0, 1], got {a0!r}")
     kind = func.kind
     if not (0.0 <= rho <= kind.rho_cap and rho < 1.0):
         raise ValueError(f"{kind.value} majorant needs 0 <= rho <= {kind.rho_cap!r} "
                          f"and rho < 1, got {rho!r}")
-    return float(_functional_value(func, a0, rho, 1.0))
+    d = 1.0 + a0 * rho
+    first = (rho + a0) / d
+    if kind is _CONVEX:
+        t = func.t
+        value = t * first + (1.0 - t) * (a0 + (1.0 - a0 * a0) * rho / (1.0 - rho))
+    else:
+        one_minus = 1.0 - a0 * a0
+        value = (first if kind is _DERIV else first * first) + one_minus * rho / (d * d) \
+            + func.lam * one_minus * rho * rho / (1.0 - rho)
+    # np.float64 subclasses float, and its arithmetic stays np.float64; symbols pass
+    if value.__class__ is not _FLOAT and isinstance(value, np.generic):
+        value = _FLOAT(value)
+    return value
 
 
 # -- series-route evaluation (independent of the closed forms) ----------------
@@ -315,10 +327,10 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
     a large inflate reaches, raises ValueError.
 
     The family is evaluated in blocks of whole rho-rows of at most
-    _VERIFY_BLOCK points.  The majorant is still called once per grid point,
-    one mapped pass per row, as the benchmark's traced self-check counts the
-    calls (ROADMAP item 2 deletes the pass).  Each field keeps the per-point
-    loop's bits: nan rows and margins are skipped, the rest still count.
+    _VERIFY_BLOCK points.  The majorant, scalar code with no numpy, is still
+    called once per grid point, one mapped pass a row, as the benchmark's
+    self-check counts the calls (ROADMAP item 2 deletes them).  Each field
+    keeps the per-point loop's bits: nan rows and margins are skipped, the rest count.
     """
     a_grid = _check_count("a_grid", a_grid, 10)
     rho_grid = _check_count("rho_grid", rho_grid, 10)

@@ -7,7 +7,7 @@ import numpy as np
 from polybohr import extremal
 from polybohr.extremal import Verification
 from polybohr.mvseries import _check_count
-from polybohr.radii import radius_for
+from polybohr.radii import FunctionalKind, radius_for
 
 
 def reference_bisect(f, lo, hi, iters=200):
@@ -78,6 +78,40 @@ def reference_bohr_majorant_sum(coeffs, radii, k_min):
                 term *= radii[j] ** e
         total += term
     return total
+
+
+# -- the majorant --------------------------------------------------------------------
+
+def _closed_form(func, a, rho, ratio=None):
+    """extremal._functional_value as it was when it also served the majorant:
+    each geometric tail has ratio q rho, with q = a (the family) unless a
+    ratio is given (ratio = 1 for the majorant)."""
+    kind = func.kind
+    q = a if ratio is None else ratio
+    d = 1.0 + a * rho
+    first = (rho + a) / d
+    if kind is FunctionalKind.CONVEX:
+        t = func.t
+        return t * first + (1.0 - t) * (a + (1.0 - a * a) * rho / (1.0 - q * rho))
+    one_minus = 1.0 - a * a
+    second = one_minus * rho / (d * d)
+    tail = func.lam * one_minus * q * rho * rho / (1.0 - q * rho)
+    if kind is FunctionalKind.DERIV:
+        return first + second + tail
+    return first * first + second + tail
+
+
+def reference_majorant(func, a0, rho):
+    """extremal.majorant_functional as the float() of the closed form at
+    tail ratio 1.0, whose bits and messages the straight-line spelling must
+    keep."""
+    if not 0.0 <= a0 <= 1.0:
+        raise ValueError(f"a0 must lie in [0, 1], got {a0!r}")
+    kind = func.kind
+    if not (0.0 <= rho <= kind.rho_cap and rho < 1.0):
+        raise ValueError(f"{kind.value} majorant needs 0 <= rho <= {kind.rho_cap!r} "
+                         f"and rho < 1, got {rho!r}")
+    return float(_closed_form(func, a0, rho, 1.0))
 
 
 # -- the verify sweep -------------------------------------------------------------

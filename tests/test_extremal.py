@@ -2,6 +2,7 @@
 sign-equivalence identities, witness search, and empirical thresholds."""
 
 import cmath
+import itertools
 import math
 import os
 import subprocess
@@ -21,7 +22,7 @@ from polybohr import (Direction, ExtremalParams, Functional, FunctionalKind,
                       sharpness_witness, verify_radius,
                       zero_multiplicity_bound_check)
 from polybohr import extremal
-from _reference import reference_bisect
+from _reference import reference_bisect, reference_majorant
 
 CONVEX, DERIV, SQ_DERIV = (FunctionalKind.CONVEX, FunctionalKind.DERIV,
                            FunctionalKind.SQ_DERIV)
@@ -534,8 +535,11 @@ def test_hot_path_names_no_enum_member_lookup():
     for fn in (extremal._functional_value, extremal.majorant_functional):
         assert "FunctionalKind" not in fn.__code__.co_names
     # and the majorant checks a0 inline, calling no shared _check_ helper
-    assert not [name for name in extremal.majorant_functional.__code__.co_names
-                if name.startswith("_check_")]
+    names = extremal.majorant_functional.__code__.co_names
+    assert not [name for name in names if name.startswith("_check_")]
+    # nor the array closed form, nor a float() wrap: together they cost about
+    # 70 ns of its 330-400 ns a call; it converts numpy scalar results only
+    assert "_functional_value" not in names and "float" not in names
 
 
 @pytest.mark.parametrize("problem", VERIFY_PROBLEMS,
@@ -584,23 +588,96 @@ def test_witness_carries_the_stated_radius():
 
 def test_scalar_and_array_closed_forms_agree_bitwise():
     # one closed form serves scalars and arrays; x ** 2 on a Python float can
-    # round differently from numpy's square, x * x cannot
+    # round differently from numpy's square, x * x cannot.  The majorant is
+    # spelled on its own and keeps the bits of that closed form at ratio 1.0
     f = Functional(SQ_DERIV, lam=2.0)
     a, rho = 0.04, 0.51
     row = extremal._functional_value(f, np.array([a]), rho)
     assert extremal_functional(f, a, rho) == float(row[0])
-    row = extremal._functional_value(f, np.array([a]), rho, 1.0)
-    assert majorant_functional(f, a, rho) == float(row[0])
+    assert majorant_functional(f, a, rho).hex() == reference_majorant(f, a, rho).hex()
     rng = np.random.default_rng(7)
     for kind, w in (("convex", 0.3), ("deriv", 0.7), ("sq_deriv", 2.0)):
         f = Functional(FunctionalKind(kind), **{"t" if kind == "convex" else "lam": w})
         avals = rng.random(200)
         for rho in rng.random(5) * 0.4:
             fam = extremal._functional_value(f, avals, rho).tolist()
-            maj = extremal._functional_value(f, avals, rho, 1.0).tolist()
-            for x, y, z in zip(avals.tolist(), fam, maj):
+            for x, y in zip(avals.tolist(), fam):
                 assert extremal_functional(f, x, rho) == y
-                assert majorant_functional(f, x, rho) == z
+                assert majorant_functional(f, x, rho).hex() == \
+                    reference_majorant(f, x, rho).hex()
+
+
+def _majorant_outcome(majorant, func, a0, rho):
+    try:
+        value = majorant(func, a0, rho)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return type(value), value.hex()
+
+
+def _with_specials(rng, values, specials):
+    """values as Python floats, about one in eight replaced by a special."""
+    out = values.tolist()
+    for i in np.flatnonzero(rng.random(len(out)) < 0.125).tolist():
+        out[i] = specials[int(rng.integers(len(specials)))]
+    return out
+
+
+MAJORANT_DRAWS = 20_000
+
+
+@pytest.mark.parametrize("kind", [CONVEX, DERIV, SQ_DERIV], ids=["convex", "deriv", "sq-deriv"])
+def test_majorant_keeps_the_bits_and_messages_of_the_ratio_one_closed_form(kind):
+    rng = np.random.default_rng(45 + len(kind.value))
+    n = MAJORANT_DRAWS
+    if kind is CONVEX:
+        w_specials = [0.0, 0.75, 1.0]
+        weights = rng.uniform(0.0, 1.0, n)
+    else:
+        # lam near the float max overflows the SQ_DERIV tail to inf near its
+        # cap, where rho^2 / (1 - rho) is 1; the DERIV tail stays below 0.3 lam
+        w_specials = [1e-300, 1e300, 1e308, sys.float_info.max]
+        weights = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    # the last specials of a0 and rho lie outside the domain, and so does
+    # CONVEX's rho_cap = 1
+    a_specials = [0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0, -5e-324, math.nextafter(1.0, 2.0),
+                  math.nan]
+    rho_specials = [0.0, 5e-324, kind.search_cap, kind.rho_cap, -5e-324,
+                    math.nextafter(kind.rho_cap, 2.0), math.nan]
+    draws = list(zip(_with_specials(rng, weights, w_specials),
+                     _with_specials(rng, rng.uniform(0.0, 1.0, n), a_specials),
+                     _with_specials(rng, rng.uniform(0.0, kind.rho_cap, n), rho_specials)))
+    draws += itertools.product(w_specials, a_specials, rho_specials)
+    outcomes = set()
+    for w, a0, rho in draws:
+        func = Functional(kind, **{kind.weight: w})
+        got = _majorant_outcome(majorant_functional, func, a0, rho)
+        assert got == _majorant_outcome(reference_majorant, func, a0, rho), (w, a0, rho)
+        outcomes.add(got[1] if got[1] in ("inf", "0x1.0000000000000p+0") else got[0])
+    # every draw is a float or a checked refusal, a0 = 1 gives exactly 1.0,
+    # and only the SQ_DERIV tail overflows
+    assert outcomes >= {float, "ValueError", "0x1.0000000000000p+0"}
+    assert ("inf" in outcomes) is (kind is SQ_DERIV)
+
+
+@pytest.mark.parametrize("kind", [CONVEX, DERIV, SQ_DERIV], ids=["convex", "deriv", "sq-deriv"])
+def test_majorant_returns_a_python_float_for_int_and_numpy_inputs(kind):
+    rng = np.random.default_rng(4500 + len(kind.value))
+    draws = list(zip(rng.uniform(0.0, 1.0, 200).tolist(),
+                     rng.uniform(0.0, kind.search_cap, 200).tolist(),
+                     (rng.uniform(0.0, 1.0, 200) if kind is CONVEX
+                      else 10.0 ** rng.uniform(-300.0, 300.0, 200)).tolist()))
+    cases = [(a0, rho, w) for a0 in (0, 1) for rho in (0, 0.3) for w in (1, 0.5)]
+    cases += [(0.5, 0, 1)] + draws
+    cases += [(np.float64(a0), rho, w) for a0, rho, w in draws[:50]]
+    cases += [(a0, np.float64(rho), w) for a0, rho, w in draws[50:100]]
+    cases += [(a0, rho, np.float64(w)) for a0, rho, w in draws[100:150]]
+    cases += [tuple(map(np.float64, case)) for case in draws[150:]]
+    for a0, rho, w in cases:
+        func = Functional(kind, **{kind.weight: w})
+        value = majorant_functional(func, a0, rho)
+        assert type(value) is float, (a0, rho, w)
+        assert repr(value) == repr(reference_majorant(func, a0, rho))
 
 
 def test_verify_radius_margin_past_the_cap():

@@ -2,11 +2,12 @@
 
 The closed forms below are copied from the docstrings of extremal (the
 witness family F, and the majorant M as the upper-bound chain states it,
-which the library evaluates as F with tail ratio 1) and radii (the factors
-K, G and H, the radius polynomials); the sign polynomials W of F - 1 are
-derived alongside.  sympy proves each identity as rational functions and
-each sign claim from the assumptions of the domain.  The library's own
-closed form, extremal._functional_value, is evaluated on the symbols too and
+which is F with tail ratio 1; majorant_functional spells it out on its own)
+and radii (the factors K, G and H, the radius polynomials); the sign
+polynomials W of F - 1 are derived alongside.  sympy proves each identity as
+rational functions and each sign claim from the assumptions of the domain.
+The library's own code, the family's closed form extremal._functional_value
+and majorant_functional with its checks, is evaluated on the symbols too and
 must equal the copies exactly; it is handed a stand-in functional, since
 Functional's weight checks reject symbols.  Float spot checks tie the copies
 to the public entry points.  The one-variable thresholds the paper
@@ -79,13 +80,23 @@ def test_majorant_is_the_family_with_tail_ratio_one(kind):
     assert is_zero(family(kind, a0, ratio=1) - majorant(kind))
 
 
+# rho's share of its domain (0, 1) in each kind: every one is below the
+# kind's cap, so sympy decides majorant_functional's checks from _B and _R
+RHO_SHARE = {"convex": sp.Integer(1), "deriv": sp.Rational(2, 5),
+             "sq_deriv": sp.Rational(3, 5)}
+
+
 @pytest.mark.parametrize("kind", ["convex", "deriv", "sq_deriv"])
 def test_library_closed_form_is_the_stated_family_and_majorant(kind):
     # the code that runs, on symbols: nsimplify makes its float literals
-    # (all of them 1.0) exact, so a change in the code fails here
+    # (all of them 1.0) exact, so a change in the code fails here.  The
+    # majorant runs its checks too, on a0 = B / (1 + B) in [0, 1) and
+    # rho = s R / (1 + R) in [0, s)
     ns = SimpleNamespace(kind=FunctionalKind(kind), t=t, lam=lam)
     assert is_zero(sp.nsimplify(_functional_value(ns, a, rho)) - family(kind))
-    assert is_zero(sp.nsimplify(_functional_value(ns, a0, rho, 1.0)) - majorant(kind))
+    point = {a0: _B / (1 + _B), rho: RHO_SHARE[kind] * _R / (1 + _R)}
+    value = majorant_functional(ns, point[a0], point[rho])
+    assert is_zero(sp.nsimplify(value) - majorant(kind).subs(point))
 
 
 # the radius polynomials, from the radii docstrings

@@ -134,9 +134,8 @@ def test_a_nan_family_row_leaves_the_rest_of_its_block(monkeypatch):
     rhos = np.linspace(0.0, verify_radius(problem, 23, 11, 0.2).rho_max, 11)
     real = extremal._functional_value
 
-    def patched(func, a, rho, ratio=None):
-        out = real(func, a, rho, ratio)
-        return out if ratio is not None else np.where(np.asarray(rho) == rhos[9], math.nan, out)
+    def patched(func, a, rho):
+        return np.where(np.asarray(rho) == rhos[9], math.nan, real(func, a, rho))
     assert np.isnan(patched(problem, avals, rhos[:, None])).all(axis=1).tolist() == \
         [False] * 9 + [True, False]
     monkeypatch.setattr(extremal, "_functional_value", patched)
