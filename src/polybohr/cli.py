@@ -9,11 +9,12 @@ Subcommands:
 - table      radius table over (n, m, weight) lists, as CSV
 
 Each command returns its text and exit code; main writes the text once, to
-stdout or to --out, after the whole result exists.  `sweep` and `table` check
-each n and m once per value, and build and solve one RadiusProblem per
-distinct weight: the rho root depends only on the kind and the weight, and
-every other (n, m) row rescales it by r = (rho / n)^(1/m), as radius_for
-does, so the bytes and the first error are those of one problem per row.
+stdout or to --out, after the whole result exists.  `sweep` and `table` rows
+come from one loop over the (n, m, weight) grid, which checks each n and m
+before its first row and builds and solves one RadiusProblem per distinct
+weight: the rho root depends only on the kind and the weight, and every row
+rescales it by r = (rho / n)^(1/m), as radius_for does, so the bytes and the
+first error are those of one problem per row.
 
 Exit codes: 0 success, 1 usage or invalid parameters, 2 verification failure.
 CSV is written with 12 significant digits, '.' decimals, LF line endings;
@@ -67,34 +68,29 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def _csv(lead_header: str, rows, problem) -> str:
-    """CSV text: each row's leading columns, then radius,rho_root,residual.
+def _csv(lead_header: str, ns, ms, weights, prefix: str, problem) -> str:
+    """CSV text: one row per (n, m, weight) of ns x ms x weights, in that order.
 
-    rows yields (leading columns, n, m, weight), n and m checked, one at a
-    time, so validation and solving interleave in row order.  The root
-    depends on the weight alone: the first row of each distinct weight checks
-    it by building problem(n, m, weight), which is solved and its
-    rho_root,residual text formatted once; later rows only rescale the root.
+    A row is prefix.format(n, m), the weight's text (weights holds (weight,
+    text) pairs), then radius,rho_root,residual.  Each n and m is checked
+    before its first row, so an empty list checks none.  The first row of each
+    distinct weight builds problem(n, m, weight), solved and its
+    rho_root,residual text formatted once; every row rescales that root.
     """
     roots = {}
     lines = [lead_header + ",radius,rho_root,residual"]
-    for lead, n, m, w in rows:
-        solved = roots.get(w)
-        if solved is None:
-            res = radius_for(problem(n, m, w))
-            solved = roots[w] = (res.rho_root, f"{_fmt(res.rho_root)},{_fmt(res.residual)}")
-        lines.append(",".join([*lead, _fmt(_geometric_radius(solved[0], n, m)), solved[1]]))
-    return "\n".join(lines) + "\n"
-
-
-def _grid(ns, ms, weights):
-    """(n, m, weight) over ns x ms x weights; each n and m checked once, before its first row."""
     for n in ns if ms and weights else ():
         n = _check_count("n", n, 1)
         for m in ms:
             m = _check_count("m", m, 1)
-            for w in weights:
-                yield n, m, w
+            head = prefix.format(n, m)
+            for w, text in weights:
+                if w not in roots:
+                    res = radius_for(problem(n, m, w))
+                    roots[w] = res.rho_root, f"{_fmt(res.rho_root)},{_fmt(res.residual)}"
+                root, tail = roots[w]
+                lines.append(f"{head}{text},{_geometric_radius(root, n, m):.12g},{tail}")
+    return "\n".join(lines) + "\n"
 
 
 def _problem_from_args(args) -> RadiusProblem:
@@ -176,13 +172,14 @@ def _sweep_values(args):
 def cmd_sweep(args) -> tuple[str, int]:
     kind = FunctionalKind(args.theorem)
     values = _sweep_values(args)
-    weights = {"t": args.t, "lam": args.lam}
+    given = {"t": args.t, "lam": args.lam}
     swept = "lam" if args.param == "lambda" else args.param
-    axes = {"n": [args.n], "m": [args.m], "w": [None]}  # None: --t and --lambda as given
-    axes[swept if swept in axes else "w"] = values
-    rows = (([_fmt(v)], *row) for v, row in zip(values, _grid(*axes.values())))
-    return _csv("param", rows, lambda n, m, w: RadiusProblem(
-        kind, n, m, **(weights if w is None else {**weights, swept: w}))), 0
+    prefix = {"n": "{0:.12g}", "m": "{1:.12g}"}.get(swept, "")
+    axes = {"n": [args.n], "m": [args.m], swept: values}
+    # an n or m sweep has one weight, None: --t and --lambda as given
+    weights = [(None, "")] if prefix else [(w, _fmt(w)) for w in values]
+    return _csv("param", axes["n"], axes["m"], weights, prefix, lambda n, m, w: RadiusProblem(
+        kind, n, m, **(given if w is None else {**given, swept: w}))), 0
 
 
 def _parse_list(text, cast):
@@ -198,8 +195,8 @@ def cmd_table(args) -> tuple[str, int]:
         raise ValueError(f"--theorem {args.theorem} takes --{flag}-list, "
                          f"not --{other}-list")
     weights = [(w, _fmt(w)) for w in _parse_list(getattr(args, f"{flag}_list"), float)]
-    rows = (([str(n), str(m), text], n, m, w) for n, m, (w, text) in _grid(ns, ms, weights))
-    return _csv("n,m,param", rows, lambda n, m, w: RadiusProblem(kind, n, m, **{own: w})), 0
+    return _csv("n,m,param", ns, ms, weights, "{0},{1},",
+                lambda n, m, w: RadiusProblem(kind, n, m, **{own: w})), 0
 
 
 # -- parser ----------------------------------------------------------------------

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 
-from polybohr import extremal
+from polybohr import cli, extremal
+from polybohr.cli import _fmt
 from polybohr.extremal import Verification
 from polybohr.mvseries import _check_count
-from polybohr.radii import FunctionalKind, radius_for
+from polybohr.radii import FunctionalKind, _geometric_radius, radius_for
 
 
 def reference_bisect(f, lo, hi, iters=200):
@@ -161,3 +162,57 @@ def reference_verify(problem, a_grid, rho_grid, inflate):
                     dominance_violations.append([a, rr, margin])
     return Verification(radius, rho_max, max_value, min_margin,
                         below_violations, dominance_violations)
+
+
+# -- the CSV commands ------------------------------------------------------------
+
+def _reference_rows_csv(lead_header, rows, problem):
+    """cli._csv as it was when each command built its own row generator."""
+    roots = {}
+    lines = [lead_header + ",radius,rho_root,residual"]
+    for lead, n, m, w in rows:
+        solved = roots.get(w)
+        if solved is None:
+            res = radius_for(problem(n, m, w))
+            solved = roots[w] = (res.rho_root, f"{_fmt(res.rho_root)},{_fmt(res.residual)}")
+        lines.append(",".join([*lead, _fmt(_geometric_radius(solved[0], n, m)), solved[1]]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_grid(ns, ms, weights):
+    """(n, m, weight) over ns x ms x weights; each n and m checked once, before its first row."""
+    for n in ns if ms and weights else ():
+        n = _check_count("n", n, 1)
+        for m in ms:
+            m = _check_count("m", m, 1)
+            for w in weights:
+                yield n, m, w
+
+
+def reference_csv(args):
+    """cli.cmd_table or cli.cmd_sweep (by args.command) as a row generator
+    fed to a row-by-row builder, whose text and first error the one grid loop
+    of cli._csv must keep.  It reads cli's unchanged helpers and its
+    RadiusProblem at call time."""
+    if args.command == "table":
+        kind = FunctionalKind(args.theorem)
+        own = kind.weight
+        flag, other = ("t", "lambda") if own == "t" else ("lambda", "t")
+        ns, ms = cli._parse_list(args.n_list, int), cli._parse_list(args.m_list, int)
+        if getattr(args, f"{other}_list") is not None:
+            raise ValueError(f"--theorem {args.theorem} takes --{flag}-list, "
+                             f"not --{other}-list")
+        weights = [(w, _fmt(w)) for w in cli._parse_list(getattr(args, f"{flag}_list"), float)]
+        rows = (([str(n), str(m), text], n, m, w)
+                for n, m, (w, text) in _reference_grid(ns, ms, weights))
+        return _reference_rows_csv("n,m,param", rows, lambda n, m, w: cli.RadiusProblem(
+            kind, n, m, **{own: w})), 0
+    kind = FunctionalKind(args.theorem)
+    values = cli._sweep_values(args)
+    weights = {"t": args.t, "lam": args.lam}
+    swept = "lam" if args.param == "lambda" else args.param
+    axes = {"n": [args.n], "m": [args.m], "w": [None]}  # None: --t and --lambda as given
+    axes[swept if swept in axes else "w"] = values
+    rows = (([_fmt(v)], *row) for v, row in zip(values, _reference_grid(*axes.values())))
+    return _reference_rows_csv("param", rows, lambda n, m, w: cli.RadiusProblem(
+        kind, n, m, **(weights if w is None else {**weights, swept: w}))), 0

@@ -10,11 +10,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polybohr
 from polybohr import WitnessNotFoundError, cli, extremal
 from _reference import reference_bisect
+
+BIG = str(10**400)  # an int that no float holds
 
 
 def run_cli(argv, capsys):
@@ -646,6 +649,36 @@ def test_table_rows_match_one_radius_for_per_row(theorem, flag, weights, capsys)
     assert out == "\n".join(expected) + "\n"
 
 
+@pytest.mark.parametrize("argv,repeats", [
+    ("sweep --theorem convex --param t --from 0 --to 1 --steps 9 --n 3 --m 2", False),
+    ("sweep --theorem convex --param t --from 0.5 --to 0.5000000000000002 --steps 7", True),
+    ("sweep --theorem deriv --param lambda --from 1e-12 --to 1e6 --steps 9 --n 2 --m 3", False),
+    ("sweep --theorem sq_deriv --param lambda --from 1 --to 1.0000000000000004 --steps 6 "
+     "--m 4", True),
+    ("sweep --theorem deriv --param n --from 1 --to 8 --m 3 --lambda 0.5", False),
+    ("sweep --theorem sq_deriv --param m --from 1 --to 6 --n 5 --lambda 2", False),
+    ("sweep --theorem convex --param m --from 1 --to 4 --t 0.75", False),
+], ids=["t", "t-repeats", "lambda", "lambda-repeats", "n", "m", "m-convex"])
+def test_sweep_rows_match_one_radius_for_per_row(argv, repeats, capsys):
+    args = cli.build_parser().parse_args(argv.split())
+    kind = polybohr.FunctionalKind(args.theorem)
+    swept = "lam" if args.param == "lambda" else args.param
+    if args.steps is None:
+        values = list(range(int(args.start), int(args.stop) + 1))
+    else:
+        values = np.linspace(args.start, args.stop, args.steps).tolist()
+    assert (len(set(values)) < len(values)) == repeats
+    expected = ["param,radius,rho_root,residual"]
+    for v in values:
+        fields = {"n": args.n, "m": args.m, "t": args.t, "lam": args.lam, swept: v}
+        res = polybohr.radius_for(polybohr.RadiusProblem(kind, **fields))
+        expected.append(",".join(format(float(x), ".12g") for x in
+                                 (v, res.radius, res.rho_root, res.residual)))
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, err) == (0, "")
+    assert out == "\n".join(expected) + "\n"
+
+
 @pytest.mark.parametrize("lists,message", [
     (["--n-list", "1,0", "--lambda-list", "1,1e308"],
      "deriv-rho-quartic overflows a float: its values at 0.0 and 0.41421356237309515 "
@@ -654,8 +687,16 @@ def test_table_rows_match_one_radius_for_per_row(theorem, flag, weights, capsys)
      "n must be an integer >= 1, got 0"),
     (["--n-list", "1", "--lambda-list", "1,2,nan"],
      "lam must be positive and finite, got nan"),
+    # the weight is checked before r = (rho / n)^(1/m) turns n or m into a float
+    (["--n-list", "1", "--m-list", BIG, "--lambda-list", "nan"],
+     "lam must be positive and finite, got nan"),
+    (["--n-list", BIG, "--lambda-list", "nan"],
+     "lam must be positive and finite, got nan"),
+    (["--n-list", "1", "--m-list", BIG, "--lambda-list", "1"],
+     "int too large to convert to float"),
 ])
 def test_table_reports_the_first_failing_row(lists, message, capsys):
+    # a later --m-list in lists replaces this one
     code, out, err = run_cli(
         ["table", "--theorem", "deriv", "--m-list", "1"] + lists, capsys)
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -672,8 +713,12 @@ def test_table_reports_the_first_failing_row(lists, message, capsys):
      "n must be an integer >= 1, got 0"),
     ("sweep --theorem deriv --param t --from 0.1 --to 0.2 --steps 3",
      "deriv takes lam only"),
+    (f"sweep --theorem convex --param n --from 1 --to 2 --m {BIG} --t nan",
+     "t must lie in [0, 1], got nan"),
+    (f"sweep --theorem deriv --param lambda --from 1 --to 2 --steps 2 --m {BIG}",
+     "int too large to convert to float"),
 ], ids=["table-m-list", "sweep-n-from", "sweep-n-pairing", "sweep-m-fixed-n",
-        "sweep-t-pairing"])
+        "sweep-t-pairing", "sweep-n-big-m-nan-t", "sweep-lambda-big-m"])
 def test_sweeps_and_m_lists_report_the_first_failing_row(argv, message, capsys):
     # each row is checked n, then m, then the weight and its pairing, in row order
     code, out, err = run_cli(argv.split(), capsys)
