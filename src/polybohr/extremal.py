@@ -39,7 +39,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .radii import (Functional, FunctionalKind, RadiusProblem, _geometric_radius
 CROSSING_TOL = 1e-12
 
 _RHO_TOL = 1e-7  # relative bracket width at which a crossing bisection stops
-_VERIFY_BLOCK = 1 << 12  # verify evaluates the family on whole rows of at most this many points
+_VERIFY_BLOCK = 1 << 12  # most points in a verify block: whole rows, one mapped majorant pass
 
 # bound once: on Python 3.11 each FunctionalKind.X lookup costs about 150 ns,
 # and verify's loop would pay two or three of them per grid point
@@ -94,7 +94,8 @@ class Verification:
     """verify_radius's outcome; radius is the stated radius, not inflated.
 
     Each below violation is [a, rho, value > 1 + 1e-12]; each dominance
-    violation is [a, rho, majorant - family < -1e-12].
+    violation is [a, rho, majorant - family < -1e-12], rho clamped to the
+    kind's search cap as the majorant took it.
     """
 
     radius: float
@@ -326,11 +327,12 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
     negative control.  A grid point on the tail's pole a rho = 1, which only
     a large inflate reaches, raises ValueError.
 
-    The family is evaluated in blocks of whole rho-rows of at most
-    _VERIFY_BLOCK points.  The majorant, scalar code with no numpy, is still
-    called once per grid point, one mapped pass a row, as the benchmark's
-    self-check counts the calls (ROADMAP item 2 deletes them).  Each field
-    keeps the per-point loop's bits: nan rows and margins are skipped, the rest count.
+    The grid is swept in blocks of whole rho-rows of at most _VERIFY_BLOCK
+    points, one mapped majorant pass and one set of reductions per block;
+    the majorant, scalar code with no numpy, is still called once per grid
+    point, as the benchmark's self-check counts the calls (ROADMAP item 2
+    deletes them).  Each field keeps the per-point loop's bits, and so do the
+    violations' order and the first error: nan rows and margins are skipped.
     """
     a_grid = _check_count("a_grid", a_grid, 10)
     rho_grid = _check_count("rho_grid", rho_grid, 10)
@@ -357,24 +359,31 @@ def verify_radius(problem: RadiusProblem, a_grid: int, rho_grid: int,
         for start in range(0, rho_grid, step):
             block = rhos[start:start + step]
             vals = _functional_value(problem, avals, block[:, None])
-            for rho, row, top in zip(block.tolist(), vals, np.max(vals, axis=1).tolist()):
-                # a < 1, so only rho > 1 can put a grid point on the pole
-                if rho > 1.0 and (avals * rho == 1.0).any():
-                    raise ValueError(f"the verify grid reaches a * rho = 1 at rho = {rho!r}, "
-                                     f"the pole of the family's tail; lower inflate")
-                if top > max_value:  # a nan row is skipped
-                    max_value = top
-                for i in np.flatnonzero(row > 1.0 + 1e-12).tolist():
-                    below_violations.append([a_list[i], rho, float(row[i])])
-                rr = min(rho, cap)
-                fam = row if rr == rho else _functional_value(problem, avals, rr)
-                margins = np.fromiter(map(majorant, repeat(problem, a_grid), a_list,
-                                          repeat(rr, a_grid)), float, a_grid) - fam
-                low = float(np.fmin.reduce(margins))  # the least margin that is not nan
-                if low < min_margin:
-                    min_margin = low
-                for i in np.flatnonzero(margins < -1e-12).tolist():
-                    dominance_violations.append([a_list[i], rr, float(margins[i])])
+            # a < 1 and rho rises along the grid, so only rows with rho > 1 can
+            # reach the pole; the first of them raises, as it did row by row
+            if block[-1] > 1.0:
+                pole = np.flatnonzero((block[:, None] * avals == 1.0).any(axis=1))
+                if pole.size:
+                    raise ValueError(f"the verify grid reaches a * rho = 1 at rho = "
+                                     f"{float(block[pole[0]])!r}, the pole of the family's "
+                                     f"tail; lower inflate")
+            # fmax and fmin skip nan, so a nan row or margin leaves the rest to count
+            max_value = float(np.fmax.reduce(np.max(vals, axis=1), initial=max_value))
+            vals = vals.ravel()  # row-major, so point k is (row k // a_grid, a_list[k % a_grid])
+            for k in np.flatnonzero(vals > 1.0 + 1e-12).tolist():
+                row, i = divmod(k, a_grid)
+                below_violations.append([a_list[i], float(block[row]), float(vals[k])])
+            clamped = np.minimum(block, cap)
+            fam = _functional_value(problem, avals, clamped[:, None]).ravel() \
+                if (block > cap).any() else vals
+            rr = clamped.tolist()
+            margins = np.fromiter(map(majorant, repeat(problem, vals.size), a_list * block.size,
+                                      chain.from_iterable(map(repeat, rr, repeat(a_grid)))),
+                                  float, vals.size) - fam
+            min_margin = float(np.fmin.reduce(margins, initial=min_margin))
+            for k in np.flatnonzero(margins < -1e-12).tolist():
+                row, i = divmod(k, a_grid)
+                dominance_violations.append([a_list[i], rr[row], float(margins[k])])
     return Verification(radius, rho_max, max_value, min_margin,
                         below_violations, dominance_violations)
 

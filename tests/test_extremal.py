@@ -493,10 +493,16 @@ VERIFY_PROBLEMS = [
 ]
 
 
-@pytest.mark.parametrize("problem", VERIFY_PROBLEMS[:2], ids=["convex", "deriv"])
-def test_verify_radius_calls_the_majorant_once_per_grid_point(problem, monkeypatch):
+@pytest.mark.parametrize("problem, rows", [
+    (problem, rows) for rows in (None, 1, 3, 20) for problem in VERIFY_PROBLEMS[:2]
+], ids=[f"{kind}{rows}" for rows in ("", "-1-row", "-3-rows", "-20-rows")
+        for kind in ("convex", "deriv")])
+def test_verify_radius_calls_the_majorant_once_per_grid_point(problem, rows, monkeypatch):
     # the benchmark's traced self-check expects one majorant_functional call,
-    # made through the module global, per verify grid point
+    # made through the module global, per verify grid point, at every block
+    # size: 1 and 3 rows a block, and 20, which holds all 11 rows
+    if rows is not None:
+        monkeypatch.setattr(extremal, "_VERIFY_BLOCK", rows * 23)
     calls = 0
     real = extremal.majorant_functional
 

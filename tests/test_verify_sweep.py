@@ -1,9 +1,11 @@
 """verify_radius's array sweep against the per-point loop it replaced.
 
-The sweep evaluates the family in blocks of whole rho-rows and the majorant
-in one mapped pass per row; every field of its outcome must keep the bits of
-the row-by-row loop in _reference.reference_verify, on NaN rows, clamped
-rows, rows past the pole and at every block size.
+The sweep works on blocks of whole rho-rows: one family evaluation, one
+mapped majorant pass and one set of reductions per block.  Every field of
+its outcome must keep the bits of the row-by-row loop in
+_reference.reference_verify, and an error must be the one that loop raised
+first, on NaN rows, clamped rows, rows past the pole, at block edges and at
+every block size.
 """
 
 import math
@@ -155,6 +157,12 @@ BLOCK_CASES = [
     (RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=1.0), 20, 12, 0.5),  # clamped rows
     (RadiusProblem(FunctionalKind.SQ_DERIV, 3, 1, lam=2.0), 37, 41, 0.01),
     (RadiusProblem(FunctionalKind.SQ_DERIV, 8, 1, lam=1.0), 23, 30, 1e200),  # inf rows
+    # at the default block: clamping starts inside a block, one row a block,
+    # and last blocks of 1 and of 19 of 20 rows
+    (RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=1.0), 200, 50, 0.5),
+    (RadiusProblem(FunctionalKind.SQ_DERIV, 2, 1, lam=1.0), extremal._VERIFY_BLOCK + 3, 10, 0.01),
+    (RadiusProblem(FunctionalKind.CONVEX, 3, 2, t=0.4), 200, 41, 0.01),
+    (RadiusProblem(FunctionalKind.DERIV, 1, 1, lam=1.0), 200, 59, 0.5),
 ]
 
 
@@ -164,7 +172,8 @@ BLOCKS = {"default": None, "point": lambda a: 1, "row": lambda a: a, "3-rows": l
 
 
 @pytest.mark.parametrize("block", BLOCKS.values(), ids=BLOCKS.keys())
-@pytest.mark.parametrize("case", BLOCK_CASES, ids=["pole", "past-pole", "clamped", "sq", "inf"])
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=["pole", "past-pole", "clamped", "sq", "inf",
+                                                  "cap-inside", "wide", "one-left", "most-left"])
 def test_results_do_not_depend_on_the_block_size(case, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(extremal, "_VERIFY_BLOCK", block(case[1]))
@@ -182,6 +191,57 @@ def test_dominance_violations_come_in_row_major_order(block, monkeypatch):
     check = verify_radius(*case)
     assert len(check.dominance_violations) > 12 * 10
     assert_same_verification(check, reference_verify(*case))
+
+
+def _rows_per_block(a_grid):
+    return max(1, extremal._VERIFY_BLOCK // a_grid)
+
+
+def test_the_edge_cases_sit_on_the_default_blocks_edges():
+    cap_case, wide, one_left, most_left = BLOCK_CASES[5:]
+    rhos = np.linspace(0.0, verify_radius(*cap_case).rho_max, cap_case[2])
+    first = int(np.flatnonzero(rhos > cap_case[0].kind.search_cap)[0])
+    assert 0 < first % _rows_per_block(200) < _rows_per_block(200) - 1
+    assert _rows_per_block(wide[1]) == 1 and wide[1] > extremal._VERIFY_BLOCK
+    assert one_left[2] % _rows_per_block(200) == 1
+    assert most_left[2] % _rows_per_block(200) == _rows_per_block(200) - 1
+    assert verify_radius(*most_left).rho_max > most_left[0].kind.search_cap
+
+
+# -- the first error ------------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [None, 2], ids=["default", "2-rows"])
+def test_the_first_pole_row_raises_also_inside_a_block(rows, monkeypatch):
+    # rows 3 and 5 of this grid reach a * rho = 1; row 3 is the fourth row of
+    # the default block, which holds row 5 too, and the second of a 2-row block
+    if rows is not None:
+        monkeypatch.setattr(extremal, "_VERIFY_BLOCK", rows * 200)
+    case = (RadiusProblem(FunctionalKind.CONVEX, 1, 2, t=0.0), 200, 11, 3.0)
+    avals = np.linspace(0.0, 1.0, 200, endpoint=False)
+    rhos = np.linspace(0.0, (extremal.radius_for(case[0]).radius * 4.0) ** 2, 11)
+    assert np.flatnonzero((rhos[:, None] * avals == 1.0).any(axis=1)).tolist() == [3, 5]
+    assert 3 % _rows_per_block(200) != 0
+    got, want = _outcome(verify_radius, *case), _outcome(reference_verify, *case)
+    assert got == want == (f"ValueError: the verify grid reaches a * rho = 1 at rho = "
+                           f"{rhos[3].item()!r}, the pole of the family's tail; lower inflate")
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["default", "1-row", "3-rows"])
+def test_an_infinite_rho_max_raises_the_majorants_error_on_its_nan_row(rows, monkeypatch):
+    # (r (1 + inflate))^m stays finite, so its OverflowError does not fire, but
+    # its product with n = 8 is inf, and linspace(0, inf) is [nan, inf, ...]:
+    # the block holding the nan row passes the pole test (inf * a is never 1),
+    # and the majorant raises on nan
+    if rows is not None:
+        monkeypatch.setattr(extremal, "_VERIFY_BLOCK", rows * 23)
+    case = (RadiusProblem(FunctionalKind.DERIV, 8, 2, lam=1.0), 23, 12, 3e154)
+    assert 8 * (extremal.radius_for(case[0]).radius * (1.0 + 3e154)) ** 2 == math.inf
+    with np.errstate(invalid="ignore"):  # linspace's 0 * inf, in verify_radius too
+        rhos = np.linspace(0.0, math.inf, 12)
+        got, want = _outcome(verify_radius, *case), _outcome(reference_verify, *case)
+    assert math.isnan(rhos[0]) and (rhos[1:] == math.inf).all()
+    assert got == want
+    assert got.startswith("ValueError: deriv majorant needs") and got.endswith("got nan")
 
 
 # tracemalloc peak of verify_radius(problem, 500, 100, 0.0) at the per-point
